@@ -8,7 +8,6 @@ from .core import (
     RootOfUnity,
     Scenario,
     correlation_from_probabilities,
-    outcome_tuples,
     point_mass_table,
     root_of_unity,
     settings_tuples,

@@ -168,47 +168,100 @@ class FunctionalProvenance:
     g: tuple | None = None
 
 
+Term = tuple[tuple[int, ...], tuple[int, ...], complex]
+
+
 @dataclass(frozen=True)
 class BellFunctional:
-    """Complex coefficients over settings tuples plus a form tag.
+    """Re or |.| of sum_t w_t E^(r_t)[x_t] over a term list kept in order.
 
-    The value on a correlation tensor E is Re[sum_x c_x E_x] for REAL_PART or
-    |sum_x c_x E_x| for MODULUS.  Coefficients are never normalized implicitly;
-    the classical bound carries all scale.
+    The dense route BellFunctional(scenario, coefficients, form, mask) lists
+    the nonzero coefficients in settings order under one mask; from_terms
+    takes (x_t, r_t, w_t) triples whose masks may differ, as the starred
+    three-party construction needs.  `mask` and the dense `coefficients` are
+    None when the masks are mixed.  Weights are never normalized implicitly.
     """
 
     scenario: Scenario
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None
     form: FunctionalForm
     mask: ConjugationMask | None = None
     provenance: FunctionalProvenance | None = None
     cached_bound: float | None = None
+    term_list: tuple[Term, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", as_mask(self.scenario, self.mask))
-        arr = np.asarray(self.coefficients, dtype=complex)
-        if arr.shape != self.scenario.settings_shape():
-            raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
-        if not np.any(arr):
-            raise ValueError("coefficient tensor is identically zero")
-        arr.setflags(write=False)
+        if self.term_list is None:
+            mask = as_mask(self.scenario, self.mask)
+            arr = np.asarray(self.coefficients, dtype=complex)
+            if arr.shape != self.scenario.settings_shape():
+                raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
+            values = [(x, complex(arr[x])) for x in settings_tuples(self.scenario)]
+            terms = [(x, mask.entries, c) for x, c in values if c != 0]
+        else:
+            terms, mask, arr = self._from_term_list()
+        if not any(w != 0 for _, _, w in terms):
+            raise ValueError("functional has no nonzero weight")
+        if arr is not None:
+            arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "term_list", tuple(terms))
 
-    def terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], complex]]:
-        """(settings tuple, mask entries, weight) for every nonzero coefficient."""
-        out = []
-        for x in settings_tuples(self.scenario):
-            c = complex(self.coefficients[x])
-            if c != 0:
-                out.append((x, self.mask.entries, c))
-        return out
+    def _from_term_list(self):
+        """Validated terms, plus the shared mask and dense tensor if there is one."""
+        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
+        terms = [(tuple(int(v) for v in x), tuple(int(v) for v in r), complex(w))
+                 for x, r, w in self.term_list]
+        for x, r, _ in terms:
+            fits = (len(x) == len(r) == n and all(0 <= s < k for s in x)
+                    and all(0 <= e < d for e in r))
+            if not fits:
+                raise ValueError(f"term with settings {x}, mask {r} does not fit {self.scenario}")
+        masks = {r for _, r, _ in terms}
+        if len(masks) != 1:
+            mask, arr = None, None
+        else:
+            mask = ConjugationMask(masks.pop(), d)
+            arr = np.zeros(self.scenario.settings_shape(), dtype=complex)
+            for x, _, w in terms:
+                arr[x] += w
+        # dataclasses.replace passes the derived fields back in
+        if self.coefficients is not None and not np.array_equal(self.coefficients, arr):
+            raise ValueError("coefficients disagree with the term list")
+        return terms, mask, arr
+
+    @classmethod
+    def from_terms(cls, scenario: Scenario, terms, form=FunctionalForm.REAL_PART,
+                   provenance=None, cached_bound=None) -> "BellFunctional":
+        """A functional from (settings, mask entries, weight) triples, kept in order."""
+        return cls(scenario, None, form, provenance=provenance, cached_bound=cached_bound,
+                   term_list=tuple(terms))
+
+    def terms(self) -> list[Term]:
+        """(settings tuple, mask entries, weight) for every term, in order."""
+        return list(self.term_list)
+
+    def contract(self, correlations) -> complex:
+        """sum_t w_t E^(r_t)[x_t], summed in term order.
+
+        `correlations(r)` returns the correlation tensor for mask entries r;
+        it is called once per distinct mask.
+        """
+        tensors = {}
+        total = 0j
+        for x, r, w in self.term_list:
+            if r not in tensors:
+                tensors[r] = correlations(r)
+            total += w * tensors[r][x]
+        return total
 
     def rescaled(self, factor: complex) -> "BellFunctional":
         bound = None
         if self.cached_bound is not None and factor.imag == 0 and factor.real > 0:
             bound = self.cached_bound * factor.real
-        return BellFunctional(
-            self.scenario, self.coefficients * factor, self.form, self.mask,
+        return BellFunctional.from_terms(
+            self.scenario, [(x, r, w * factor) for x, r, w in self.term_list], self.form,
             provenance=self.provenance, cached_bound=bound,
         )
 
@@ -328,12 +381,10 @@ def wwzb_nonlinear(
 
 
 def evaluate_functional(functional: BellFunctional, tensor: CorrelationTensor) -> float:
-    """Re[sum_x c_x E_x] or |sum_x c_x E_x| according to the form tag."""
+    """Re or |.| of sum_t w_t E[x_t] on a tensor of the functional's one mask."""
     if tensor.scenario != functional.scenario:
         raise ValueError("correlation tensor belongs to a different scenario")
-    if tensor.mask.entries != functional.mask.entries:
-        raise ValueError(
-            f"mask mismatch: functional {functional.mask.entries}, tensor {tensor.mask.entries}"
-        )
-    total = complex(np.sum(functional.coefficients * tensor.values))
-    return apply_form(functional.form, total)
+    if functional.mask is None or tensor.mask.entries != functional.mask.entries:
+        entries = "mixed" if functional.mask is None else functional.mask.entries
+        raise ValueError(f"mask mismatch: functional {entries}, tensor {tensor.mask.entries}")
+    return apply_form(functional.form, functional.contract(lambda _: tensor))

@@ -11,7 +11,7 @@ deterministic correlations fix the fourth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .bases import (
     Pairing,
     apply_form,
     build_functional,
+    evaluate_functional,
     k2_conjugate_basis,
 )
 from .lhv import classical_bound, facet_check, strategy_functional_value
@@ -42,8 +43,6 @@ __all__ = [
     "I323_SCENARIO",
     "PROBABILITY_TO_CORRELATION_SCALE",
     "CglmpTerms",
-    "MaskedFunctionalTerm",
-    "MaskedFunctional",
     "cglmp_probability_value",
     "equality_probability",
     "correlation_from_equality_probs",
@@ -142,17 +141,11 @@ def equality_probs_from_correlation(value: complex) -> tuple[float, float, float
 CGLMP_MASK = (1, 2)  # a enters plainly, b conjugated: <alpha^(a-b)>
 
 
-def _cglmp_coefficients() -> np.ndarray:
-    return np.array(
-        [[1 - ALPHA, 1 - ALPHA**2], [ALPHA - 1, 1 - ALPHA]], dtype=complex
-    )
-
-
 def cglmp_correlation_functional() -> BellFunctional:
     """The correlation form: Re of the coefficient pairing, bound 3."""
     return BellFunctional(
         CGLMP_SCENARIO,
-        _cglmp_coefficients(),
+        np.array([[1 - ALPHA, 1 - ALPHA**2], [ALPHA - 1, 1 - ALPHA]], dtype=complex),
         FunctionalForm.REAL_PART,
         ConjugationMask(CGLMP_MASK, 3),
         cached_bound=3.0,
@@ -171,79 +164,22 @@ def cglmp_conjugate_expansion_g() -> GTable:
 
 def cglmp_correlation_value(tensor: CorrelationTensor) -> float:
     """Evaluate the correlation form on an <alpha^(a-b)> tensor."""
-    if tensor.scenario != CGLMP_SCENARIO:
-        raise ValueError("the correlation form needs the two-setting qutrit scenario")
-    if tensor.mask.entries != CGLMP_MASK:
-        raise ValueError(f"expected mask {CGLMP_MASK}, got {tensor.mask.entries}")
-    total = complex(np.sum(_cglmp_coefficients() * tensor.values))
-    return float(total.real)
+    return evaluate_functional(cglmp_correlation_functional(), tensor)
 
 
-@dataclass(frozen=True)
-class MaskedFunctionalTerm:
-    """One weighted correlation with its own per-party conjugation pattern."""
-
-    settings: tuple[int, ...]
-    mask: tuple[int, ...]
-    weight: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(v) for v in self.settings))
-        object.__setattr__(self, "mask", tuple(int(v) for v in self.mask))
-        object.__setattr__(self, "weight", complex(self.weight))
-
-
-@dataclass(frozen=True)
-class MaskedFunctional:
-    """Sum of correlations with per-term masks, read through Re or modulus.
-
-    Generalizes BellFunctional to expressions that mix a correlation with the
-    conjugate of another, as the starred three-party construction requires.
-    """
-
-    scenario: Scenario
-    term_list: tuple[MaskedFunctionalTerm, ...]
-    form: FunctionalForm = FunctionalForm.REAL_PART
-    cached_bound: float | None = None
-
-    def __post_init__(self):
-        if not self.term_list:
-            raise ValueError("need at least one term")
-        for term in self.term_list:
-            if len(term.settings) != self.scenario.parties or len(term.mask) != self.scenario.parties:
-                raise ValueError("term arity does not match the scenario")
-            if any(not 0 <= s < self.scenario.settings for s in term.settings):
-                raise ValueError(f"settings {term.settings} out of range")
-            if any(not 0 <= r < self.scenario.outcomes for r in term.mask):
-                raise ValueError(f"mask {term.mask} out of range")
-        object.__setattr__(self, "term_list", tuple(self.term_list))
-
-    def terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], complex]]:
-        return [(t.settings, t.mask, t.weight) for t in self.term_list]
-
-    def value_on_table(self, table: ProbabilityTable) -> float:
-        total = 0j
-        cache = {}
-        for x, mask, weight in self.terms():
-            if mask not in cache:
-                cache[mask] = correlation_from_probabilities(table, mask)
-            total += weight * cache[mask][x]
-        return apply_form(self.form, total)
-
-
-def cglmp_starred_functional() -> MaskedFunctional:
+def cglmp_starred_functional() -> BellFunctional:
     """The rewriting that conjugates the cross term: same values, bound 3.
 
     Identical to the correlation form because the conjugated term's weight is
     the conjugate-rotated coefficient.
     """
-    return MaskedFunctional(
+    return BellFunctional.from_terms(
         CGLMP_SCENARIO,
         (
-            MaskedFunctionalTerm((0, 0), CGLMP_MASK, 1 - ALPHA),
-            MaskedFunctionalTerm((1, 0), (2, 1), ALPHA**2 * (1 - ALPHA)),
-            MaskedFunctionalTerm((1, 1), CGLMP_MASK, 1 - ALPHA),
-            MaskedFunctionalTerm((0, 1), CGLMP_MASK, 1 - ALPHA**2),
+            ((0, 0), CGLMP_MASK, 1 - ALPHA),
+            ((1, 0), (2, 1), ALPHA**2 * (1 - ALPHA)),
+            ((1, 1), CGLMP_MASK, 1 - ALPHA),
+            ((0, 1), CGLMP_MASK, 1 - ALPHA**2),
         ),
         FunctionalForm.REAL_PART,
         cached_bound=3.0,
@@ -275,16 +211,16 @@ def bell_numbers_identity_check(strategy: DeterministicStrategy) -> bool:
     raise ValueError("the identity is defined for two or three parties")
 
 
-def i323_functional() -> MaskedFunctional:
+def i323_functional() -> BellFunctional:
     """Three-party CGLMP generalization; a star conjugates that party's factor."""
     w1 = 1 - ALPHA
-    return MaskedFunctional(
+    return BellFunctional.from_terms(
         I323_SCENARIO,
         (
-            MaskedFunctionalTerm((0, 1, 1), (1, 2, 1), w1),
-            MaskedFunctionalTerm((1, 0, 1), (2, 2, 2), ALPHA**2 * w1),
-            MaskedFunctionalTerm((1, 1, 0), (1, 1, 1), w1),
-            MaskedFunctionalTerm((0, 0, 0), (1, 2, 1), 1 - ALPHA**2),
+            ((0, 1, 1), (1, 2, 1), w1),
+            ((1, 0, 1), (2, 2, 2), ALPHA**2 * w1),
+            ((1, 1, 0), (1, 1, 1), w1),
+            ((0, 0, 0), (1, 2, 1), 1 - ALPHA**2),
         ),
         FunctionalForm.REAL_PART,
         cached_bound=3.0,
@@ -299,7 +235,8 @@ def i323_value(target) -> float:
     if isinstance(target, QuantumSetup):
         return quantum_functional_value(functional, target, path="born")
     if isinstance(target, ProbabilityTable):
-        return functional.value_on_table(target)
+        total = functional.contract(lambda mask: correlation_from_probabilities(target, mask))
+        return apply_form(functional.form, total)
     raise TypeError(f"cannot evaluate on {type(target).__name__}")
 
 
@@ -333,14 +270,7 @@ def three_party_tight_family(g, config: OptimizationConfig | None = None,
     """Build one family member, certify tightness, and maximize its violation."""
     functional = three_party_tight_functional(g, pairing)
     bound = classical_bound(functional)
-    certified = BellFunctional(
-        functional.scenario,
-        functional.coefficients,
-        functional.form,
-        functional.mask,
-        provenance=functional.provenance,
-        cached_bound=bound.bound,
-    )
+    certified = replace(functional, cached_bound=bound.bound)
     report = facet_check(certified)
     result = maximize_violation(certified, config, beta=bound.bound)
     return certified, report, result

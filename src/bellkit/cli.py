@@ -84,10 +84,18 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
+def _read_document(path: str, location: str):
+    """The JSON document in a file; main reports a JSONDecodeError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(location, f"cannot read {path!r}: {exc}") from exc
+
+
 def _load_spec(value: str, pairing_override: Pairing | None):
     path = Path(value)
     if path.is_file():
-        doc = json.loads(path.read_text())  # JSONDecodeError wrapped by caller
+        doc = _read_document(value, "spec")
         source = str(path)
     elif value in PRESETS:
         doc = PRESETS[value]
@@ -122,6 +130,12 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
 
 
 def _config_from_args(args) -> OptimizationConfig:
+    if args.restarts < 1:
+        raise SpecParseError("--restarts", f"need at least one restart, got {args.restarts}")
+    if not args.tolerance > 0:
+        raise SpecParseError("--tolerance", f"must be positive, got {args.tolerance}")
+    if args.seed < 0:
+        raise SpecParseError("--seed", f"must be non-negative, got {args.seed}")
     return OptimizationConfig(
         restarts=args.restarts,
         seed=args.seed,
@@ -154,7 +168,7 @@ def cmd_optimize(args, argv) -> int:
     bound = classical_bound(functional, budget=args.budget, threads=args.threads).bound
 
     if args.setup is not None:
-        setup_doc = json.loads(Path(args.setup).read_text())
+        setup_doc = _read_document(args.setup, "--setup")
         setup = parse_setup_document(setup_doc, args.setup)
         inputs["setup"] = {"source": args.setup, "digest": document_digest(setup_doc)}
         if setup.scenario != functional.scenario:

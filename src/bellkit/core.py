@@ -27,7 +27,6 @@ __all__ = [
     "DeterministicStrategy",
     "root_of_unity",
     "settings_tuples",
-    "outcome_tuples",
     "correlation_from_probabilities",
     "strategy_value",
     "strategy_correlation_tensor",
@@ -75,9 +74,6 @@ class Scenario:
 
     def settings_shape(self) -> tuple[int, ...]:
         return (self.settings,) * self.parties
-
-    def outcomes_shape(self) -> tuple[int, ...]:
-        return (self.outcomes,) * self.parties
 
 
 from functools import lru_cache
@@ -142,10 +138,6 @@ class ConjugationMask:
     def all_ones(cls, scenario: Scenario) -> "ConjugationMask":
         return cls((1,) * scenario.parties, scenario.outcomes)
 
-    @classmethod
-    def all_zeros(cls, scenario: Scenario) -> "ConjugationMask":
-        return cls((0,) * scenario.parties, scenario.outcomes)
-
     def conjugated(self) -> "ConjugationMask":
         """Componentwise r -> (d - r) mod d; maps E to its complex conjugate."""
         return ConjugationMask(tuple((self.order - r) % self.order for r in self.entries), self.order)
@@ -173,11 +165,6 @@ def settings_tuples(scenario: Scenario) -> list[tuple[int, ...]]:
     This order is the canonical flattening of every tensor in the package.
     """
     return list(itertools.product(range(scenario.settings), repeat=scenario.parties))
-
-
-def outcome_tuples(scenario: Scenario) -> list[tuple[int, ...]]:
-    """All joint outcomes in lexicographic order, party 0 slowest."""
-    return list(itertools.product(range(scenario.outcomes), repeat=scenario.parties))
 
 
 @dataclass(frozen=True)
@@ -307,15 +294,14 @@ def strategy_value(strategy: DeterministicStrategy, x: tuple[int, ...], mask) ->
 
 
 def strategy_correlation_tensor(strategy: DeterministicStrategy, mask) -> CorrelationTensor:
-    """The correlation tensor of a deterministic strategy; every entry has unit modulus."""
+    """The correlation tensor of a deterministic strategy; every entry is an exact root."""
     scenario = strategy.scenario
     mask = as_mask(scenario, mask)
     d = scenario.outcomes
-    factors = [
-        unit_roots(d)[(r * strategy.assignments[p]) % d]
-        for p, r in enumerate(mask.entries)
-    ]
-    return CorrelationTensor(scenario, mask, reduce(np.multiply.outer, factors))
+    exponents = reduce(
+        np.add.outer, [r * strategy.assignments[p] for p, r in enumerate(mask.entries)]
+    )
+    return CorrelationTensor(scenario, mask, unit_roots(d)[exponents % d])
 
 
 def point_mass_table(strategy: DeterministicStrategy) -> ProbabilityTable:

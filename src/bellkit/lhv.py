@@ -22,8 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (DeterministicStrategy, Scenario, as_mask, root_of_unity,
-                   settings_tuples, unit_roots)
+from .core import (DeterministicStrategy, Scenario, as_mask, settings_tuples,
+                   strategy_correlation_tensor, unit_roots)
 from .bases import BellFunctional, FunctionalForm, apply_form
 
 __all__ = [
@@ -111,13 +111,6 @@ def _party_assignments(scenario: Scenario) -> np.ndarray:
     return rows
 
 
-def _functional_terms(functional) -> list[tuple[tuple[int, ...], tuple[int, ...], complex]]:
-    terms = functional.terms()
-    if not terms:
-        raise ValueError("functional has no nonzero terms")
-    return terms
-
-
 def _party_factor(scenario: Scenario, assignments: np.ndarray, setting: int, mask_entry: int):
     d = scenario.outcomes
     return unit_roots(d)[(mask_entry * assignments[:, setting]) % d]
@@ -132,7 +125,7 @@ def _chunk_values(functional, scenario, assignments, start, stop) -> np.ndarray:
     for p in range(n - 1, -1, -1):
         rest, party_idx[p] = np.divmod(rest, per_party)
     totals = np.zeros(stop - start, dtype=complex)
-    for x, mask_entries, weight in _functional_terms(functional):
+    for x, mask_entries, weight in functional.terms():
         factor = np.ones(stop - start, dtype=complex)
         for p in range(n):
             column = _party_factor(scenario, assignments, x[p], mask_entries[p])
@@ -141,28 +134,11 @@ def _chunk_values(functional, scenario, assignments, start, stop) -> np.ndarray:
     return totals
 
 
-def strategy_values(functional, budget: int = DEFAULT_BUDGET, chunk: int = DEFAULT_CHUNK):
-    """Yield (start, complex totals) over all strategies in flat-index order."""
-    scenario = functional.scenario
-    total = _check_budget(scenario, budget)
-    assignments = _party_assignments(scenario)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        yield start, _chunk_values(functional, scenario, assignments, start, stop)
-
-
 def strategy_functional_value(functional, strategy: DeterministicStrategy) -> float:
     """Evaluate a functional on one deterministic strategy."""
-    scenario = functional.scenario
-    if strategy.scenario != scenario:
+    if strategy.scenario != functional.scenario:
         raise ValueError("strategy belongs to a different scenario")
-    d = scenario.outcomes
-    total = 0j
-    for x, mask_entries, weight in _functional_terms(functional):
-        exponent = sum(
-            mask_entries[p] * strategy.outcome(p, x[p]) for p in range(scenario.parties)
-        )
-        total += weight * root_of_unity(d, exponent)
+    total = functional.contract(lambda mask: strategy_correlation_tensor(strategy, mask))
     return apply_form(functional.form, total)
 
 
@@ -261,9 +237,9 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
         raise UnsupportedFormError(
             "facet certification applies to real-part functionals; linearize the modulus first"
         )
-    if not isinstance(functional, BellFunctional):
+    if functional.mask is None:
         raise UnsupportedFormError(
-            "facet certification needs a single-mask coefficient functional; "
+            "facet certification needs a single-mask functional; "
             "per-term masks do not embed in one correlation polytope"
         )
     scenario = functional.scenario
@@ -294,10 +270,10 @@ def linearize_modulus(functional: BellFunctional, phase: float) -> BellFunctiona
     """
     if functional.form is not FunctionalForm.MODULUS:
         raise UnsupportedFormError("only modulus functionals can be linearized")
-    return BellFunctional(
+    rotation = np.exp(1j * phase)
+    return BellFunctional.from_terms(
         functional.scenario,
-        functional.coefficients * np.exp(1j * phase),
+        [(x, r, w * rotation) for x, r, w in functional.terms()],
         FunctionalForm.REAL_PART,
-        functional.mask,
         provenance=functional.provenance,
     )

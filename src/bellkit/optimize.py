@@ -108,20 +108,14 @@ def quantum_functional_value(functional, setup: QuantumSetup, path: str = "born"
     scenario = functional.scenario
     if setup.scenario != scenario:
         raise ValueError("setup belongs to a different scenario")
-    masks = {}
     if path == "born":
         table = probability_table(setup)
-        getter = lambda mask: correlation_from_probabilities(table, mask)
+        correlations = lambda mask: correlation_from_probabilities(table, mask)
     elif path == "fast":
-        getter = lambda mask: quantum_correlation_tensor(setup, mask)
+        correlations = lambda mask: quantum_correlation_tensor(setup, mask)
     else:
         raise ValueError(f"unknown path {path!r}")
-    total = 0j
-    for x, mask_entries, weight in functional.terms():
-        if mask_entries not in masks:
-            masks[mask_entries] = getter(mask_entries)
-        total += weight * masks[mask_entries][x]
-    return apply_form(functional.form, total)
+    return apply_form(functional.form, functional.contract(correlations))
 
 
 class _MultiportObjective:
@@ -415,7 +409,7 @@ def _finish(functional, objective, config, beta, search_output) -> OptResult:
 
 
 def _resolve_bound(functional, budget=None) -> float:
-    if getattr(functional, "cached_bound", None) is not None:
+    if functional.cached_bound is not None:
         return float(functional.cached_bound)
     kwargs = {} if budget is None else {"budget": budget}
     return classical_bound(functional, **kwargs).bound

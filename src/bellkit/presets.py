@@ -105,8 +105,3 @@ PRESETS: dict[str, dict] = {
 def preset_names() -> list[str]:
     return sorted(PRESETS)
 
-
-def get_preset(name: str) -> dict:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return PRESETS[name]

@@ -1,11 +1,15 @@
 """Functional and setup documents: the CLI's input and output contracts.
 
-A functional document is a JSON object with a scenario, a form tag, and
-exactly one coefficient route:
+A functional document is a JSON object with a scenario, a form tag, an
+optional finite "bound", and exactly one coefficient route:
 
   construction: {"basis": "fourier"|"k2-conjugate", "pairing": ..., "g": nested ints}
   coefficients: nested [re, im] over settings tuples (optional "mask")
   terms:        [{"settings": [...], "mask": [...], "weight": [re, im]}, ...]
+
+Every route yields one BellFunctional.  The terms route keeps its terms in
+the order listed; it has a dense coefficient tensor and a mask only when every
+term carries the same mask.  Any malformed document raises SpecParseError.
 
 A setup document carries amplitudes as [re, im] pairs in canonical mode order
 (party 0 slowest) and phases as nested [party][setting][port] arrays.
@@ -19,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from .core import ConjugationMask, Scenario
+from .core import Scenario, as_mask
 from .bases import (
     BellFunctional,
     FunctionalForm,
@@ -33,7 +39,6 @@ from .bases import (
     fourier_party_basis,
     k2_conjugate_basis,
 )
-from .cglmp import MaskedFunctional, MaskedFunctionalTerm
 from .lhv import ClassicalBoundResult, FacetReport
 from .multiport import QuantumSetup
 from .optimize import OptResult, ScanRow
@@ -42,7 +47,6 @@ __all__ = [
     "SpecParseError",
     "parse_functional_document",
     "parse_setup_document",
-    "functional_from_source",
     "round_floats",
     "complex_pair",
     "canonical_json",
@@ -82,59 +86,51 @@ def _parse_scenario(doc: Any, location: str) -> Scenario:
         )
     except SpecParseError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(location, str(exc)) from exc
 
 
 def _parse_complex(value: Any, location: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
             return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(location, f"bad complex pair {value!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecParseError(location, f"bad number {value!r}") from exc
     raise SpecParseError(location, f"expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_form(value: Any, location: str) -> FunctionalForm:
+def _parse_choice(kind, value: Any, location: str):
     try:
-        return FunctionalForm(value)
+        return kind(value)  # an enum such as FunctionalForm or Pairing
     except ValueError as exc:
-        options = ", ".join(f.value for f in FunctionalForm)
-        raise SpecParseError(location, f"form must be one of {options}") from exc
-
-
-def _parse_pairing(value: Any, location: str) -> Pairing:
-    try:
-        return Pairing(value)
-    except ValueError as exc:
-        options = ", ".join(p.value for p in Pairing)
-        raise SpecParseError(location, f"pairing must be one of {options}") from exc
+        options = ", ".join(member.value for member in kind)
+        raise SpecParseError(location, f"must be one of {options}") from exc
 
 
 def _nested_to_array(data: Any, scenario: Scenario, location: str, parse_leaf):
-    arr = np.empty(scenario.settings_shape(), dtype=complex)
-    def fill(node, index, loc):
-        depth = len(index)
+    # the leaves are collected first, so a malformed document allocates nothing large
+    leaves = []
+    def fill(node, depth, loc):
         if depth == scenario.parties:
-            arr[index] = parse_leaf(node, loc)
+            leaves.append(parse_leaf(node, loc))
             return
         if not isinstance(node, list) or len(node) != scenario.settings:
             raise SpecParseError(loc, f"expected a list of length {scenario.settings}")
         for i, child in enumerate(node):
-            fill(child, index + (i,), f"{loc}[{i}]")
-    fill(data, (), location)
-    return arr
+            fill(child, depth + 1, f"{loc}[{i}]")
+    fill(data, 0, location)
+    return np.array(leaves, dtype=complex).reshape(scenario.settings_shape())
 
 
 def parse_functional_document(doc: dict, location: str = "spec",
-                              pairing_override: Pairing | None = None):
-    """Build a BellFunctional or MaskedFunctional from a parsed JSON object."""
+                              pairing_override: Pairing | None = None) -> BellFunctional:
+    """Build the BellFunctional a parsed JSON object describes."""
     if not isinstance(doc, dict):
         raise SpecParseError(location, "document must be a JSON object")
     scenario = _parse_scenario(_need(doc, "scenario", location), f"{location}.scenario")
-    form = _parse_form(_need(doc, "form", location), f"{location}.form")
+    form = _parse_choice(FunctionalForm, _need(doc, "form", location), f"{location}.form")
     routes = [key for key in ("construction", "coefficients", "terms") if key in doc]
     if len(routes) != 1:
         raise SpecParseError(
@@ -142,7 +138,13 @@ def parse_functional_document(doc: dict, location: str = "spec",
         )
     bound = doc.get("bound")
     if bound is not None:
-        bound = float(bound)
+        try:
+            bound = float(bound)
+        except (TypeError, ValueError, OverflowError):
+            bound = math.nan
+        if not math.isfinite(bound):
+            raise SpecParseError(f"{location}.bound",
+                                 f"expected a finite number, got {doc['bound']!r}")
 
     if routes[0] == "terms":
         loc = f"{location}.terms"
@@ -155,26 +157,25 @@ def parse_functional_document(doc: dict, location: str = "spec",
             if not isinstance(item, dict):
                 raise SpecParseError(tloc, "term must be an object")
             try:
-                term = MaskedFunctionalTerm(
+                parsed.append((
                     tuple(int(v) for v in _need(item, "settings", tloc)),
                     tuple(int(v) for v in _need(item, "mask", tloc)),
                     _parse_complex(_need(item, "weight", tloc), f"{tloc}.weight"),
-                )
+                ))
             except SpecParseError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecParseError(tloc, str(exc)) from exc
-            parsed.append(term)
         try:
-            return MaskedFunctional(scenario, tuple(parsed), form, cached_bound=bound)
+            return BellFunctional.from_terms(scenario, parsed, form, cached_bound=bound)
         except ValueError as exc:
             raise SpecParseError(loc, str(exc)) from exc
 
     mask = doc.get("mask")
     if mask is not None:
         try:
-            mask = ConjugationMask(tuple(int(v) for v in mask), scenario.outcomes)
-        except (TypeError, ValueError) as exc:
+            mask = as_mask(scenario, tuple(int(v) for v in mask))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"{location}.mask", str(exc)) from exc
 
     if routes[0] == "coefficients":
@@ -190,6 +191,12 @@ def parse_functional_document(doc: dict, location: str = "spec",
     if not isinstance(spec, dict):
         raise SpecParseError(loc, "construction must be an object")
     basis_name = _need(spec, "basis", loc)
+    pairing = _parse_choice(Pairing, spec.get("pairing", "bilinear"), f"{loc}.pairing")
+    if pairing_override is not None:
+        pairing = pairing_override
+    g_raw = _nested_to_array(_need(spec, "g", loc), scenario, f"{loc}.g",
+                             lambda v, l: _parse_int_exponent(v, l, scenario.outcomes))
+    g = GTable(scenario, g_raw.real.astype(np.int64))
     if basis_name == "fourier":
         if scenario.settings != scenario.outcomes:
             raise SpecParseError(
@@ -197,25 +204,18 @@ def parse_functional_document(doc: dict, location: str = "spec",
             )
         basis = fourier_party_basis(scenario.outcomes)
     elif basis_name == "k2-conjugate":
-        if scenario.settings != 2:
-            raise SpecParseError(f"{loc}.basis", "the k2-conjugate basis needs settings = 2")
+        if scenario.settings != 2 or scenario.outcomes < 3:
+            raise SpecParseError(
+                f"{loc}.basis", "the k2-conjugate basis needs settings = 2 and outcomes >= 3"
+            )
         basis = k2_conjugate_basis(scenario.outcomes)
     else:
         raise SpecParseError(f"{loc}.basis", f"unknown basis {basis_name!r}")
-    pairing = _parse_pairing(spec.get("pairing", "bilinear"), f"{loc}.pairing")
-    if pairing_override is not None:
-        pairing = pairing_override
-    g_loc = f"{loc}.g"
-    g_raw = _nested_to_array(_need(spec, "g", loc), scenario, g_loc,
-                             lambda v, l: _parse_int_exponent(v, l, scenario.outcomes))
-    g = GTable(scenario, g_raw.real.astype(np.int64))
-    functional = build_functional(scenario, basis, g, form, pairing, mask)
-    if bound is not None:
-        functional = BellFunctional(
-            scenario, functional.coefficients, form, functional.mask,
-            provenance=functional.provenance, cached_bound=bound,
-        )
-    return functional
+    try:
+        functional = build_functional(scenario, basis, g, form, pairing, mask)
+    except ValueError as exc:
+        raise SpecParseError(loc, str(exc)) from exc
+    return functional if bound is None else replace(functional, cached_bound=bound)
 
 
 def _parse_int_exponent(value: Any, location: str, outcomes: int) -> complex:
@@ -233,14 +233,19 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
     scenario = _parse_scenario(_need(doc, "scenario", location), f"{location}.scenario")
     n, k, d = scenario.parties, scenario.settings, scenario.outcomes
     raw_amps = _need(doc, "amplitudes", location)
-    if not isinstance(raw_amps, list) or len(raw_amps) != d**n:
+    # d**n >= 2**n, so the length test needs no big power for oversized n
+    if (not isinstance(raw_amps, list) or n > len(raw_amps).bit_length()
+            or len(raw_amps) != d**n):
         raise SpecParseError(
-            f"{location}.amplitudes", f"expected {d**n} amplitudes in canonical order"
+            f"{location}.amplitudes", f"expected d**N = {d}**{n} amplitudes in canonical order"
         )
     amps = np.array(
         [_parse_complex(v, f"{location}.amplitudes[{i}]") for i, v in enumerate(raw_amps)]
     ).reshape((d,) * n)
-    phases = np.asarray(_need(doc, "phases", location), dtype=float)
+    try:
+        phases = np.asarray(_need(doc, "phases", location), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecParseError(f"{location}.phases", f"expected nested numbers: {exc}") from exc
     if phases.shape != (n, k, d):
         raise SpecParseError(
             f"{location}.phases", f"expected shape {(n, k, d)}, got {phases.shape}"
@@ -249,16 +254,6 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
         return QuantumSetup.normalized(scenario, amps, phases)
     except ValueError as exc:
         raise SpecParseError(location, str(exc)) from exc
-
-
-def functional_from_source(text: str, name: str = "spec",
-                           pairing_override: Pairing | None = None):
-    """Parse a functional document from JSON text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{name}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    return parse_functional_document(doc, name, pairing_override)
 
 
 # -- result serialization ----------------------------------------------------

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bellkit import (
+    BellFunctional,
     DeterministicStrategy,
     FunctionalForm,
     Pairing,
@@ -21,8 +24,6 @@ from bellkit.cglmp import (
     I323_SCENARIO,
     PROBABILITY_TO_CORRELATION_SCALE,
     CglmpTerms,
-    MaskedFunctional,
-    MaskedFunctionalTerm,
     bell_numbers_identity_check,
     cglmp_conjugate_expansion_g,
     cglmp_correlation_functional,
@@ -159,17 +160,42 @@ def test_i323_bound_and_dispatch():
 
 def test_masked_functional_validation():
     with pytest.raises(ValueError):
-        MaskedFunctional(I323_SCENARIO, ())
+        BellFunctional.from_terms(I323_SCENARIO, ())
     with pytest.raises(ValueError):
-        MaskedFunctional(
-            I323_SCENARIO,
-            (MaskedFunctionalTerm((0, 0), (1, 1), 1.0),),
-        )
+        BellFunctional.from_terms(I323_SCENARIO, [((0, 0), (1, 1), 1.0)])
     with pytest.raises(ValueError):
-        MaskedFunctional(
-            I323_SCENARIO,
-            (MaskedFunctionalTerm((0, 0, 5), (1, 1, 1), 1.0),),
-        )
+        BellFunctional.from_terms(I323_SCENARIO, [((0, 0, 5), (1, 1, 1), 1.0)])
+
+
+def test_i323_term_list_is_kept_in_order():
+    w1 = 1 - ALPHA
+    assert i323_functional().terms() == [
+        ((0, 1, 1), (1, 2, 1), w1),
+        ((1, 0, 1), (2, 2, 2), ALPHA**2 * w1),
+        ((1, 1, 0), (1, 1, 1), w1),
+        ((0, 0, 0), (1, 2, 1), 1 - ALPHA**2),
+    ]
+    assert i323_functional().mask is None
+    assert i323_functional().coefficients is None
+
+
+def test_replace_keeps_the_terms():
+    starred = cglmp_starred_functional()
+    for functional in (cglmp_correlation_functional(), three_party_tight_functional("g2"),
+                       starred, i323_functional()):
+        certified = replace(functional, cached_bound=7.0)
+        assert certified.cached_bound == 7.0
+        assert certified.terms() == functional.terms()
+        assert certified.mask == functional.mask
+    # a term list sharing one mask gets that mask and a dense tensor
+    single = BellFunctional.from_terms(CGLMP_SCENARIO, [((1, 1), (1, 2), 2.0),
+                                                        ((0, 0), (1, 2), 1.0)])
+    assert single.terms() == [((1, 1), (1, 2), 2.0), ((0, 0), (1, 2), 1.0)]
+    assert single.mask.entries == (1, 2)
+    assert np.array_equal(single.coefficients, [[1.0, 0.0], [0.0, 2.0]])
+    assert replace(single, cached_bound=1.0).terms() == single.terms()
+    with pytest.raises(ValueError):
+        replace(single, coefficients=np.ones((2, 2)))
 
 
 def test_cglmp_terms_fields():

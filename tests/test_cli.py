@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellkit.cli import main
 from bellkit.multiport import QuantumSetup
@@ -68,6 +69,46 @@ def test_parse_failures_exit_2(capsys, tmp_path):
     assert "construction.g" in err
 
 
+CHSH_DOC = {
+    "scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+    "form": "real-part",
+    "coefficients": [[1, 1], [1, -1]],
+}
+RAGGED_SETUP = {
+    "scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+    "amplitudes": [1, 0, 0, 1],
+    "phases": [[[0, 1], [0]], [[0, 1], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize("name, argv, location", [
+    ("bound-text", ["bound", "--spec", "{bound_text}"], ".bound: "),
+    ("bound-list", ["bound", "--spec", "{bound_list}"], ".bound: "),
+    ("bound-object", ["bound", "--spec", "{bound_object}"], ".bound: "),
+    ("ragged-phases", ["optimize", "--spec", "chsh", "--setup", "{ragged}"], ".phases: "),
+    ("missing-setup", ["optimize", "--spec", "chsh", "--setup", "{missing}"], "--setup: "),
+    ("optimize-restarts", ["optimize", "--spec", "chsh", "--restarts", "0"], "--restarts: "),
+    ("table-restarts", ["table", "--scenarios", "2,2,2", "--restarts", "0"], "--restarts: "),
+    ("tolerance", ["optimize", "--spec", "chsh", "--tolerance", "0"], "--tolerance: "),
+    ("seed", ["table", "--scenarios", "2,2,2", "--seed", "-1"], "--seed: "),
+])
+def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
+    files = {"ragged": RAGGED_SETUP, "missing": None,
+             "bound_text": dict(CHSH_DOC, bound="abc"),
+             "bound_list": dict(CHSH_DOC, bound=[2.0]),
+             "bound_object": dict(CHSH_DOC, bound={"value": 2.0})}
+    paths = {key: tmp_path / f"{key}.json" for key in files}
+    for key, doc in files.items():
+        if doc is not None:
+            paths[key].write_text(json.dumps(doc))
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, name
+    assert out == ""
+    assert "parse error: " in err and location in err
+    assert "Traceback" not in err
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "bound", "--spec", "chsh", "--budget", "3")
     assert code == 3
@@ -85,6 +126,11 @@ def test_modulus_facet_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "facet", "--spec", str(path))
     assert code == 4
     assert "linearize" in err
+
+    # i323 mixes conjugation masks, so it has no single correlation polytope
+    code, _, err = run_cli(capsys, "facet", "--spec", "i323")
+    assert code == 4
+    assert "single-mask" in err
 
 
 def test_facet_chsh_and_trivial(capsys, tmp_path):
@@ -107,6 +153,12 @@ def test_facet_tight_family(capsys):
     doc = run_json(capsys, "facet", "--spec", "tight-323-g1")
     assert doc["result"]["is_facet"] is True
     assert doc["result"]["saturating_rank"] == doc["result"]["polytope_dimension"] - 1
+
+    # a terms document whose terms share one mask is certified like any other
+    doc = run_json(capsys, "facet", "--spec", "cglmp-223")
+    assert doc["result"]["is_facet"] is True
+    assert doc["result"]["saturating_rank"] == 7
+    assert doc["result"]["polytope_dimension"] == 8
 
 
 def test_optimize_chsh_and_manifest_replay(capsys):
@@ -293,3 +345,48 @@ def test_functional_document_route_exclusivity():
     }
     with pytest.raises(SpecParseError):
         parse_functional_document(doc)
+
+
+# JSON-like values, plus documents that get past the first checks of each parser
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats()
+    | st.sampled_from(["", "real-part", "modulus", "fourier", "k2-conjugate", "bilinear"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=12,
+)
+scenarios = st.fixed_dictionaries(
+    {"parties": st.integers(1, 3), "settings": st.integers(1, 3), "outcomes": st.integers(2, 4)}
+) | json_values
+nested = st.recursive(st.integers(-1, 4) | st.floats() | st.lists(st.floats(), max_size=2),
+                      lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=16)
+routes = (
+    st.fixed_dictionaries({"construction": st.fixed_dictionaries(
+        {"basis": st.sampled_from(["fourier", "k2-conjugate"]) | json_values, "g": nested},
+        optional={"pairing": st.sampled_from(["bilinear", "sesquilinear"]) | json_values},
+    )})
+    | st.fixed_dictionaries({"coefficients": nested})
+    | st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries(
+        {"settings": nested, "mask": nested, "weight": nested}), max_size=3) | json_values})
+)
+functional_documents = json_values | st.builds(
+    lambda head, route: {**head, **route},
+    st.fixed_dictionaries(
+        {"scenario": scenarios, "form": st.sampled_from(["real-part", "modulus"]) | json_values},
+        optional={"mask": nested, "bound": json_values},
+    ),
+    routes,
+)
+setup_documents = json_values | st.fixed_dictionaries(
+    {"scenario": scenarios, "amplitudes": nested | json_values, "phases": nested | json_values}
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(functional=functional_documents, setup=setup_documents)
+def test_document_parsers_raise_only_spec_parse_errors(functional, setup):
+    for parse, doc in ((parse_functional_document, functional), (parse_setup_document, setup)):
+        try:
+            parse(doc)
+        except SpecParseError:
+            pass
