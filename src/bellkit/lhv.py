@@ -219,11 +219,18 @@ def _affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
+def _affine_dimension(rows: np.ndarray) -> int:
+    """Affine rank of the distinct real-embedded rows, rounded to 12 digits."""
+    points = np.ascontiguousarray(np.round(_embed_real(rows), 12) + 0.0)  # -0.0 -> 0.0
+    # one 1-D unique over whole rows as opaque bytes, far cheaper than unique(axis=0)
+    keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return _affine_rank(points[np.sort(first)])
+
+
 def polytope_dimension(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> int:
     """Affine dimension of the deterministic correlation tensors, real-embedded."""
-    vertices = correlation_vertex_matrix(scenario, mask, budget)
-    unique = np.unique(np.round(_embed_real(vertices), 12), axis=0)
-    return _affine_rank(unique)
+    return _affine_dimension(correlation_vertex_matrix(scenario, mask, budget))
 
 
 def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> FacetReport:
@@ -250,9 +257,8 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     reference = functional.cached_bound if functional.cached_bound is not None else computed
     is_valid = bool(computed <= reference + SATURATION_TOL)
     saturating = vertices[values >= reference - SATURATION_TOL]
-    embedded = np.unique(np.round(_embed_real(saturating), 12), axis=0)
-    rank = _affine_rank(embedded)
-    dim = polytope_dimension(scenario, functional.mask, budget)
+    rank = _affine_dimension(saturating)
+    dim = _affine_dimension(vertices)
     return FacetReport(
         bound=reference,
         polytope_dimension=dim,

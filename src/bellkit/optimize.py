@@ -5,9 +5,12 @@ s* G(phi) s in the input state, so the best state for given phases is the top
 eigenvector of the Hermitian part of G (rotated by exp(i*theta) for modulus
 forms, whose optimum over theta is the numerical radius).  Each restart runs a
 monotone alternating ascent: with the state held fixed, every free phase has a
-sinusoidal objective and is maximized exactly from three probes; the state is
-then refreshed by an eigensolve.  An optional central finite-difference
-quasi-Newton polish tightens the best restart.
+sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C whose coefficients are read
+off a per-party environment tensor (the pairing contracted over every other
+party), so each phase is maximized exactly in turn; the state is then refreshed
+by an eigensolve.  An optional quasi-Newton polish tightens the best restart
+with the exact gradient: Hellmann-Feynman for the eigenvalue, and the same
+environment coefficients for the phase derivatives.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  Fixed seeds
@@ -17,6 +20,7 @@ rows of one Sobol stream and the reduction breaks ties by restart index.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -77,7 +81,6 @@ class OptimizationConfig:
     threads: int = 1
     polish: bool = True
     polish_iterations: int = 60
-    polish_step: float = 1e-5
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -139,9 +142,17 @@ class _MultiportObjective:
         self.rows = np.array(
             [np.ravel_multi_index(shifted[t], (d,) * n) for t in range(len(terms))]
         )
-        # port index matrix for rolling each term's phase row by its mask entry
+        # port indices j + r_t and j - r_t, per party, for rolling phase rows by a mask entry
         ports = np.arange(d)
-        self.roll_idx = (ports[None, None, :] + self.rs[:, :, None]) % d   # (T, n, d)
+        roll_idx = (ports[None, None, :] + self.rs.T[:, :, None]) % d       # (n, T, d)
+        self.back_idx = (ports[None, None, :] - self.rs.T[:, :, None]) % d  # (n, T, d)
+        # flat indices into phases[p] of ports j and j + r_t for setting x_t, per party
+        self.port_idx = self.xs.T[:, :, None] * d + ports                   # (n, T, d)
+        self.shifted_port_idx = self.xs.T[:, :, None] * d + roll_idx
+        # selector[p][x, t] = 1 where term t reads setting x of party p
+        self.selector = (self.xs.T[:, None, :] == np.arange(k)[None, :, None]).astype(float)
+        # per (party, setting): the terms whose phase row moves, their c + r and c - r ports
+        self.port_terms = [[self._port_terms(p, x) for x in range(k)] for p in range(n)]
         self.subspace = subspace
         self.fixed_state = None if fixed_state is None else fixed_state.ravel()
         self.is_modulus = functional.form is FunctionalForm.MODULUS
@@ -163,16 +174,23 @@ class _MultiportObjective:
             parts.append([theta])
         return np.concatenate(parts) if self.needs_theta else parts[0]
 
+    def _port_terms(self, p: int, x: int):
+        d = self.scenario.outcomes
+        terms = np.flatnonzero((self.xs[:, p] == x) & (self.rs[:, p] % d != 0))
+        shifts = self.rs[terms, p]
+        ports = np.arange(d)[:, None]
+        return terms, (ports + shifts) % d, (ports - shifts) % d
+
     # -- core algebra -------------------------------------------------------
     def phase_factors(self, phases: np.ndarray) -> np.ndarray:
         """u[t, p, j] = exp(i(phi[p][x_t_p][j] - phi[p][x_t_p][j + r_t_p]))."""
-        n = self.scenario.parties
-        rows = np.empty((len(self.xs), n, self.scenario.outcomes))
-        for p in range(n):
-            chosen = phases[p, self.xs[:, p], :]                   # (T, d)
-            rolled = np.take_along_axis(chosen, self.roll_idx[:, p, :], axis=1)
-            rows[:, p, :] = chosen - rolled
-        return np.exp(1j * rows)
+        return np.stack([self.party_factors(phases, p) for p in range(self.scenario.parties)],
+                        axis=1)
+
+    def party_factors(self, phases: np.ndarray, p: int) -> np.ndarray:
+        """u[:, p, :], the phase factors of one party."""
+        row = phases[p].ravel()
+        return np.exp(1j * (row[self.port_idx[p]] - row[self.shifted_port_idx[p]]))
 
     def state_products(self, state: np.ndarray) -> np.ndarray:
         """B[t, j] = s_j * conj(s_(j + r_t)), stacked over terms."""
@@ -180,13 +198,44 @@ class _MultiportObjective:
         return flat[None, :] * flat.conj()[self.rows]
 
     def pair_total(self, phases: np.ndarray, products: np.ndarray) -> complex:
-        """sum_t w_t sum_j u_t(j) B_t(j), contracted party by party."""
+        """sum_t w_t sum_j u_t(j) B_t(j), contracted party by party (reference path)."""
         n, d = self.scenario.parties, self.scenario.outcomes
         u = self.phase_factors(phases)
         z = products.reshape((len(self.xs),) + (d,) * n)
         for p in range(n):
             z = (z * u[:, p][(...,) + (None,) * (n - 1 - p)]).sum(axis=1)
         return complex(self.weights @ z)
+
+    def environment(self, u: np.ndarray, products: np.ndarray, p: int) -> np.ndarray:
+        """M_p[t, j_p] = w_t sum_(j_q, q != p) prod_(q != p) u_t,q(j_q) B_t(j).
+
+        The pairing total is sum_t,c M_p[t, c] u_t,p(c) and M_p does not depend
+        on party p's phases, so it serves every phase of that party.
+        """
+        n, d = self.scenario.parties, self.scenario.outcomes
+        count = len(self.xs)
+        left = np.ones((count, 1), dtype=complex)
+        for q in range(p):
+            left = (left[:, :, None] * u[:, q, None, :]).reshape(count, -1)
+        right = np.ones((count, 1), dtype=complex)
+        for q in range(p + 1, n):
+            right = (right[:, :, None] * u[:, q, None, :]).reshape(count, -1)
+        z = products.reshape(count, d**p, d, d ** (n - 1 - p))
+        return self.weights[:, None] * np.einsum("ta,tacb,tb->tc", left, z, right)
+
+    def phase_coefficients(self, env: np.ndarray, factors: np.ndarray, p: int, x: int,
+                           c: int) -> tuple[complex, complex]:
+        """(A, B) with total = A e^(i*phi) + B e^(-i*phi) + C in phi = phi[p, x, c].
+
+        env is M_p and factors[j] = e^(i*phi[p, x, j]) at the current phases.  A
+        sums M_p[t, c] e^(-i*phi[c + r_t]) and B sums M_p[t, c - r_t]
+        e^(i*phi[c - r_t]) over the terms reading setting x with a nonzero mask
+        entry.
+        """
+        terms, plus, minus = self.port_terms[p][x]
+        a = env[terms, c] @ factors[plus[c]].conj()
+        b = env[terms, minus[c]] @ factors[minus[c]]
+        return complex(a), complex(b)
 
     def g_matrix(self, phases: np.ndarray) -> np.ndarray:
         u = self.phase_factors(phases)
@@ -207,13 +256,36 @@ class _MultiportObjective:
             h = self.subspace.conj().T @ h @ self.subspace
         return h
 
-    def value(self, params: np.ndarray) -> float:
+    def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective and its exact gradient in the packed parameters.
+
+        For eigen-resolved states the value is lambda_max = Re[e^(i*theta) s* G s]
+        at the top eigenvector s, and by Hellmann-Feynman its derivatives are
+        those of that expression with s held fixed.  Party p's environment gives
+        d total / d phi[p, x, c] = i sum_(t: x_t,p = x) (D[t, c] - D[t, c - r_t])
+        with D[t, j] = M_p[t, j] u_t,p(j).
+        """
+        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         phases, theta = self.unpack(params)
-        if self.fixed_state is not None:
-            total = self.pair_total(phases, self.state_products(self.fixed_state))
-            return apply_form(self.functional.form, total)
-        h = self._hermitian(self.g_matrix(phases), theta)
-        return float(np.linalg.eigvalsh(h)[-1])
+        if self.fixed_state is None:
+            products = self.state_products(self.top_state(self.g_matrix(phases), theta))
+        else:
+            products = self.state_products(self.fixed_state)
+        u = self.phase_factors(phases)
+        d_total = np.empty((n, k, d), dtype=complex)
+        for p in range(n):
+            shares = self.environment(u, products, p) * u[:, p]
+            back = np.take_along_axis(shares, self.back_idx[p], axis=1)
+            d_total[p] = 1j * (self.selector[p] @ (shares - back))
+        total = complex(shares.sum())
+        if self.fixed_state is None:
+            rotation = np.exp(1j * theta) if self.is_modulus else 1.0
+            grad = self.pack((rotation * d_total).real, -(rotation * total).imag)
+            return float((rotation * total).real), grad
+        if self.is_modulus:
+            scale = np.conj(total) / abs(total) if abs(total) > 0 else 0.0
+            return float(abs(total)), self.pack((scale * d_total).real, 0.0)
+        return float(total.real), self.pack(d_total.real, 0.0)
 
     def top_state(self, g: np.ndarray, theta: float) -> np.ndarray:
         if self.fixed_state is not None:
@@ -275,38 +347,33 @@ def _sweep_phases(objective: _MultiportObjective, phases: np.ndarray,
     """One pass of exact single-phase updates with the state held fixed.
 
     With everything else frozen, the pairing total is A e^(i*phi) + B e^(-i*phi)
-    + C in any single phase, so three probes determine the exact maximizer of
-    Re[e^(i*theta) * total].  Returns the final real value and rotation.
+    + C in any single phase.  Party p's environment is contracted once and
+    yields A and B for each of its phases in turn; the exact maximizer of
+    Re[e^(i*theta) * total] is then taken and the running total updated, so
+    every step is monotone.  Returns the final value and rotation.
     """
     n, k, d = (objective.scenario.parties, objective.scenario.settings,
                objective.scenario.outcomes)
-    probe = np.array([0.0, np.pi / 2, np.pi])
-    value = None
+    u = objective.phase_factors(phases)
     for p in range(n):
+        env = objective.environment(u, products, p)
+        total = complex(np.sum(env * u[:, p]))
         for x in range(k):
-            for t in range(1, d):
-                original = phases[p, x, t]
-                totals = np.empty(3, dtype=complex)
-                for i, offset in enumerate(probe):
-                    phases[p, x, t] = offset
-                    totals[i] = objective.pair_total(phases, products)
-                const = 0.5 * (totals[0] + totals[2])
-                a = 0.5 * ((totals[0] - const) + (totals[1] - const) / 1j)
-                b = 0.5 * ((totals[0] - const) - (totals[1] - const) / 1j)
-                z = np.exp(1j * theta) * a + np.conj(np.exp(1j * theta) * b)
-                best = -np.angle(z) if abs(z) > 0 else original
-                phases[p, x, t] = best
-                total = a * np.exp(1j * best) + b * np.exp(-1j * best) + const
-                if objective.is_modulus:
-                    if abs(total) > 0:
-                        theta = -np.angle(total)
-                    value = abs(total)
-                else:
-                    value = total.real
-    if value is None:  # no free phases (d = 1 cannot happen; defensive)
-        total = objective.pair_total(phases, products)
-        value = apply_form(objective.functional.form, total)
-    return float(value), theta
+            factors = np.exp(1j * phases[p, x])
+            for c in range(1, d):
+                a, b = objective.phase_coefficients(env, factors, p, x, c)
+                current = complex(factors[c])
+                const = total - a * current - b * current.conjugate()
+                rotation = cmath.exp(1j * theta)
+                z = rotation * a + (rotation * b).conjugate()
+                if z != 0:
+                    phases[p, x, c] = -cmath.phase(z)
+                    factors[c] = current = z.conjugate() / abs(z)
+                total = a * current + b * current.conjugate() + const
+                if objective.is_modulus and total != 0:
+                    theta = -cmath.phase(total)
+        u[:, p] = objective.party_factors(phases, p)
+    return apply_form(objective.functional.form, total), theta
 
 
 def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
@@ -342,15 +409,6 @@ def _sobol_points(seed: int, count: int, dims: int) -> np.ndarray:
     return sampler.random(size)[:count] * 2 * np.pi
 
 
-def _central_difference_gradient(fun, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        offset = np.zeros_like(x)
-        offset[i] = step
-        grad[i] = (fun(x + offset) - fun(x - offset)) / (2 * step)
-    return grad
-
-
 def _optimize_objective(objective: _MultiportObjective, config: OptimizationConfig):
     n, k, d = (objective.scenario.parties, objective.scenario.settings,
                objective.scenario.outcomes)
@@ -372,13 +430,15 @@ def _optimize_objective(objective: _MultiportObjective, config: OptimizationConf
     value, index, phases, theta, state, iterations = best
 
     if config.polish and config.polish_iterations > 0:
-        negative = lambda params: -objective.value(params)
-        packed = objective.pack(phases, theta)
+        def negative(params):
+            objective_value, grad = objective.value_and_gradient(params)
+            return -objective_value, -grad
+
         polished = sciopt.minimize(
             negative,
-            packed,
+            objective.pack(phases, theta),
             method="L-BFGS-B",
-            jac=lambda x: _central_difference_gradient(negative, x, config.polish_step),
+            jac=True,
             options=dict(maxiter=config.polish_iterations),
         )
         if -polished.fun > value:

@@ -21,6 +21,7 @@ results produce byte-identical documents.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -91,14 +92,19 @@ def _parse_scenario(doc: Any, location: str) -> Scenario:
 
 
 def _parse_complex(value: Any, location: str) -> complex:
+    number = None
     try:
         if isinstance(value, (int, float)):
-            return complex(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
+            number = complex(value)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            number = complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(location, f"bad number {value!r}") from exc
-    raise SpecParseError(location, f"expected a number or [re, im] pair, got {value!r}")
+    if number is None:
+        raise SpecParseError(location, f"expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(number):
+        raise SpecParseError(location, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_choice(kind, value: Any, location: str):
@@ -250,6 +256,8 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
         raise SpecParseError(
             f"{location}.phases", f"expected shape {(n, k, d)}, got {phases.shape}"
         )
+    if not np.isfinite(phases).all():
+        raise SpecParseError(f"{location}.phases", "expected finite numbers")
     try:
         return QuantumSetup.normalized(scenario, amps, phases)
     except ValueError as exc:

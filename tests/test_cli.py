@@ -79,6 +79,18 @@ RAGGED_SETUP = {
     "amplitudes": [1, 0, 0, 1],
     "phases": [[[0, 1], [0]], [[0, 1], [0, 1]]],
 }
+# non-finite numbers as JSON text: 1e400 overflows to infinity, NaN and Infinity
+# are the spellings Python's json module accepts
+HUGE_COEFFICIENT = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
+                    '"form": "real-part", "coefficients": [[1e400, 1], [1, -1]]}')
+NAN_WEIGHT = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, "form": "real-part", '
+              '"terms": [{"settings": [0, 0], "mask": [1, 1], "weight": NaN}]}')
+INFINITE_AMPLITUDE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
+                      '"amplitudes": [Infinity, 0, 0, 1], '
+                      '"phases": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]]}')
+HUGE_PHASE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
+              '"amplitudes": [1, 0, 0, 1], '
+              '"phases": [[[0, 1e400], [0, 1]], [[0, 1], [0, 1]]]}')
 
 
 @pytest.mark.parametrize("name, argv, location", [
@@ -91,16 +103,24 @@ RAGGED_SETUP = {
     ("table-restarts", ["table", "--scenarios", "2,2,2", "--restarts", "0"], "--restarts: "),
     ("tolerance", ["optimize", "--spec", "chsh", "--tolerance", "0"], "--tolerance: "),
     ("seed", ["table", "--scenarios", "2,2,2", "--seed", "-1"], "--seed: "),
+    ("coefficient-1e400", ["bound", "--spec", "{huge_coefficient}"],
+     ".coefficients[0][0]: "),
+    ("weight-nan", ["bound", "--spec", "{nan_weight}"], ".terms[0].weight: "),
+    ("amplitude-infinity", ["optimize", "--spec", "chsh", "--setup", "{infinite_amplitude}"],
+     ".amplitudes[0]: "),
+    ("phase-1e400", ["optimize", "--spec", "chsh", "--setup", "{huge_phase}"], ".phases: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
              "bound_text": dict(CHSH_DOC, bound="abc"),
              "bound_list": dict(CHSH_DOC, bound=[2.0]),
-             "bound_object": dict(CHSH_DOC, bound={"value": 2.0})}
+             "bound_object": dict(CHSH_DOC, bound={"value": 2.0}),
+             "huge_coefficient": HUGE_COEFFICIENT, "nan_weight": NAN_WEIGHT,
+             "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:
-            paths[key].write_text(json.dumps(doc))
+            paths[key].write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [arg.format(**paths) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2, name

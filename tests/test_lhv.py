@@ -7,6 +7,7 @@ from bellkit import (
     FunctionalForm,
     Scenario,
     point_mass_table,
+    product_g_functional,
     root_of_unity,
     strategy_correlation_tensor,
 )
@@ -15,7 +16,10 @@ from bellkit.core import ConjugationMask, CorrelationTensor
 from bellkit.lhv import (
     BudgetExceededError,
     UnsupportedFormError,
+    _affine_rank,
+    _embed_real,
     classical_bound,
+    correlation_vertex_matrix,
     enumerate_strategies,
     facet_check,
     linearize_modulus,
@@ -138,6 +142,21 @@ def test_polytope_dimensions():
     # recorded, not asserted a priori: the two-setting qutrit polytope dimension
     d223 = polytope_dimension(Scenario(2, 2, 3), (1, 1))
     assert 4 <= d223 <= 8
+
+
+def test_polytope_dimension_matches_row_unique_reference():
+    for scenario, mask in ((Scenario(2, 2, 3), (1, 1)), (Scenario(2, 2, 4), (2, 1)),
+                           (Scenario(3, 2, 3), (1, 2, 1))):
+        vertices = correlation_vertex_matrix(scenario, mask)
+        reference = _affine_rank(np.unique(np.round(_embed_real(vertices), 12), axis=0))
+        assert polytope_dimension(scenario, mask) == reference
+
+
+def test_product_g_523_facet_certificate():
+    report = facet_check(product_g_functional(5, 3, FunctionalForm.REAL_PART))
+    found = (report.polytope_dimension, report.saturating_count, report.saturating_rank)
+    assert found == (64, 972, 6)
+    assert report.is_valid and not report.is_facet
 
 
 def test_chsh_is_a_facet():

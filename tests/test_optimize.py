@@ -16,10 +16,14 @@ from bellkit import (
     product_g_functional,
     quantum_functional_value,
 )
-from bellkit.cglmp import cglmp_correlation_functional
+from bellkit.bases import apply_form
+from bellkit.cglmp import cglmp_correlation_functional, i323_functional
 from bellkit.optimize import (
     ScanRow,
+    _MultiportObjective,
     _child_seed,
+    _ghz_subspace,
+    _sweep_phases,
     _top_eigenvector,
     g_orbit,
     scan_product_g,
@@ -158,3 +162,117 @@ def test_scan_handles_bad_rows_and_continues():
 def test_child_seed_stability():
     assert _child_seed(0, 1) == _child_seed(0, 1)
     assert _child_seed(0, 1) != _child_seed(0, 2)
+
+
+def d4_half_shift_functional():
+    """Two parties, d = 4, with mask entries 2 (where c + 2 = c - 2) and 0 mixed in."""
+    rng = np.random.default_rng(41)
+    masks = [(2, 1), (1, 2), (2, 2), (0, 3), (3, 0), (2, 3)]
+    terms = [((x, y), mask, complex(*rng.normal(size=2)))
+             for x in range(2) for y in range(2) for mask in masks[x + 2 * y: x + 2 * y + 3]]
+    return BellFunctional.from_terms(Scenario(2, 2, 4), terms)
+
+
+KERNEL_CASES = [
+    ("i323", i323_functional),
+    ("product-g (3,2,3) modulus", lambda: product_g_functional(3, 3, FunctionalForm.MODULUS)),
+    ("d4 half shift", d4_half_shift_functional),
+]
+
+
+def random_point(objective, rng):
+    sc = objective.scenario
+    phases = rng.uniform(0, 2 * np.pi, size=(sc.parties, sc.settings, sc.outcomes))
+    state = rng.normal(size=objective.dim) + 1j * rng.normal(size=objective.dim)
+    return phases, state / np.linalg.norm(state)
+
+
+def probe_fit(objective, phases, products, p, x, c):
+    """(A, B, C) of total = A e^(i*phi) + B e^(-i*phi) + C from three pair totals."""
+    probed = phases.copy()
+    totals = []
+    for offset in (0.0, np.pi / 2, np.pi):
+        probed[p, x, c] = offset
+        totals.append(objective.pair_total(probed, products))
+    const = 0.5 * (totals[0] + totals[2])
+    a = 0.5 * ((totals[0] - const) + (totals[1] - const) / 1j)
+    b = 0.5 * ((totals[0] - const) - (totals[1] - const) / 1j)
+    return a, b, const
+
+
+@pytest.mark.parametrize("name, make", KERNEL_CASES)
+def test_environment_coefficients_match_probe_fit(name, make):
+    objective = _MultiportObjective(make())
+    sc = objective.scenario
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        phases, state = random_point(objective, rng)
+        products = objective.state_products(state)
+        reference_total = objective.pair_total(phases, products)
+        u = objective.phase_factors(phases)
+        for p in range(sc.parties):
+            env = objective.environment(u, products, p)
+            total = complex(np.sum(env * u[:, p]))
+            assert abs(total - reference_total) < 1e-12, name
+            for x in range(sc.settings):
+                factors = np.exp(1j * phases[p, x])
+                for c in range(sc.outcomes):
+                    a, b = objective.phase_coefficients(env, factors, p, x, c)
+                    const = total - a * factors[c] - b / factors[c]
+                    want = probe_fit(objective, phases, products, p, x, c)
+                    assert np.allclose((a, b, const), want, rtol=0, atol=1e-12), (name, p, x, c)
+
+
+@pytest.mark.parametrize("name, make", KERNEL_CASES)
+def test_sweep_never_lowers_the_objective(name, make):
+    functional = make()
+    objective = _MultiportObjective(functional)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        phases, state = random_point(objective, rng)
+        phases[:, :, 0] = 0.0
+        products = objective.state_products(state)
+        before = objective.pair_total(phases, products)
+        theta = -np.angle(before) if objective.is_modulus else 0.0
+        swept, _ = _sweep_phases(objective, phases, products, theta)
+        assert swept >= apply_form(functional.form, before) - 1e-12, name
+        after = apply_form(functional.form, objective.pair_total(phases, products))
+        assert abs(swept - after) < 1e-12, name
+
+
+def reference_value(objective, params):
+    """The objective by definition: top eigenvalue, or the form of the fixed-state total."""
+    phases, theta = objective.unpack(params)
+    if objective.fixed_state is not None:
+        products = objective.state_products(objective.fixed_state)
+        return apply_form(objective.functional.form, objective.pair_total(phases, products))
+    return np.linalg.eigvalsh(objective._hermitian(objective.g_matrix(phases), theta))[-1]
+
+
+def central_difference(objective, params, step=1e-5):
+    grad = np.empty_like(params)
+    for i in range(len(params)):
+        offset = np.zeros_like(params)
+        offset[i] = step
+        grad[i] = (reference_value(objective, params + offset)
+                   - reference_value(objective, params - offset)) / (2 * step)
+    return grad
+
+
+@pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
+@pytest.mark.parametrize("kind", ["full", "ghz", "fixed"])
+def test_analytic_gradient_matches_central_difference(form, kind):
+    functional = product_g_functional(3, 3, form)
+    rng = np.random.default_rng(29)
+    if kind == "fixed":
+        state = rng.normal(size=27) + 1j * rng.normal(size=27)
+        objective = _MultiportObjective(functional, fixed_state=state / np.linalg.norm(state))
+    elif kind == "ghz":
+        objective = _MultiportObjective(functional, subspace=_ghz_subspace(functional.scenario))
+    else:
+        objective = _MultiportObjective(functional)
+    for _ in range(3):
+        params = rng.uniform(0, 2 * np.pi, size=objective.n_params)
+        value, grad = objective.value_and_gradient(params)
+        assert abs(value - reference_value(objective, params)) < 1e-10
+        assert np.allclose(grad, central_difference(objective, params), rtol=0, atol=1e-7)
