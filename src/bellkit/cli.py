@@ -162,6 +162,10 @@ def cmd_bound(args, argv) -> int:
 
 def cmd_optimize(args, argv) -> int:
     started = time.time()
+    if args.ghz_family and args.setup is not None:
+        raise SpecParseError("--ghz-family", "cannot be combined with --setup")
+    if args.optimize_phases and args.setup is None:
+        raise SpecParseError("--optimize-phases", "needs --setup")
     functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
     config = _config_from_args(args)
     inputs = {"spec": spec_info}

@@ -1,16 +1,20 @@
 """Maximize quantum values of Bell functionals over multiport setups.
 
-For fixed phase-shifter settings the pairing sum_x c_x E_x is a quadratic form
-s* G(phi) s in the input state, so the best state for given phases is the top
-eigenvector of the Hermitian part of G (rotated by exp(i*theta) for modulus
-forms, whose optimum over theta is the numerical radius).  Each restart runs a
-monotone alternating ascent: with the state held fixed, every free phase has a
-sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C whose coefficients are read
-off a per-party environment tensor (the pairing contracted over every other
-party), so each phase is maximized exactly in turn; the state is then refreshed
-by an eigensolve.  An optional quasi-Newton polish tightens the best restart
-with the exact gradient: Hellmann-Feynman for the eigenvalue, and the same
-environment coefficients for the phase derivatives.
+There is one search driver, and it takes a state subspace: the full state space
+by default, the GHZ span a|00..0> + b|11..1> + ... for the GHZ family, or the
+single column s/|s| for a fixed state s.  For fixed phase-shifter settings the
+pairing sum_x c_x E_x is a quadratic form s* G(phi) s in the input state, so
+the best state in the subspace V for given phases is V times the top
+eigenvector of the Hermitian part of V* G V (rotated by exp(i*theta) for
+modulus forms, whose optimum over theta is the numerical radius; on a single
+column that optimum is |s* G s|).  Each restart runs a monotone alternating
+ascent: with the state held fixed, every free phase has a sinusoidal objective
+A e^(i*phi) + B e^(-i*phi) + C whose coefficients are read off a per-party
+environment tensor (the pairing contracted over every other party), so each
+phase is maximized exactly in turn; the state is then refreshed by an
+eigensolve.  A quasi-Newton polish tightens the best restart with the exact
+gradient: Hellmann-Feynman for the eigenvalue, and the same environment
+coefficients for the phase derivatives.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  Fixed seeds
@@ -66,12 +70,14 @@ BETA_CUTOFF = 1e-9  # below this the ratio R is reported as absent
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Search budget and reproducibility knobs.
+    """Budget and seed of one search, whatever its state subspace.
 
-    The search space is the free port phases (ports 1..d-1 of every party and
+    The search runs over the free port phases (ports 1..d-1 of every party and
     setting; port 0 is gauge-fixed) plus one rotation angle for modulus forms;
-    the state itself is resolved exactly per iteration by an eigensolve.
-    max_iterations caps the alternating sweeps of a single restart.
+    the state is resolved exactly per iteration by an eigensolve in the
+    subspace.  max_iterations caps the alternating sweeps of a single restart,
+    and polish_iterations the L-BFGS-B steps on the best restart (0 skips the
+    polish).
     """
 
     restarts: int = 200
@@ -79,7 +85,6 @@ class OptimizationConfig:
     tolerance: float = 1e-8
     seed: int = 0
     threads: int = 1
-    polish: bool = True
     polish_iterations: int = 60
 
     def __post_init__(self):
@@ -122,10 +127,13 @@ def quantum_functional_value(functional, setup: QuantumSetup, path: str = "born"
 
 
 class _MultiportObjective:
-    """Pairing totals, G(phi) assembly, and eigen-resolved states for one functional."""
+    """Pairing totals, G(phi) assembly, and eigen-resolved states for one functional.
 
-    def __init__(self, functional, subspace: np.ndarray | None = None,
-                 fixed_state: np.ndarray | None = None):
+    States are confined to the span of the orthonormal columns of subspace
+    (the whole space when it is None).
+    """
+
+    def __init__(self, functional, subspace: np.ndarray | None = None):
         self.functional = functional
         scenario: Scenario = functional.scenario
         self.scenario = scenario
@@ -154,25 +162,21 @@ class _MultiportObjective:
         # per (party, setting): the terms whose phase row moves, their c + r and c - r ports
         self.port_terms = [[self._port_terms(p, x) for x in range(k)] for p in range(n)]
         self.subspace = subspace
-        self.fixed_state = None if fixed_state is None else fixed_state.ravel()
         self.is_modulus = functional.form is FunctionalForm.MODULUS
-        self.needs_theta = self.is_modulus and self.fixed_state is None
         self.n_phases = n * k * (d - 1)
-        self.n_params = self.n_phases + (1 if self.needs_theta else 0)
+        self.n_params = self.n_phases + self.is_modulus
 
     # -- parameter packing -------------------------------------------------
     def unpack(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         phases = np.zeros((n, k, d))
         phases[:, :, 1:] = np.asarray(params)[: self.n_phases].reshape(n, k, d - 1)
-        theta = float(params[self.n_phases]) if self.needs_theta else 0.0
+        theta = float(params[self.n_phases]) if self.is_modulus else 0.0
         return phases, theta
 
     def pack(self, phases: np.ndarray, theta: float) -> np.ndarray:
-        parts = [phases[:, :, 1:].ravel()]
-        if self.needs_theta:
-            parts.append([theta])
-        return np.concatenate(parts) if self.needs_theta else parts[0]
+        flat = phases[:, :, 1:].ravel()
+        return np.append(flat, theta) if self.is_modulus else flat
 
     def _port_terms(self, p: int, x: int):
         d = self.scenario.outcomes
@@ -267,10 +271,7 @@ class _MultiportObjective:
         """
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         phases, theta = self.unpack(params)
-        if self.fixed_state is None:
-            products = self.state_products(self.top_state(self.g_matrix(phases), theta))
-        else:
-            products = self.state_products(self.fixed_state)
+        products = self.state_products(self.top_state(self.g_matrix(phases), theta))
         u = self.phase_factors(phases)
         d_total = np.empty((n, k, d), dtype=complex)
         for p in range(n):
@@ -278,22 +279,13 @@ class _MultiportObjective:
             back = np.take_along_axis(shares, self.back_idx[p], axis=1)
             d_total[p] = 1j * (self.selector[p] @ (shares - back))
         total = complex(shares.sum())
-        if self.fixed_state is None:
-            rotation = np.exp(1j * theta) if self.is_modulus else 1.0
-            grad = self.pack((rotation * d_total).real, -(rotation * total).imag)
-            return float((rotation * total).real), grad
-        if self.is_modulus:
-            scale = np.conj(total) / abs(total) if abs(total) > 0 else 0.0
-            return float(abs(total)), self.pack((scale * d_total).real, 0.0)
-        return float(total.real), self.pack(d_total.real, 0.0)
+        rotation = np.exp(1j * theta) if self.is_modulus else 1.0
+        grad = self.pack((rotation * d_total).real, -(rotation * total).imag)
+        return float((rotation * total).real), grad
 
     def top_state(self, g: np.ndarray, theta: float) -> np.ndarray:
-        if self.fixed_state is not None:
-            return self.fixed_state
         state = _top_eigenvector(self._hermitian(g, theta))
-        if self.subspace is not None:
-            state = self.subspace @ state
-        return state
+        return state if self.subspace is None else self.subspace @ state
 
     def refreshed_state(self, phases: np.ndarray, state: np.ndarray, theta: float):
         """Eigen state update; for modulus forms also re-center the rotation."""
@@ -381,21 +373,12 @@ def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
     """Alternate exact phase sweeps and eigen state updates until stationary."""
     phases = start_phases.copy()
     phases[:, :, 0] = 0.0
-    if objective.fixed_state is not None:
-        state = objective.fixed_state
-        theta = 0.0
-        value = -np.inf
-    else:
-        state, theta, value = objective.refreshed_state(phases, None, 0.0)
+    state, theta, value = objective.refreshed_state(phases, None, 0.0)
     iterations = 0
     for _ in range(max(1, config.max_iterations)):
         iterations += 1
-        products = objective.state_products(state)
-        swept, theta = _sweep_phases(objective, phases, products, theta)
-        if objective.fixed_state is not None:
-            new_value = swept
-        else:
-            state, theta, new_value = objective.refreshed_state(phases, state, theta)
+        _, theta = _sweep_phases(objective, phases, objective.state_products(state), theta)
+        state, theta, new_value = objective.refreshed_state(phases, state, theta)
         if new_value <= value + config.tolerance:
             value = max(value, new_value)
             break
@@ -409,7 +392,25 @@ def _sobol_points(seed: int, count: int, dims: int) -> np.ndarray:
     return sampler.random(size)[:count] * 2 * np.pi
 
 
-def _optimize_objective(objective: _MultiportObjective, config: OptimizationConfig):
+def _resolve_bound(functional, budget=None) -> float:
+    if functional.cached_bound is not None:
+        return float(functional.cached_bound)
+    kwargs = {} if budget is None else {"budget": budget}
+    return classical_bound(functional, **kwargs).bound
+
+
+def _search(functional, config: OptimizationConfig | None, beta: float | None,
+            subspace: np.ndarray | None = None) -> OptResult:
+    """The one search driver: restarts, polish and Born re-evaluation.
+
+    States range over the span of subspace's orthonormal columns (the whole
+    space when it is None).  Every restart runs the seesaw from its own Sobol
+    start; the best one, ties broken by restart index, is polished.
+    """
+    config = config or OptimizationConfig()
+    if beta is None:
+        beta = _resolve_bound(functional)
+    objective = _MultiportObjective(functional, subspace)
     n, k, d = (objective.scenario.parties, objective.scenario.settings,
                objective.scenario.outcomes)
     starts = _sobol_points(config.seed, config.restarts, objective.n_phases)
@@ -417,8 +418,7 @@ def _optimize_objective(objective: _MultiportObjective, config: OptimizationConf
     def run_restart(index: int):
         phases = np.zeros((n, k, d))
         phases[:, :, 1:] = starts[index].reshape(n, k, d - 1)
-        value, final_phases, theta, state, iterations = _seesaw(objective, phases, config)
-        return value, index, final_phases, theta, state, iterations
+        return _seesaw(objective, phases, config)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -426,10 +426,10 @@ def _optimize_objective(objective: _MultiportObjective, config: OptimizationConf
     else:
         outcomes = [run_restart(i) for i in range(config.restarts)]
 
-    best = max(outcomes, key=lambda item: (item[0], -item[1]))
-    value, index, phases, theta, state, iterations = best
+    index = max(range(config.restarts), key=lambda i: (outcomes[i][0], -i))
+    value, phases, theta, state, iterations = outcomes[index]
 
-    if config.polish and config.polish_iterations > 0:
+    if config.polish_iterations > 0:
         def negative(params):
             objective_value, grad = objective.value_and_gradient(params)
             return -objective_value, -grad
@@ -442,65 +442,54 @@ def _optimize_objective(objective: _MultiportObjective, config: OptimizationConf
             options=dict(maxiter=config.polish_iterations),
         )
         if -polished.fun > value:
-            value = -float(polished.fun)
             phases, theta = objective.unpack(polished.x)
-            if objective.fixed_state is None:
-                state = objective.top_state(objective.g_matrix(phases), theta)
+            state = objective.top_state(objective.g_matrix(phases), theta)
             iterations += int(polished.nit)
 
-    restart_values = tuple(item[0] for item in outcomes)
-    return value, index, phases, state, iterations, restart_values
-
-
-def _finish(functional, objective, config, beta, search_output) -> OptResult:
-    _, index, phases, state, iterations, restart_values = search_output
     setup = objective.setup_at(phases, state)
     born_value = quantum_functional_value(functional, setup, path="born")
-    ratio = born_value / beta if abs(beta) > BETA_CUTOFF else None
     return OptResult(
         quantum_value=float(born_value),
         classical_bound=float(beta),
-        ratio=ratio,
+        ratio=born_value / beta if abs(beta) > BETA_CUTOFF else None,
         setup=setup,
         restart_index=index,
         iterations=iterations,
-        restart_values=restart_values,
+        restart_values=tuple(outcome[0] for outcome in outcomes),
     )
-
-
-def _resolve_bound(functional, budget=None) -> float:
-    if functional.cached_bound is not None:
-        return float(functional.cached_bound)
-    kwargs = {} if budget is None else {"budget": budget}
-    return classical_bound(functional, **kwargs).bound
 
 
 def maximize_violation(functional, config: OptimizationConfig | None = None,
                        beta: float | None = None) -> OptResult:
     """Multi-start search for the largest quantum value of the functional."""
-    config = config or OptimizationConfig()
-    if beta is None:
-        beta = _resolve_bound(functional)
-    objective = _MultiportObjective(functional)
-    return _finish(functional, objective, config, beta, _optimize_objective(objective, config))
+    return _search(functional, config, beta)
+
+
+def _state_column(scenario: Scenario, amplitudes) -> np.ndarray:
+    """The one-column subspace s/|s| spanned by a fixed input state s."""
+    shape = (scenario.outcomes,) * scenario.parties
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != shape:
+        raise ValueError(f"amplitudes must have shape {shape}, got {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    norm = np.linalg.norm(amps.ravel())
+    if not 0 < norm < np.inf:
+        raise ValueError(f"amplitudes must have a finite nonzero norm, got {norm}")
+    return amps.reshape(-1, 1) / norm
 
 
 def maximize_with_fixed_state(functional, amplitudes, config: OptimizationConfig | None = None,
                               beta: float | None = None) -> OptResult:
     """Optimize the phases only, holding the input state fixed."""
-    config = config or OptimizationConfig()
-    if beta is None:
-        beta = _resolve_bound(functional)
-    amps = np.asarray(amplitudes, dtype=complex)
-    amps = amps / np.linalg.norm(amps.ravel())
-    objective = _MultiportObjective(functional, fixed_state=amps)
-    return _finish(functional, objective, config, beta, _optimize_objective(objective, config))
+    return _search(functional, config, beta, _state_column(functional.scenario, amplitudes))
 
 
 def _ghz_subspace(scenario: Scenario) -> np.ndarray:
+    if scenario.parties != 3 or scenario.outcomes != 3:
+        raise ValueError("the GHZ-family restriction is defined for three qutrits")
     d = scenario.outcomes
-    dim = d**scenario.parties
-    basis = np.zeros((dim, d))
+    basis = np.zeros((d**scenario.parties, d))
     for j in range(d):
         flat = np.ravel_multi_index((j,) * scenario.parties, (d,) * scenario.parties)
         basis[flat, j] = 1.0
@@ -510,14 +499,7 @@ def _ghz_subspace(scenario: Scenario) -> np.ndarray:
 def maximize_restricted_ghz(functional, config: OptimizationConfig | None = None,
                             beta: float | None = None) -> OptResult:
     """Optimization with amplitudes confined to span{|00..0>, |11..1>, ...}."""
-    scenario = functional.scenario
-    if scenario.parties != 3 or scenario.outcomes != 3:
-        raise ValueError("the GHZ-family restriction is defined for three qutrits")
-    config = config or OptimizationConfig()
-    if beta is None:
-        beta = _resolve_bound(functional)
-    objective = _MultiportObjective(functional, subspace=_ghz_subspace(scenario))
-    return _finish(functional, objective, config, beta, _optimize_objective(objective, config))
+    return _search(functional, config, beta, _ghz_subspace(functional.scenario))
 
 
 def product_g_functional(parties: int, outcomes: int, form: FunctionalForm,

@@ -92,6 +92,12 @@ HUGE_PHASE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
               '"amplitudes": [1, 0, 0, 1], '
               '"phases": [[[0, 1e400], [0, 1]], [[0, 1], [0, 1]]]}')
 
+I323_SETUP = {
+    "scenario": {"parties": 3, "settings": 3, "outcomes": 3},
+    "amplitudes": [1] + [0] * 12 + [1] + [0] * 12 + [1],
+    "phases": [[[0, 0, 0]] * 3] * 3,
+}
+
 
 @pytest.mark.parametrize("name, argv, location", [
     ("bound-text", ["bound", "--spec", "{bound_text}"], ".bound: "),
@@ -109,6 +115,10 @@ HUGE_PHASE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
     ("amplitude-infinity", ["optimize", "--spec", "chsh", "--setup", "{infinite_amplitude}"],
      ".amplitudes[0]: "),
     ("phase-1e400", ["optimize", "--spec", "chsh", "--setup", "{huge_phase}"], ".phases: "),
+    ("ghz-family-with-setup", ["optimize", "--spec", "i323", "--setup", "{i323_setup}",
+                               "--ghz-family", "--optimize-phases"], "--ghz-family: "),
+    ("optimize-phases-without-setup", ["optimize", "--spec", "chsh", "--optimize-phases"],
+     "--optimize-phases: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -116,7 +126,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "bound_list": dict(CHSH_DOC, bound=[2.0]),
              "bound_object": dict(CHSH_DOC, bound={"value": 2.0}),
              "huge_coefficient": HUGE_COEFFICIENT, "nan_weight": NAN_WEIGHT,
-             "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE}
+             "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE,
+             "i323_setup": I323_SETUP}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:

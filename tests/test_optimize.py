@@ -94,8 +94,10 @@ def test_top_eigenvector_falls_back_when_eigh_fails(monkeypatch):
 
 def test_restart_prefix_monotonicity():
     functional = cglmp_correlation_functional()
-    small = maximize_violation(functional, OptimizationConfig(restarts=3, seed=5, polish=False))
-    large = maximize_violation(functional, OptimizationConfig(restarts=6, seed=5, polish=False))
+    small = maximize_violation(functional, OptimizationConfig(restarts=3, seed=5,
+                                                              polish_iterations=0))
+    large = maximize_violation(functional, OptimizationConfig(restarts=6, seed=5,
+                                                              polish_iterations=0))
     assert large.restart_values[:3] == small.restart_values
     assert large.quantum_value >= small.quantum_value - 1e-12
 
@@ -121,6 +123,31 @@ def test_fixed_state_chsh():
     result = maximize_with_fixed_state(chsh(), bell_state, OptimizationConfig(restarts=6, seed=9))
     assert result.quantum_value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
     assert np.allclose(np.abs(result.setup.amplitudes), np.abs(bell_state) , atol=1e-12)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("cglmp-corr", cglmp_correlation_functional),
+    ("product-g 323 modulus", lambda: product_g_functional(3, 3, FunctionalForm.MODULUS)),
+])
+def test_fixed_state_recovers_the_full_optimum(name, make):
+    functional = make()
+    config = OptimizationConfig(restarts=4, seed=7)
+    full = maximize_violation(functional, config)
+    fixed = maximize_with_fixed_state(functional, full.setup.amplitudes, config,
+                                      beta=full.classical_bound)
+    assert abs(fixed.quantum_value - full.quantum_value) < 1e-6, name
+
+
+@pytest.mark.parametrize("name, amplitudes", [
+    ("zero", np.zeros((3, 3, 3))),
+    ("nan", np.where(np.arange(27).reshape(3, 3, 3) == 4, np.nan, 1.0)),
+    ("8 amplitudes", np.ones(8)),
+    ("81 amplitudes", np.ones(81)),
+])
+def test_fixed_state_rejects_bad_amplitudes(name, amplitudes):
+    with pytest.raises(ValueError, match="amplitudes"):
+        maximize_with_fixed_state(i323_functional(), amplitudes,
+                                  OptimizationConfig(restarts=1), beta=3.0)
 
 
 def test_symmetric_g_single_target():
@@ -241,11 +268,8 @@ def test_sweep_never_lowers_the_objective(name, make):
 
 
 def reference_value(objective, params):
-    """The objective by definition: top eigenvalue, or the form of the fixed-state total."""
+    """The objective by definition: the top eigenvalue in the state subspace."""
     phases, theta = objective.unpack(params)
-    if objective.fixed_state is not None:
-        products = objective.state_products(objective.fixed_state)
-        return apply_form(objective.functional.form, objective.pair_total(phases, products))
     return np.linalg.eigvalsh(objective._hermitian(objective.g_matrix(phases), theta))[-1]
 
 
@@ -266,7 +290,8 @@ def test_analytic_gradient_matches_central_difference(form, kind):
     rng = np.random.default_rng(29)
     if kind == "fixed":
         state = rng.normal(size=27) + 1j * rng.normal(size=27)
-        objective = _MultiportObjective(functional, fixed_state=state / np.linalg.norm(state))
+        column = (state / np.linalg.norm(state)).reshape(-1, 1)
+        objective = _MultiportObjective(functional, subspace=column)
     elif kind == "ghz":
         objective = _MultiportObjective(functional, subspace=_ghz_subspace(functional.scenario))
     else:
