@@ -139,7 +139,6 @@ def _config_from_args(args) -> OptimizationConfig:
     return OptimizationConfig(
         restarts=args.restarts,
         seed=args.seed,
-        threads=args.threads,
         tolerance=args.tolerance,
     )
 
@@ -153,11 +152,11 @@ def _pairing_from_args(args) -> Pairing | None:
 def cmd_bound(args, argv) -> int:
     started = time.time()
     functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
-    result = classical_bound(functional, budget=args.budget, threads=args.threads)
+    result = classical_bound(functional, budget=args.budget)
     doc = serialize_bound_result(result)
     doc["form"] = functional.form.value
     return _emit(doc, argv, {"spec": spec_info}, None,
-                 {"budget": args.budget, "threads": args.threads}, started)
+                 {"budget": args.budget}, started)
 
 
 def cmd_optimize(args, argv) -> int:
@@ -169,7 +168,7 @@ def cmd_optimize(args, argv) -> int:
     functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
     config = _config_from_args(args)
     inputs = {"spec": spec_info}
-    bound = classical_bound(functional, budget=args.budget, threads=args.threads).bound
+    bound = classical_bound(functional, budget=args.budget).bound
 
     if args.setup is not None:
         setup_doc = _read_document(args.setup, "--setup")
@@ -193,7 +192,7 @@ def cmd_optimize(args, argv) -> int:
                 "evaluated_only": True,
             }
             return _emit(doc, argv, inputs, args.seed,
-                         {"budget": args.budget, "threads": args.threads}, started)
+                         {"budget": args.budget}, started)
     elif args.ghz_family:
         scenario = functional.scenario
         if scenario.parties != 3 or scenario.outcomes != 3:
@@ -209,8 +208,8 @@ def cmd_optimize(args, argv) -> int:
     if result.ratio is None:
         doc["ratio_note"] = "classical bound is numerically zero; the ratio is undefined"
     return _emit(doc, argv, inputs, args.seed,
-                 {"restarts": args.restarts, "threads": args.threads,
-                  "budget": args.budget, "tolerance": args.tolerance}, started)
+                 {"restarts": args.restarts, "budget": args.budget,
+                  "tolerance": args.tolerance}, started)
 
 
 def _parse_scenarios(text: str) -> list[tuple[int, int, int]]:
@@ -240,8 +239,8 @@ def cmd_table(args, argv) -> int:
     result = {"rows": serialize_scan_rows(rows)}
     csv_text = scan_rows_csv(rows)
     return _emit(result, argv, {"scenarios": [list(s) for s in scenarios]}, args.seed,
-                 {"restarts": args.restarts, "threads": args.threads,
-                  "budget": args.budget, "tolerance": args.tolerance},
+                 {"restarts": args.restarts, "budget": args.budget,
+                  "tolerance": args.tolerance},
                  started, fmt=args.format, csv_text=csv_text)
 
 
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the construction pairing")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max deterministic strategies to enumerate")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         if optimizer:
             p.add_argument("--restarts", type=int, default=200)
             p.add_argument("--seed", type=int, default=0)

@@ -4,8 +4,7 @@ The maximum of Re[linear] or |linear| over the LHV polytope is attained at a
 vertex, so the classical bound of any functional here is the maximum of its
 value over all d^(N*k) deterministic strategies.  Enumeration is chunked so
 that arbitrarily large (budget-permitting) scenarios stream in bounded memory,
-and the reduction is order-independent: results do not depend on chunk size or
-worker count.
+and the reduction is order-independent: results do not depend on chunk size.
 
 Facet certification embeds the deterministic correlation tensors in the real
 space of dimension 2*k^N (real and imaginary parts) and compares the affine
@@ -15,7 +14,6 @@ rank of the saturating set against the polytope's affine dimension.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
@@ -146,8 +144,6 @@ def classical_bound(
     functional,
     budget: int = DEFAULT_BUDGET,
     chunk: int = DEFAULT_CHUNK,
-    threads: int = 1,
-    max_argmax: int | None = None,
 ) -> ClassicalBoundResult:
     """Maximize the functional over every deterministic strategy.
 
@@ -158,7 +154,6 @@ def classical_bound(
     total = _check_budget(scenario, budget)
     assignments = _party_assignments(scenario)
     form = functional.form
-    starts = list(range(0, total, chunk))
 
     def reduce_chunk(start: int) -> tuple[float, np.ndarray, np.ndarray]:
         stop = min(start + chunk, total)
@@ -168,11 +163,7 @@ def classical_bound(
         keep = values >= top - 2 * SATURATION_TOL * max(1.0, abs(top))
         return top, np.nonzero(keep)[0] + start, values[keep]
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(reduce_chunk, starts))
-    else:
-        partials = [reduce_chunk(start) for start in starts]
+    partials = [reduce_chunk(start) for start in range(0, total, chunk)]
 
     bound = max(top for top, _, _ in partials)
     tol = SATURATION_TOL * max(1.0, abs(bound))
@@ -180,8 +171,6 @@ def classical_bound(
     for _, indices, values in partials:
         saturating.extend(int(i) for i, v in zip(indices, values) if v >= bound - tol)
     saturating.sort()
-    if max_argmax is not None:
-        saturating = saturating[:max_argmax]
     argmax = tuple(DeterministicStrategy.from_flat_index(scenario, i) for i in saturating)
     return ClassicalBoundResult(float(bound), argmax, total)
 

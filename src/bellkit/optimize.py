@@ -17,18 +17,18 @@ gradient: Hellmann-Feynman for the eigenvalue, and the same environment
 coefficients for the phase derivatives.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
-returned setup, so results are reproducible from the setup alone.  Fixed seeds
-give identical results regardless of thread count: restarts draw from disjoint
-rows of one Sobol stream and the reduction breaks ties by restart index.
+returned setup, so results are reproducible from the setup alone.  A fixed seed
+gives bit-identical results on every run: restarts draw from disjoint rows of
+one Sobol stream, run in index order, and the reduction breaks ties by restart
+index.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg as scilinalg
@@ -46,7 +46,7 @@ from .bases import (
     fourier_party_basis,
     k2_conjugate_basis,
 )
-from .lhv import classical_bound
+from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound
 from .multiport import QuantumSetup, probability_table, quantum_correlation_tensor
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 BETA_CUTOFF = 1e-9  # below this the ratio R is reported as absent
+MAX_ITERATIONS = 2000  # alternating sweeps per restart
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,16 @@ class OptimizationConfig:
     The search runs over the free port phases (ports 1..d-1 of every party and
     setting; port 0 is gauge-fixed) plus one rotation angle for modulus forms;
     the state is resolved exactly per iteration by an eigensolve in the
-    subspace.  max_iterations caps the alternating sweeps of a single restart,
-    and polish_iterations the L-BFGS-B steps on the best restart (0 skips the
+    subspace.  restarts is the number of Sobol starts, tolerance the least
+    gain that continues a restart's alternating sweeps (at most
+    MAX_ITERATIONS of them), seed selects the Sobol scrambling, and
+    polish_iterations caps the L-BFGS-B steps on the best restart (0 skips the
     polish).
     """
 
     restarts: int = 200
-    max_iterations: int = 2000
     tolerance: float = 1e-8
     seed: int = 0
-    threads: int = 1
     polish_iterations: int = 60
 
     def __post_init__(self):
@@ -375,7 +376,7 @@ def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
     phases[:, :, 0] = 0.0
     state, theta, value = objective.refreshed_state(phases, None, 0.0)
     iterations = 0
-    for _ in range(max(1, config.max_iterations)):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         _, theta = _sweep_phases(objective, phases, objective.state_products(state), theta)
         state, theta, new_value = objective.refreshed_state(phases, state, theta)
@@ -392,11 +393,10 @@ def _sobol_points(seed: int, count: int, dims: int) -> np.ndarray:
     return sampler.random(size)[:count] * 2 * np.pi
 
 
-def _resolve_bound(functional, budget=None) -> float:
+def _resolve_bound(functional, budget: int = DEFAULT_BUDGET) -> float:
     if functional.cached_bound is not None:
         return float(functional.cached_bound)
-    kwargs = {} if budget is None else {"budget": budget}
-    return classical_bound(functional, **kwargs).bound
+    return classical_bound(functional, budget).bound
 
 
 def _search(functional, config: OptimizationConfig | None, beta: float | None,
@@ -420,11 +420,7 @@ def _search(functional, config: OptimizationConfig | None, beta: float | None,
         phases[:, :, 1:] = starts[index].reshape(n, k, d - 1)
         return _seesaw(objective, phases, config)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(run_restart, range(config.restarts)))
-    else:
-        outcomes = [run_restart(i) for i in range(config.restarts)]
+    outcomes = [run_restart(i) for i in range(config.restarts)]
 
     index = max(range(config.restarts), key=lambda i: (outcomes[i][0], -i))
     value, phases, theta, state, iterations = outcomes[index]
@@ -546,13 +542,16 @@ def _child_seed(seed: int, *key: int) -> int:
 def scan_product_g(
     scenarios: Sequence[tuple[int, int, int]],
     config: OptimizationConfig | None = None,
-    forms: Iterable[FunctionalForm] = (FunctionalForm.REAL_PART, FunctionalForm.MODULUS),
     budget: int | None = None,
 ) -> list[ScanRow]:
-    """Product-g scan over (N, 2, d) scenarios; per-row failures are annotated."""
+    """Product-g scan over (N, 2, d) scenarios in both forms.
+
+    Per-row failures are annotated.  A row whose enumeration exceeds the budget
+    (None means DEFAULT_BUDGET) is refused before its functional is built.
+    """
     config = config or OptimizationConfig()
+    budget = DEFAULT_BUDGET if budget is None else budget
     rows = []
-    forms = tuple(forms)
     for row_index, (n, k, d) in enumerate(scenarios):
         if k != 2:
             rows.append(ScanRow(n, k, d, error="the product-g scan needs k = 2"))
@@ -560,7 +559,8 @@ def scan_product_g(
         seed = _child_seed(config.seed, row_index)
         fields: dict = {"seed": seed}
         try:
-            for form in forms:
+            _check_budget(Scenario(n, k, d), budget)
+            for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
                 functional = product_g_functional(n, d, form)
                 beta = _resolve_bound(functional, budget)
                 result = maximize_violation(
@@ -605,23 +605,19 @@ def g_orbit(table: np.ndarray, form: FunctionalForm, outcomes: int = 3) -> set[t
     switching the pairing convention, which lands on the value-negated table.)
     """
     d = outcomes
-    seen: set[tuple[int, ...]] = set()
-    frontier = [np.asarray(table) % d]
-    while frontier:
-        current = frontier.pop()
-        key = tuple(current.ravel().tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        images = []
-        for c in range(1, current.shape[0]):
-            images.append(np.roll(np.roll(current, c, axis=0), c, axis=1))
-        reversed_idx = current[np.ix_(*[(-np.arange(s)) % s for s in current.shape])]
-        images.append((-reversed_idx) % d)
-        if form is FunctionalForm.MODULUS:
-            images.extend((current + c) % d for c in range(1, d))
-        frontier.extend(images)
-    return seen
+    table = np.asarray(table) % d
+    axes = tuple(range(table.ndim))
+    flipped = (-table[np.ix_(*[(-np.arange(s)) % s for s in table.shape])]) % d
+    # the flip conjugates a roll by c into a roll by -c and a value shift by s
+    # into one by -s, and rolls commute with shifts, so every group element is
+    # a shift of a roll of the table or of its flip: no closure is needed
+    shifts = range(d) if form is FunctionalForm.MODULUS else (0,)
+    return {
+        tuple(((np.roll(t, c, axis=axes) + s) % d).ravel().tolist())
+        for t in (table, flipped)
+        for c in range(table.shape[0])
+        for s in shifts
+    }
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,9 @@ __all__ = [
     "scan_rows_csv",
 ]
 
+DIGITS = 12  # significant digits of every number in a result document
+MAX_STRATEGIES = 256  # saturating strategies listed in a bound document
+
 
 class SpecParseError(ValueError):
     """A malformed document; the message carries the offending location."""
@@ -266,29 +269,29 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
 
 # -- result serialization ----------------------------------------------------
 
-def round_floats(value, digits: int = 12):
-    """Round every float in a JSON-ready structure to `digits` significant digits."""
+def round_floats(value):
+    """Round every float in a JSON-ready structure to DIGITS significant digits."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(f"{value:.{DIGITS}g}")
     if isinstance(value, complex):
-        return complex_pair(value, digits)
+        return complex_pair(value)
     if isinstance(value, dict):
-        return {k: round_floats(v, digits) for k, v in value.items()}
+        return {k: round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_floats(v, digits) for v in value]
+        return [round_floats(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
-        return round_floats(float(value), digits)
+        return round_floats(float(value))
     if isinstance(value, np.ndarray):
-        return round_floats(value.tolist(), digits)
+        return round_floats(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def complex_pair(value: complex, digits: int = 12) -> list[float]:
-    return [float(f"{value.real:.{digits}g}"), float(f"{value.imag:.{digits}g}")]
+def complex_pair(value: complex) -> list[float]:
+    return [float(f"{value.real:.{DIGITS}g}"), float(f"{value.imag:.{DIGITS}g}")]
 
 
 def canonical_json(doc) -> str:
@@ -315,15 +318,15 @@ def serialize_strategy(strategy) -> list[list[int]]:
     return strategy.assignments.tolist()
 
 
-def serialize_bound_result(result: ClassicalBoundResult, max_strategies: int = 256) -> dict:
+def serialize_bound_result(result: ClassicalBoundResult) -> dict:
     doc = {
         "bound": round_floats(result.bound),
         "strategies_examined": result.examined,
         "saturating_count": len(result.argmax),
         "witness": serialize_strategy(result.witness),
-        "saturating": [serialize_strategy(s) for s in result.argmax[:max_strategies]],
+        "saturating": [serialize_strategy(s) for s in result.argmax[:MAX_STRATEGIES]],
     }
-    if len(result.argmax) > max_strategies:
+    if len(result.argmax) > MAX_STRATEGIES:
         doc["saturating_truncated"] = True
     return doc
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -138,6 +140,89 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
     assert out == ""
     assert "parse error: " in err and location in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--spec", "chsh"],
+    ["optimize", "--spec", "chsh", "--restarts", "1"],
+    ["table", "--scenarios", "2,2,2", "--restarts", "1"],
+    ["facet", "--spec", "chsh"],
+])
+def test_threads_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--threads", "2"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err
+
+
+# The CLI fuzz draws cheap argument vectors only: two small presets, two small
+# scenarios and at most two restarts.  About half of them are well formed; the
+# others break one flag each.
+GOOD_VALUES = {
+    "--spec": ["chsh", "cglmp-corr-223"],
+    "--scenarios": ["2,2,2", "2,2,3", "2,2,2;2,2,3", "", "2,3,3"],
+    "--restarts": ["1", "2"],
+    "--budget": [str(10**8)],
+    "--tolerance": ["1e-8", "inf"],
+    "--seed": ["0"],
+    "--pairing": ["bilinear", "sesquilinear"],
+    "--format": ["json", "csv"],
+    "--parties": ["2"],
+}
+BAD_VALUES = {
+    "--spec": ["no-such-preset"],
+    "--scenarios": ["2,2", "a,b,c", "2;2;2"],
+    "--restarts": ["-1", "0"],
+    "--budget": ["-1", "0", "3"],
+    "--tolerance": ["0", "nan", "x"],
+    "--seed": ["-1", "x"],
+    "--pairing": ["x"],
+    "--format": ["x"],
+    "--parties": ["-1", "0", "5", "x"],
+    "mode": [["--ghz-family"], ["--optimize-phases"], ["--setup", "no-such-setup.json"]],
+}
+COMMAND_FLAGS = {
+    "bound": ["--spec", "--budget", "--pairing"],
+    "facet": ["--spec", "--budget"],
+    "optimize": ["--spec", "--restarts", "--budget", "--tolerance", "--seed", "mode"],
+    "table": ["--scenarios", "--restarts", "--budget", "--tolerance", "--seed", "--format"],
+    "ww": ["--parties"],
+}
+# always given: the defaults of --restarts (200) and --scenarios (22 rows) are costly
+ALWAYS_GIVEN = {"--spec", "--scenarios", "--restarts", "--parties"}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS) + ["other"]))
+    if command == "other":
+        return draw(st.sampled_from([[], ["nope"], ["--version"], ["bound", "--spec"]]))
+    flags = COMMAND_FLAGS[command]
+    broken = draw(st.none() | st.sampled_from(flags))
+    argv = [command]
+    for flag in flags:
+        if flag == "mode":
+            argv += draw(st.sampled_from(BAD_VALUES[flag])) if flag == broken else []
+        elif flag == broken:
+            argv += [flag, draw(st.sampled_from(BAD_VALUES[flag]))]
+        elif flag in ALWAYS_GIVEN or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argvs())
+def test_cli_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_budget_exit_3(capsys):

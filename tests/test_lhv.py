@@ -93,7 +93,7 @@ def test_classical_bound_chunking_and_threads_are_invisible():
         sc, cglmp_coefficients(), FunctionalForm.MODULUS, ConjugationMask((1, 2), 3)
     )
     baseline = classical_bound(functional)
-    for kwargs in [dict(chunk=7), dict(chunk=13, threads=3)]:
+    for kwargs in [dict(chunk=7), dict(chunk=13)]:
         other = classical_bound(functional, **kwargs)
         assert other.bound == baseline.bound
         assert [s.flat_index() for s in other.argmax] == [

@@ -62,18 +62,16 @@ def test_reported_value_reproducible_from_setup():
     assert result.quantum_value > 3.0 + 0.1
 
 
-def test_determinism_and_thread_independence():
+def test_repeat_runs_are_identical():
     functional = cglmp_correlation_functional()
     base = OptimizationConfig(restarts=6, seed=11)
     first = maximize_violation(functional, base)
     second = maximize_violation(functional, base)
-    threaded = maximize_violation(functional, OptimizationConfig(restarts=6, seed=11, threads=3))
-    for other in (second, threaded):
-        assert other.quantum_value == first.quantum_value
-        assert other.restart_index == first.restart_index
-        assert other.restart_values == first.restart_values
-        assert np.array_equal(other.setup.amplitudes, first.setup.amplitudes)
-        assert np.array_equal(other.setup.phases, first.setup.phases)
+    assert second.quantum_value == first.quantum_value
+    assert second.restart_index == first.restart_index
+    assert second.restart_values == first.restart_values
+    assert np.array_equal(second.setup.amplitudes, first.setup.amplitudes)
+    assert np.array_equal(second.setup.phases, first.setup.phases)
 
 
 def test_top_eigenvector_falls_back_when_eigh_fails(monkeypatch):
@@ -175,6 +173,39 @@ def test_g_orbit_members_share_classical_bounds():
                 functional = build_functional(sc, basis, g, form)
                 bounds.add(round(classical_bound(functional).bound, 9))
             assert len(bounds) == 1, f"orbit of {table.ravel().tolist()} mixes bounds {bounds}"
+
+
+def test_g_orbit_is_the_closed_orbit_of_its_table():
+    d = 3
+
+    def generators(table, form):
+        yield np.roll(table, 1, axis=(0, 1))
+        yield (-table[np.ix_(*[(-np.arange(s)) % s for s in table.shape])]) % d
+        if form is FunctionalForm.MODULUS:
+            yield (table + 1) % d
+
+    for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
+        for table in symmetric_g_tables():
+            orbit = g_orbit(table, form)
+            assert tuple(table.ravel().tolist()) in orbit
+            for key in orbit:
+                member = np.asarray(key).reshape(3, 3)
+                for image in generators(member, form):
+                    assert tuple(image.ravel().tolist()) in orbit
+                assert g_orbit(member, form) == orbit
+
+
+def test_scan_refuses_over_budget_rows_before_building(monkeypatch):
+    import bellkit.optimize as optimize
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("the functional was built before the budget check")
+
+    monkeypatch.setattr(optimize, "product_g_functional", unbuildable)
+    (row,) = scan_product_g([(20, 2, 2)], OptimizationConfig(restarts=1))
+    assert row.error == (
+        "enumeration needs 1099511627776 strategies, beyond the budget of 100000000"
+    )
 
 
 def test_scan_handles_bad_rows_and_continues():
