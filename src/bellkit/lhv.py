@@ -1,10 +1,20 @@
-"""Exact local-realistic bounds by exhaustive deterministic-strategy enumeration.
+"""Exact local-realistic bounds over the deterministic strategies.
 
 The maximum of Re[linear] or |linear| over the LHV polytope is attained at a
 vertex, so the classical bound of any functional here is the maximum of its
-value over all d^(N*k) deterministic strategies.  Enumeration is chunked so
-that arbitrarily large (budget-permitting) scenarios stream in bounded memory,
-and the reduction is order-independent: results do not depend on chunk size.
+value over all d^(N*k) deterministic strategies.  `classical_bound` covers
+them all without visiting each one:
+
+- Gauge.  Shifting every outcome of party p by c_p multiplies term t by
+  alpha^(r_t.c).  The shifts that change no value form a group G in Z_d^N,
+  found by trying all d^N shifts, and one strategy per G-orbit is searched.
+- Marginal.  For each strategy of parties 1..N-1 the terms are summed per
+  setting and outcome of party N, and every row of party N is scored from
+  those sums.
+- Certificate.  The near-optimal candidates are expanded by their orbits and
+  re-evaluated strategy by strategy, so the bound, the saturating set and the
+  count of strategies covered are those of exhaustive enumeration, bit for
+  bit, and do not depend on the chunk size.
 
 Facet certification embeds the deterministic correlation tensors in the real
 space of dimension 2*k^N (real and imaginary parts) and compares the affine
@@ -14,6 +24,7 @@ rank of the saturating set against the polytope's affine dimension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
@@ -109,25 +120,38 @@ def _party_assignments(scenario: Scenario) -> np.ndarray:
     return rows
 
 
-def _party_factor(scenario: Scenario, assignments: np.ndarray, setting: int, mask_entry: int):
+def _party_factors(scenario: Scenario, assignments: np.ndarray) -> np.ndarray:
+    """[x, r, i] = alpha^(r * a_i(x)): one party's factor for setting x and mask entry r."""
     d = scenario.outcomes
-    return unit_roots(d)[(mask_entry * assignments[:, setting]) % d]
+    return unit_roots(d)[np.arange(d)[:, None] * assignments.T[:, None, :] % d]
 
 
-def _chunk_values(functional, scenario, assignments, start, stop) -> np.ndarray:
-    """Complex functional totals for the flat strategy indices [start, stop)."""
+def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
+    """Mixed-radix digits of the flat indices, most significant first."""
+    digits = []
+    for radix in reversed(radices):
+        flat, digit = np.divmod(flat, radix)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def _chunk_values(functional, scenario, assignments, indices) -> np.ndarray:
+    """Complex functional totals for the given flat strategy indices.
+
+    A strategy's value does not depend on the batch it is evaluated in.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) == 1:
+        # numpy's in-place complex multiply rounds a length-1 array differently
+        return _chunk_values(functional, scenario, assignments, np.repeat(indices, 2))[:1]
     n = scenario.parties
-    per_party = len(assignments)
-    rest = np.arange(start, stop, dtype=np.int64)
-    party_idx: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for p in range(n - 1, -1, -1):
-        rest, party_idx[p] = np.divmod(rest, per_party)
-    totals = np.zeros(stop - start, dtype=complex)
+    party_idx = _digits(indices, [len(assignments)] * n)
+    factors = _party_factors(scenario, assignments)
+    totals = np.zeros(len(indices), dtype=complex)
     for x, mask_entries, weight in functional.terms():
-        factor = np.ones(stop - start, dtype=complex)
+        factor = np.ones(len(indices), dtype=complex)
         for p in range(n):
-            column = _party_factor(scenario, assignments, x[p], mask_entries[p])
-            factor *= column[party_idx[p]]
+            factor *= factors[x[p], mask_entries[p]][party_idx[p]]
         totals += weight * factor
     return totals
 
@@ -140,38 +164,123 @@ def strategy_functional_value(functional, strategy: DeterministicStrategy) -> fl
     return apply_form(functional.form, total)
 
 
+def _form_values(form: FunctionalForm, totals: np.ndarray) -> np.ndarray:
+    return totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
+
+
+def _gauge(functional, chunk: int) -> tuple[np.ndarray, list[int]]:
+    """The outcome shifts c in Z_d^N that fix every strategy's value, and the gauge steps.
+
+    Shifting party p's outcomes by c_p multiplies term t by alpha^(r_t.c).
+    Real parts are unchanged when r_t.c = 0 for every t, moduli when
+    r_t.c = r_0.c.  Step g_p is the least positive c_p over the invariant
+    shifts with c_1..c_(p-1) = 0, or d if there is none; every orbit then has
+    exactly one strategy with a_p(0) < g_p for all p.
+    """
+    scenario = functional.scenario
+    n, d = scenario.parties, scenario.outcomes
+    masks = np.array([r for _, r, _ in functional.terms()], dtype=np.int64)
+    block = max(1, chunk // masks.size)
+    found = []
+    for start in range(0, d**n, block):
+        flat = np.arange(start, min(start + block, d**n), dtype=np.int64)
+        shifts = np.stack(_digits(flat, [d] * n), axis=1)
+        phases = (shifts[:, None, :] * masks).sum(axis=2) % d
+        reference = 0 if functional.form is FunctionalForm.REAL_PART else phases[:, :1]
+        found.append(shifts[(phases == reference).all(axis=1)])
+    group = np.concatenate(found)
+    steps = []
+    for p in range(n):
+        lead = group[(group[:, :p] == 0).all(axis=1), p]
+        positive = lead[lead > 0]
+        steps.append(int(positive.min()) if positive.size else d)
+    return group, steps
+
+
 def classical_bound(
     functional,
     budget: int = DEFAULT_BUDGET,
     chunk: int = DEFAULT_CHUNK,
 ) -> ClassicalBoundResult:
-    """Maximize the functional over every deterministic strategy.
+    """Maximize the functional over every deterministic strategy, exactly.
+
+    The search runs over one strategy per gauge orbit (a_p(0) < g_p, see
+    `_gauge`).  Parties 1..N-1 are enumerated in blocks that hold about
+    `chunk` numbers at a time; for each prefix the terms are summed per last-party setting y
+    and outcome b into S[y, b], and every allowed last-party row is scored as
+    sum_y S[y, b_y].  The candidates within twice the saturation tolerance of
+    the top score (measured against the larger of |top| and sum |w|, so the
+    marginal's own rounding cannot drop a tie) are expanded by their orbits
+    and re-evaluated one strategy at a time by `_chunk_values`.
 
     The saturation tolerance is 1e-9 * max(1, |bound|); all strategies within
-    it are returned, lexicographically smallest first.
+    it are returned, lexicographically smallest first.  `bound` and `argmax`
+    are those of evaluating all d^(N*k) strategies, bit for bit, and
+    `examined` is d^(N*k), the number of strategies the certificate covers.
+    The budget applies to that number.
     """
     scenario = functional.scenario
     total = _check_budget(scenario, budget)
-    assignments = _party_assignments(scenario)
+    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
     form = functional.form
+    assignments = _party_assignments(scenario)
+    per_party = len(assignments)
+    group, steps = _gauge(functional, chunk)
+    # setting 0 is the leading digit, so a_p(0) < g_p keeps a leading block of rows
+    allowed = [g * d ** (k - 1) for g in steps]
 
-    def reduce_chunk(start: int) -> tuple[float, np.ndarray, np.ndarray]:
-        stop = min(start + chunk, total)
-        totals = _chunk_values(functional, scenario, assignments, start, stop)
-        values = totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
-        top = values.max()
-        keep = values >= top - 2 * SATURATION_TOL * max(1.0, abs(top))
-        return top, np.nonzero(keep)[0] + start, values[keep]
+    terms = functional.terms()
+    xs = np.array([x for x, _, _ in terms], dtype=np.int64)
+    rs = np.array([r for _, r, _ in terms], dtype=np.int64)
+    weights = np.array([w for _, _, w in terms], dtype=complex)
+    roots = unit_roots(d)
+    factors = _party_factors(scenario, assignments)
+    prefix_phases = [factors[xs[:, p], rs[:, p], : allowed[p]].T for p in range(n - 1)]
+    outcomes = np.arange(d)
+    last_phases = np.zeros((len(terms), k * d), dtype=complex)
+    last_phases[np.arange(len(terms))[:, None], xs[:, -1:] * d + outcomes] = (
+        roots[np.outer(rs[:, -1], outcomes) % d])
+    last_columns = assignments[: allowed[-1]] + np.arange(k) * d
 
-    partials = [reduce_chunk(start) for start in range(0, total, chunk)]
+    # |top| <= sum |w|, so this is at least twice the saturation tolerance
+    window = 2 * SATURATION_TOL * max(1.0, float(np.abs(weights).sum()))
+    prefixes = math.prod(allowed[:-1])
+    block = max(1, chunk // max(len(terms), k * allowed[-1]))
+    top = -np.inf
+    kept_index, kept_value = [], []
+    for start in range(0, prefixes, block):
+        ids = np.arange(start, min(start + block, prefixes), dtype=np.int64)
+        digits = _digits(ids, allowed[:-1])
+        partial = np.broadcast_to(weights, (len(ids), len(terms)))
+        prefix_flat = np.zeros(len(ids), dtype=np.int64)
+        for phases, digit in zip(prefix_phases, digits):
+            partial = partial * phases[digit]
+            prefix_flat = prefix_flat * per_party + digit
+        sums = partial @ last_phases
+        values = _form_values(form, sums[:, last_columns].sum(axis=2))
+        top = max(top, float(values.max()))
+        prefix, row = np.nonzero(values >= top - window)
+        kept_index.append(prefix_flat[prefix] * per_party + row)
+        kept_value.append(values[prefix, row])
 
-    bound = max(top for top, _, _ in partials)
+    representatives = np.concatenate(kept_index)[np.concatenate(kept_value) >= top - window]
+    # shifted[c, i]: the row index of party row i with every outcome shifted by c
+    moved = (assignments + outcomes[:, None, None]) % d
+    shifted = (moved * d ** np.arange(k - 1, -1, -1)).sum(axis=2)
+    orbits = np.zeros((len(representatives), len(group)), dtype=np.int64)
+    for p, party_rows in enumerate(_digits(representatives, [per_party] * n)):
+        orbits = orbits * per_party + shifted[group[:, p]][:, party_rows].T
+    orbits = orbits.ravel()
+    values = np.concatenate([
+        _form_values(form, _chunk_values(functional, scenario, assignments,
+                                         orbits[start:start + chunk]))
+        for start in range(0, len(orbits), chunk)
+    ])
+    bound = values.max()
     tol = SATURATION_TOL * max(1.0, abs(bound))
-    saturating: list[int] = []
-    for _, indices, values in partials:
-        saturating.extend(int(i) for i, v in zip(indices, values) if v >= bound - tol)
-    saturating.sort()
-    argmax = tuple(DeterministicStrategy.from_flat_index(scenario, i) for i in saturating)
+    saturating = np.array(sorted(orbits[values >= bound - tol].tolist()))
+    outcome_tables = np.stack(_digits(saturating, [d] * (n * k)), axis=1).reshape(-1, n, k)
+    argmax = tuple(DeterministicStrategy(scenario, table) for table in outcome_tables)
     return ClassicalBoundResult(float(bound), argmax, total)
 
 
@@ -183,14 +292,12 @@ def correlation_vertex_matrix(
     mask = as_mask(scenario, mask)
     assignments = _party_assignments(scenario)
     n = scenario.parties
-    per_party = len(assignments)
     xs = settings_tuples(scenario)
+    factors = _party_factors(scenario, assignments)
     matrix = np.empty((total, len(xs)), dtype=complex)
     for col, x in enumerate(xs):
-        factors = [
-            _party_factor(scenario, assignments, x[p], mask.entries[p]) for p in range(n)
-        ]
-        matrix[:, col] = reduce(np.multiply.outer, factors).ravel()
+        columns = [factors[x[p], mask.entries[p]] for p in range(n)]
+        matrix[:, col] = reduce(np.multiply.outer, columns).ravel()
     return matrix
 
 

@@ -91,7 +91,7 @@ class OptimizationConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too: it would run every restart to the cap
             raise ValueError("tolerance must be positive")
 
 

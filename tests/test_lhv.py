@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellkit import (
     BellFunctional,
@@ -14,10 +15,15 @@ from bellkit import (
 from bellkit.bases import evaluate_functional
 from bellkit.core import ConjugationMask, CorrelationTensor
 from bellkit.lhv import (
+    DEFAULT_CHUNK,
+    SATURATION_TOL,
     BudgetExceededError,
     UnsupportedFormError,
     _affine_rank,
+    _chunk_values,
     _embed_real,
+    _gauge,
+    _party_assignments,
     classical_bound,
     correlation_vertex_matrix,
     enumerate_strategies,
@@ -87,7 +93,7 @@ def test_strategy_functional_value_matches_tensor_path():
         assert direct == pytest.approx(evaluate_functional(functional, tensor), abs=1e-12)
 
 
-def test_classical_bound_chunking_and_threads_are_invisible():
+def test_classical_bound_chunking_is_invisible():
     sc = Scenario(2, 2, 3)
     functional = BellFunctional(
         sc, cglmp_coefficients(), FunctionalForm.MODULUS, ConjugationMask((1, 2), 3)
@@ -99,6 +105,97 @@ def test_classical_bound_chunking_and_threads_are_invisible():
         assert [s.flat_index() for s in other.argmax] == [
             s.flat_index() for s in baseline.argmax
         ]
+
+
+def brute_force_bound(functional):
+    """Bound and saturating flat indices from every strategy, in one batch."""
+    scenario = functional.scenario
+    indices = np.arange(scenario.n_strategies)
+    totals = _chunk_values(functional, scenario, _party_assignments(scenario), indices)
+    values = totals.real if functional.form is FunctionalForm.REAL_PART else np.abs(totals)
+    bound = values.max()
+    tol = SATURATION_TOL * max(1.0, abs(bound))
+    return bound, [int(i) for i in np.nonzero(values >= bound - tol)[0]]
+
+
+def assert_matches_brute_force(functional, chunk=DEFAULT_CHUNK):
+    bound, argmax = brute_force_bound(functional)
+    result = classical_bound(functional, chunk=chunk)
+    assert result.bound == bound
+    assert [s.flat_index() for s in result.argmax] == argmax
+    assert result.examined == functional.scenario.n_strategies
+
+
+SMALL_SCENARIOS = [(n, k, d) for n in (1, 2, 3) for k in (1, 2, 3) for d in (2, 3, 4, 6)
+                   if d ** (n * k) <= 5000]
+
+
+@st.composite
+def mixed_mask_functionals(draw):
+    n, k, d = draw(st.sampled_from(SMALL_SCENARIOS))
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    masks = draw(st.lists(entries, min_size=1, max_size=3))
+    settings_tuples = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    parts = st.one_of(st.integers(-2, 2), st.floats(-2, 2, allow_nan=False))
+    weights = st.builds(complex, parts, parts).filter(lambda w: w != 0)
+    terms = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks), weights),
+                          min_size=1, max_size=6))
+    form = draw(st.sampled_from(list(FunctionalForm)))
+    return BellFunctional.from_terms(Scenario(n, k, d), terms, form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional=mixed_mask_functionals(), chunk=st.sampled_from([7, 13, DEFAULT_CHUNK]))
+def test_classical_bound_matches_brute_force(functional, chunk):
+    assert_matches_brute_force(functional, chunk)
+
+
+@pytest.mark.parametrize("scenario, terms, form, steps", [
+    # N = 1: the prefix is empty; 2c = 0 (mod 4) leaves the shift by 2
+    (Scenario(1, 2, 4), [((0,), (2,), 1.0), ((1,), (2,), 1j)], FunctionalForm.REAL_PART, [2]),
+    # k = 1, masks sharing factors with 6: the invariant shifts are {0, 3} x {0, 2, 4}
+    (Scenario(2, 1, 6), [((0, 0), (2, 3), 1 + 1j), ((0, 0), (0, 3), -1.0)],
+     FunctionalForm.REAL_PART, [3, 2]),
+    # moduli only need r_t.c = r_0.c: here 2c_1 = 0 (mod 4)
+    (Scenario(3, 2, 4), [((0, 1, 0), (1, 2, 1), 1.0), ((1, 1, 1), (3, 2, 1), 2 - 1j)],
+     FunctionalForm.MODULUS, [2, 1, 1]),
+    # no invariant shift but zero: the gauge fixes nothing
+    (Scenario(2, 2, 3), [((0, 0), (1, 0), 1.0), ((1, 1), (0, 1), 1.0)],
+     FunctionalForm.REAL_PART, [3, 3]),
+])
+def test_gauge_steps_and_exactness(scenario, terms, form, steps):
+    functional = BellFunctional.from_terms(scenario, terms, form)
+    group, found = _gauge(functional, DEFAULT_CHUNK)
+    assert found == steps
+    assert len(group) == np.prod([scenario.outcomes // g for g in steps])
+    for chunk in (7, 13, DEFAULT_CHUNK):
+        assert_matches_brute_force(functional, chunk)
+
+
+def test_strategy_value_does_not_depend_on_batch():
+    # numpy rounds an in-place complex product of length 1 differently; this
+    # functional's unique optimum moved by two ulps when re-evaluated alone
+    scenario = Scenario(2, 1, 6)
+    terms = [((0, 0), (2, 5), -2 + 1j), ((0, 0), (1, 0), 2.0), ((0, 0), (1, 0), 1j),
+             ((0, 0), (1, 0), 1 - 2j), ((0, 0), (1, 0), -2.0)]
+    functional = BellFunctional.from_terms(scenario, terms, FunctionalForm.REAL_PART)
+    assignments = _party_assignments(scenario)
+    batch = _chunk_values(functional, scenario, assignments, np.arange(36))
+    alone = [_chunk_values(functional, scenario, assignments, [i])[0] for i in range(36)]
+    assert list(batch) == alone
+    assert_matches_brute_force(functional)
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+def test_product_g_723_bound_within_reach(form):
+    functional = product_g_functional(7, 3, form)
+    result = classical_bound(functional)
+    assert result.examined == 3**14
+    flat = [s.flat_index() for s in result.argmax]
+    assert all(a < b for a, b in zip(flat, flat[1:]))
+    for strategy in result.argmax:
+        value = strategy_functional_value(functional, strategy)
+        assert value == pytest.approx(result.bound, abs=1e-9)
 
 
 def test_scale_covariance():

@@ -148,6 +148,12 @@ def test_fixed_state_rejects_bad_amplitudes(name, amplitudes):
                                   OptimizationConfig(restarts=1), beta=3.0)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan")])
+def test_config_rejects_non_positive_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        OptimizationConfig(tolerance=tolerance)
+
+
 def test_symmetric_g_single_target():
     # the best-known real-part table on two qutrits with three settings
     sc = Scenario(2, 3, 3)
