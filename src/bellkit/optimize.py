@@ -1,20 +1,27 @@
 """Maximize quantum values of Bell functionals over multiport setups.
 
-There is one search driver, and it takes a state subspace: the full state space
-by default, the GHZ span a|00..0> + b|11..1> + ... for the GHZ family, or the
-single column s/|s| for a fixed state s.  For fixed phase-shifter settings the
-pairing sum_x c_x E_x is a quadratic form s* G(phi) s in the input state, so
-the best state in the subspace V for given phases is V times the top
-eigenvector of the Hermitian part of V* G V (rotated by exp(i*theta) for
-modulus forms, whose optimum over theta is the numerical radius; on a single
-column that optimum is |s* G s|).  Each restart runs a monotone alternating
-ascent: with the state held fixed, every free phase has a sinusoidal objective
-A e^(i*phi) + B e^(-i*phi) + C whose coefficients are read off a per-party
-environment tensor (the pairing contracted over every other party), so each
-phase is maximized exactly in turn; the state is then refreshed by an
-eigensolve.  A quasi-Newton polish tightens the best restart with the exact
-gradient: Hellmann-Feynman for the eigenvalue, and the same environment
-coefficients for the phase derivatives.
+For fixed phase-shifter settings the pairing sum_x c_x E_x is a quadratic form
+s* G(phi) s in the input state, and G only couples basis index j with j + r_t,
+where r_t are the term masks.  So G is block-diagonal over the cosets of the
+subgroup H = <r_t> of Z_d^N, and every coset block gives the same optimum: for
+the Fourier matrix F X^c = Z^c F, so translating the state by c and rolling
+each party's phase rows by c_p leaves every probability unchanged.  The search
+therefore runs on H alone, an index array of basis states (the support): G is
+built on the support's rows and columns, |H| x |H| instead of d^N x d^N (d x d
+for any single-mask functional), and the best state for given phases is the
+top eigenvector of its Hermitian part (rotated by exp(i*theta) for modulus
+forms, whose optimum over theta is the numerical radius).  The GHZ family
+span{|00..0>, |11..1>, ...} is another support; a fixed state s is the one
+column s/|s| on the support of s, where the value is |s* G s| and no
+eigensolve is needed.
+
+Each restart runs a monotone alternating ascent: with the state held fixed,
+every free phase has a sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C
+whose coefficients are read off a per-party environment tensor (the pairing
+contracted over every other party), so each phase is maximized exactly in
+turn; the state is then refreshed by an eigensolve.  A quasi-Newton polish
+tightens the best restart with the exact gradient: Hellmann-Feynman for the
+eigenvalue, and the same environment coefficients for the phase derivatives.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  A fixed seed
@@ -71,12 +78,12 @@ MAX_ITERATIONS = 2000  # alternating sweeps per restart
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Budget and seed of one search, whatever its state subspace.
+    """Budget and seed of one search, whatever its state support.
 
     The search runs over the free port phases (ports 1..d-1 of every party and
     setting; port 0 is gauge-fixed) plus one rotation angle for modulus forms;
-    the state is resolved exactly per iteration by an eigensolve in the
-    subspace.  restarts is the number of Sobol starts, tolerance the least
+    the state is resolved exactly per iteration by an eigensolve on the
+    support.  restarts is the number of Sobol starts, tolerance the least
     gain that continues a restart's alternating sweeps (at most
     MAX_ITERATIONS of them), seed selects the Sobol scrambling, and
     polish_iterations caps the L-BFGS-B steps on the best restart (0 skips the
@@ -89,8 +96,12 @@ class OptimizationConfig:
     polish_iterations: int = 60
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
+        for name, least in (("restarts", 1), ("polish_iterations", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if not self.tolerance > 0:  # NaN too: it would run every restart to the cap
             raise ValueError("tolerance must be positive")
 
@@ -127,14 +138,29 @@ def quantum_functional_value(functional, setup: QuantumSetup, path: str = "born"
     return apply_form(functional.form, functional.contract(correlations))
 
 
-class _MultiportObjective:
-    """Pairing totals, G(phi) assembly, and eigen-resolved states for one functional.
+def coset_support(functional) -> np.ndarray:
+    """Flat indices, ascending, of H = <r_t>: the term masks closed under addition mod d."""
+    n, d = functional.scenario.parties, functional.scenario.outcomes
+    shape = (d,) * n
+    elements = np.zeros((n, 1), dtype=np.int64)
+    for mask in {r for _, r, _ in functional.terms()}:
+        spread = elements[:, :, None] + np.outer(mask, np.arange(d))[:, None, :]
+        flat = np.unique(np.ravel_multi_index(spread.reshape(n, -1) % d, shape))
+        elements = np.array(np.unravel_index(flat, shape))
+    return np.ravel_multi_index(elements, shape)
 
-    States are confined to the span of the orthonormal columns of subspace
-    (the whole space when it is None).
+
+class _MultiportObjective:
+    """Pairing totals, G(phi) on a support, and eigen-resolved states for one functional.
+
+    States live on support, an ascending index array of basis states, and are
+    scattered into the full d^N state wherever the pairing is contracted.  G
+    is built on the support's rows and columns only; entries that would leave
+    the support are dropped, which on H never happens.  A fixed state is the
+    unit vector fixed on the support, and then no eigensolve runs.
     """
 
-    def __init__(self, functional, subspace: np.ndarray | None = None):
+    def __init__(self, functional, support: np.ndarray, fixed: np.ndarray | None = None):
         self.functional = functional
         scenario: Scenario = functional.scenario
         self.scenario = scenario
@@ -145,7 +171,6 @@ class _MultiportObjective:
         self.rs = np.array([t[1] for t in terms], dtype=np.int64)          # (T, n)
         self.weights = np.array([t[2] for t in terms], dtype=complex)      # (T,)
         grid = np.indices((d,) * n).reshape(n, self.dim)
-        self.cols = np.arange(self.dim)
         # rows[t, j] = flat index of (j + r_t) mod d
         shifted = (grid[None, :, :] + self.rs[:, :, None]) % d
         self.rows = np.array(
@@ -162,10 +187,34 @@ class _MultiportObjective:
         self.selector = (self.xs.T[:, None, :] == np.arange(k)[None, :, None]).astype(float)
         # per (party, setting): the terms whose phase row moves, their c + r and c - r ports
         self.port_terms = [[self._port_terms(p, x) for x in range(k)] for p in range(n)]
-        self.subspace = subspace
+        self.support = np.asarray(support)
+        self.fixed = fixed
+        self._index_support()
         self.is_modulus = functional.form is FunctionalForm.MODULUS
         self.n_phases = n * k * (d - 1)
         self.n_params = self.n_phases + self.is_modulus
+
+    def _index_support(self):
+        """Where each term puts its G entries on the support.
+
+        Column a of G holds basis state h = support[a]; a term with mask r puts
+        w prod_p u_p(h_p) in the row of h + r.  Terms sharing a mask share that
+        row, so their entries are summed first (mask_weights) and each distinct
+        mask fills distinct cells of G.
+        """
+        n, d = self.scenario.parties, self.scenario.outcomes
+        size = len(self.support)
+        digits = np.array(np.unravel_index(self.support, (d,) * n))       # (n, m)
+        # u.reshape(T, n * d)[:, factor_idx] gives u[t, p, h_p] for every column
+        self.factor_idx = np.arange(n)[:, None] * d + digits               # (n, m)
+        masks, mask_of = np.unique(self.rs, axis=0, return_inverse=True)
+        self.mask_weights = np.zeros((len(masks), len(self.xs)), dtype=complex)
+        self.mask_weights[mask_of.reshape(-1), np.arange(len(self.xs))] = self.weights
+        targets = np.ravel_multi_index((digits[:, None] + masks.T[:, :, None]) % d, (d,) * n)
+        rows = np.minimum(np.searchsorted(self.support, targets), size - 1)  # (M, m)
+        inside = self.support[rows] == targets
+        self.g_cells = (rows * size + np.arange(size))[inside]
+        self.g_sources = (np.arange(len(masks))[:, None] * size + np.arange(size))[inside]
 
     # -- parameter packing -------------------------------------------------
     def unpack(self, params: np.ndarray) -> tuple[np.ndarray, float]:
@@ -243,23 +292,18 @@ class _MultiportObjective:
         return complex(a), complex(b)
 
     def g_matrix(self, phases: np.ndarray) -> np.ndarray:
-        u = self.phase_factors(phases)
-        n = self.scenario.parties
-        g = np.zeros((self.dim, self.dim), dtype=complex)
-        for t in range(len(self.xs)):
-            factor = u[t, 0]
-            for p in range(1, n):
-                factor = np.multiply.outer(factor, u[t, p])
-            g[self.rows[t], self.cols] += self.weights[t] * factor.ravel()
-        return g
+        """G(phi) on the support: G[a, b] couples support[b] with support[a] = support[b] + r_t."""
+        size = len(self.support)
+        u = self.phase_factors(phases).reshape(len(self.xs), -1)
+        per_mask = self.mask_weights @ u[:, self.factor_idx].prod(axis=1)   # (M, m)
+        g = np.zeros(size * size, dtype=complex)
+        g[self.g_cells] = per_mask.ravel()[self.g_sources]
+        return g.reshape(size, size)
 
     # -- eigen-resolved objective -------------------------------------------
     def _hermitian(self, g: np.ndarray, theta: float) -> np.ndarray:
         rotated = g * np.exp(1j * theta) if self.is_modulus else g
-        h = 0.5 * (rotated + rotated.conj().T)
-        if self.subspace is not None:
-            h = self.subspace.conj().T @ h @ self.subspace
-        return h
+        return 0.5 * (rotated + rotated.conj().T)
 
     def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and its exact gradient in the packed parameters.
@@ -272,7 +316,7 @@ class _MultiportObjective:
         """
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         phases, theta = self.unpack(params)
-        products = self.state_products(self.top_state(self.g_matrix(phases), theta))
+        products = self.state_products(self.top_state(phases, theta))
         u = self.phase_factors(phases)
         d_total = np.empty((n, k, d), dtype=complex)
         for p in range(n):
@@ -284,22 +328,33 @@ class _MultiportObjective:
         grad = self.pack((rotation * d_total).real, -(rotation * total).imag)
         return float((rotation * total).real), grad
 
-    def top_state(self, g: np.ndarray, theta: float) -> np.ndarray:
-        state = _top_eigenvector(self._hermitian(g, theta))
-        return state if self.subspace is None else self.subspace @ state
+    def _top_block(self, g: np.ndarray, theta: float) -> np.ndarray:
+        if self.fixed is not None:
+            return self.fixed
+        return _top_eigenvector(self._hermitian(g, theta))
 
-    def refreshed_state(self, phases: np.ndarray, state: np.ndarray, theta: float):
+    def scatter(self, block: np.ndarray) -> np.ndarray:
+        """The full d^N state whose amplitudes on the support are block."""
+        state = np.zeros(self.dim, dtype=complex)
+        state[self.support] = block
+        return state
+
+    def top_state(self, phases: np.ndarray, theta: float) -> np.ndarray:
+        """The best full state at these phases (the fixed state, if there is one)."""
+        g = None if self.fixed is not None else self.g_matrix(phases)
+        return self.scatter(self._top_block(g, theta))
+
+    def refreshed_state(self, phases: np.ndarray, state: np.ndarray | None, theta: float):
         """Eigen state update; for modulus forms also re-center the rotation."""
         g = self.g_matrix(phases)
         if not self.is_modulus:
-            new = self.top_state(g, 0.0)
-            return new, 0.0, float(np.real(new.conj() @ (g @ new)))
-        if state is None:
-            state = self.top_state(g, theta)
-        total = complex(state.conj() @ (g @ state))
+            new = self._top_block(g, 0.0)
+            return self.scatter(new), 0.0, float(np.real(new.conj() @ (g @ new)))
+        block = self._top_block(g, theta) if state is None else state[self.support]
+        total = complex(block.conj() @ (g @ block))
         theta = -np.angle(total) if abs(total) > 0 else theta
         for _ in range(8):
-            new = self.top_state(g, theta)
+            new = self._top_block(g, theta)
             total = complex(new.conj() @ (g @ new))
             if abs(total) == 0:
                 break
@@ -308,8 +363,7 @@ class _MultiportObjective:
                 theta = next_theta
                 break
             theta = next_theta
-            state = new
-        return new, theta, float(abs(total))
+        return self.scatter(new), theta, float(abs(total))
 
     def setup_at(self, phases: np.ndarray, state: np.ndarray) -> QuantumSetup:
         # fix the state's arbitrary global phase for reproducible output
@@ -371,15 +425,22 @@ def _sweep_phases(objective: _MultiportObjective, phases: np.ndarray,
 
 def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
             config: OptimizationConfig):
-    """Alternate exact phase sweeps and eigen state updates until stationary."""
+    """Alternate exact phase sweeps and eigen state updates until stationary.
+
+    A fixed state never changes, so its value and rotation are the sweep's
+    running pairing total and no state update runs.
+    """
     phases = start_phases.copy()
     phases[:, :, 0] = 0.0
     state, theta, value = objective.refreshed_state(phases, None, 0.0)
+    products = objective.state_products(state)
     iterations = 0
     for _ in range(MAX_ITERATIONS):
         iterations += 1
-        _, theta = _sweep_phases(objective, phases, objective.state_products(state), theta)
-        state, theta, new_value = objective.refreshed_state(phases, state, theta)
+        new_value, theta = _sweep_phases(objective, phases, products, theta)
+        if objective.fixed is None:
+            state, theta, new_value = objective.refreshed_state(phases, state, theta)
+            products = objective.state_products(state)
         if new_value <= value + config.tolerance:
             value = max(value, new_value)
             break
@@ -400,17 +461,17 @@ def _resolve_bound(functional, budget: int = DEFAULT_BUDGET) -> float:
 
 
 def _search(functional, config: OptimizationConfig | None, beta: float | None,
-            subspace: np.ndarray | None = None) -> OptResult:
+            support: np.ndarray, fixed: np.ndarray | None = None) -> OptResult:
     """The one search driver: restarts, polish and Born re-evaluation.
 
-    States range over the span of subspace's orthonormal columns (the whole
-    space when it is None).  Every restart runs the seesaw from its own Sobol
-    start; the best one, ties broken by restart index, is polished.
+    States range over the basis states in support, or are the fixed unit
+    vector on it.  Every restart runs the seesaw from its own
+    Sobol start; the best one, ties broken by restart index, is polished.
     """
     config = config or OptimizationConfig()
     if beta is None:
         beta = _resolve_bound(functional)
-    objective = _MultiportObjective(functional, subspace)
+    objective = _MultiportObjective(functional, support, fixed)
     n, k, d = (objective.scenario.parties, objective.scenario.settings,
                objective.scenario.outcomes)
     starts = _sobol_points(config.seed, config.restarts, objective.n_phases)
@@ -439,7 +500,7 @@ def _search(functional, config: OptimizationConfig | None, beta: float | None,
         )
         if -polished.fun > value:
             phases, theta = objective.unpack(polished.x)
-            state = objective.top_state(objective.g_matrix(phases), theta)
+            state = objective.top_state(phases, theta)
             iterations += int(polished.nit)
 
     setup = objective.setup_at(phases, state)
@@ -457,12 +518,18 @@ def _search(functional, config: OptimizationConfig | None, beta: float | None,
 
 def maximize_violation(functional, config: OptimizationConfig | None = None,
                        beta: float | None = None) -> OptResult:
-    """Multi-start search for the largest quantum value of the functional."""
-    return _search(functional, config, beta)
+    """Multi-start search for the largest quantum value of the functional.
+
+    States are searched on H = <r_t> only (coset_support), which is exact: G is
+    block-diagonal over the cosets c + H, and the block on c + H is H's block
+    with every party's phase rows rolled by c_p (F X^c = Z^c F), so every coset
+    reaches the same optimum.  When the masks generate Z_d^N, H is everything.
+    """
+    return _search(functional, config, beta, coset_support(functional))
 
 
-def _state_column(scenario: Scenario, amplitudes) -> np.ndarray:
-    """The one-column subspace s/|s| spanned by a fixed input state s."""
+def _state_column(scenario: Scenario, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """The one-column subspace s/|s| of a fixed input state s: its support and values there."""
     shape = (scenario.outcomes,) * scenario.parties
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != shape:
@@ -472,30 +539,28 @@ def _state_column(scenario: Scenario, amplitudes) -> np.ndarray:
     norm = np.linalg.norm(amps.ravel())
     if not 0 < norm < np.inf:
         raise ValueError(f"amplitudes must have a finite nonzero norm, got {norm}")
-    return amps.reshape(-1, 1) / norm
+    support = np.flatnonzero(amps.ravel())
+    return support, amps.ravel()[support] / norm
 
 
 def maximize_with_fixed_state(functional, amplitudes, config: OptimizationConfig | None = None,
                               beta: float | None = None) -> OptResult:
     """Optimize the phases only, holding the input state fixed."""
-    return _search(functional, config, beta, _state_column(functional.scenario, amplitudes))
+    return _search(functional, config, beta, *_state_column(functional.scenario, amplitudes))
 
 
-def _ghz_subspace(scenario: Scenario) -> np.ndarray:
+def _ghz_support(scenario: Scenario) -> np.ndarray:
+    """Flat indices of |00..0>, |11..1>, ... on three qutrits."""
     if scenario.parties != 3 or scenario.outcomes != 3:
         raise ValueError("the GHZ-family restriction is defined for three qutrits")
     d = scenario.outcomes
-    basis = np.zeros((d**scenario.parties, d))
-    for j in range(d):
-        flat = np.ravel_multi_index((j,) * scenario.parties, (d,) * scenario.parties)
-        basis[flat, j] = 1.0
-    return basis
+    return np.ravel_multi_index((np.arange(d),) * scenario.parties, (d,) * scenario.parties)
 
 
 def maximize_restricted_ghz(functional, config: OptimizationConfig | None = None,
                             beta: float | None = None) -> OptResult:
     """Optimization with amplitudes confined to span{|00..0>, |11..1>, ...}."""
-    return _search(functional, config, beta, _ghz_subspace(functional.scenario))
+    return _search(functional, config, beta, _ghz_support(functional.scenario))
 
 
 def product_g_functional(parties: int, outcomes: int, form: FunctionalForm,

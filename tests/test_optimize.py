@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellkit import (
     BellFunctional,
@@ -22,9 +23,11 @@ from bellkit.optimize import (
     ScanRow,
     _MultiportObjective,
     _child_seed,
-    _ghz_subspace,
+    _ghz_support,
+    _state_column,
     _sweep_phases,
     _top_eigenvector,
+    coset_support,
     g_orbit,
     scan_product_g,
     symmetric_g_tables,
@@ -154,6 +157,27 @@ def test_config_rejects_non_positive_tolerance(tolerance):
         OptimizationConfig(tolerance=tolerance)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 2.5),
+    ("restarts", True),
+    ("restarts", 3.0),
+    ("restarts", "4"),
+    ("restarts", 0),
+    ("polish_iterations", -3),
+    ("polish_iterations", 1.5),
+    ("polish_iterations", False),
+    ("polish_iterations", None),
+])
+def test_config_rejects_bad_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizationConfig(**{field: value})
+
+
+def test_config_accepts_integer_counts():
+    config = OptimizationConfig(restarts=np.int64(3), polish_iterations=0)
+    assert config.restarts == 3 and config.polish_iterations == 0
+
+
 def test_symmetric_g_single_target():
     # the best-known real-part table on two qutrits with three settings
     sc = Scenario(2, 3, 3)
@@ -245,10 +269,32 @@ KERNEL_CASES = [
 
 
 def random_point(objective, rng):
+    """Random phases and a random unit state on the objective's support (or its fixed state)."""
     sc = objective.scenario
     phases = rng.uniform(0, 2 * np.pi, size=(sc.parties, sc.settings, sc.outcomes))
-    state = rng.normal(size=objective.dim) + 1j * rng.normal(size=objective.dim)
-    return phases, state / np.linalg.norm(state)
+    if objective.fixed is not None:
+        return phases, objective.scatter(objective.fixed)
+    size = len(objective.support)
+    block = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return phases, objective.scatter(block / np.linalg.norm(block))
+
+
+STATE_KINDS = ["full", "coset", "ghz", "fixed"]
+
+
+def objective_of_kind(functional, kind, rng):
+    """The objective on the whole space, on H, on the GHZ span, or with a fixed random state."""
+    sc = functional.scenario
+    if kind == "full":
+        return _MultiportObjective(functional, support=np.arange(sc.outcomes ** sc.parties))
+    if kind == "coset":
+        return _MultiportObjective(functional, support=coset_support(functional))
+    if kind == "ghz":
+        return _MultiportObjective(functional, support=_ghz_support(sc))
+    shape = (sc.outcomes,) * sc.parties
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    support, fixed = _state_column(sc, state)
+    return _MultiportObjective(functional, support=support, fixed=fixed)
 
 
 def probe_fit(objective, phases, products, p, x, c):
@@ -266,7 +312,7 @@ def probe_fit(objective, phases, products, p, x, c):
 
 @pytest.mark.parametrize("name, make", KERNEL_CASES)
 def test_environment_coefficients_match_probe_fit(name, make):
-    objective = _MultiportObjective(make())
+    objective = objective_of_kind(make(), "full", None)
     sc = objective.scenario
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -290,24 +336,31 @@ def test_environment_coefficients_match_probe_fit(name, make):
 @pytest.mark.parametrize("name, make", KERNEL_CASES)
 def test_sweep_never_lowers_the_objective(name, make):
     functional = make()
-    objective = _MultiportObjective(functional)
+    sc = functional.scenario
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        phases, state = random_point(objective, rng)
-        phases[:, :, 0] = 0.0
-        products = objective.state_products(state)
-        before = objective.pair_total(phases, products)
-        theta = -np.angle(before) if objective.is_modulus else 0.0
-        swept, _ = _sweep_phases(objective, phases, products, theta)
-        assert swept >= apply_form(functional.form, before) - 1e-12, name
-        after = apply_form(functional.form, objective.pair_total(phases, products))
-        assert abs(swept - after) < 1e-12, name
+    for kind in STATE_KINDS:
+        if kind == "ghz" and (sc.parties, sc.outcomes) != (3, 3):
+            continue  # the GHZ family is defined for three qutrits
+        objective = objective_of_kind(functional, kind, rng)
+        for _ in range(5):
+            phases, state = random_point(objective, rng)
+            phases[:, :, 0] = 0.0
+            products = objective.state_products(state)
+            before = objective.pair_total(phases, products)
+            theta = -np.angle(before) if objective.is_modulus else 0.0
+            swept, _ = _sweep_phases(objective, phases, products, theta)
+            assert swept >= apply_form(functional.form, before) - 1e-12, (name, kind)
+            after = apply_form(functional.form, objective.pair_total(phases, products))
+            assert abs(swept - after) < 1e-12, (name, kind)
 
 
 def reference_value(objective, params):
-    """The objective by definition: the top eigenvalue in the state subspace."""
+    """The objective by definition: the top eigenvalue on the support, or the fixed value."""
     phases, theta = objective.unpack(params)
-    return np.linalg.eigvalsh(objective._hermitian(objective.g_matrix(phases), theta))[-1]
+    h = objective._hermitian(objective.g_matrix(phases), theta)
+    if objective.fixed is not None:
+        return float(np.real(objective.fixed.conj() @ h @ objective.fixed))
+    return np.linalg.eigvalsh(h)[-1]
 
 
 def central_difference(objective, params, step=1e-5):
@@ -321,20 +374,148 @@ def central_difference(objective, params, step=1e-5):
 
 
 @pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
-@pytest.mark.parametrize("kind", ["full", "ghz", "fixed"])
+@pytest.mark.parametrize("kind", STATE_KINDS)
 def test_analytic_gradient_matches_central_difference(form, kind):
     functional = product_g_functional(3, 3, form)
     rng = np.random.default_rng(29)
-    if kind == "fixed":
-        state = rng.normal(size=27) + 1j * rng.normal(size=27)
-        column = (state / np.linalg.norm(state)).reshape(-1, 1)
-        objective = _MultiportObjective(functional, subspace=column)
-    elif kind == "ghz":
-        objective = _MultiportObjective(functional, subspace=_ghz_subspace(functional.scenario))
-    else:
-        objective = _MultiportObjective(functional)
+    objective = objective_of_kind(functional, kind, rng)
     for _ in range(3):
         params = rng.uniform(0, 2 * np.pi, size=objective.n_params)
         value, grad = objective.value_and_gradient(params)
         assert abs(value - reference_value(objective, params)) < 1e-10
         assert np.allclose(grad, central_difference(objective, params), rtol=0, atol=1e-7)
+
+
+# -- the coset subgroup H = <r_t> ----------------------------------------------
+
+def flat_indices(scenario, digits):
+    d = scenario.outcomes
+    return np.ravel_multi_index(np.asarray(digits).reshape(scenario.parties, -1) % d,
+                                (d,) * scenario.parties)
+
+
+def dense_g(objective, phases):
+    """G(phi) on the whole space by definition: G[j + r_t, j] += w_t prod_p u_t,p(j_p)."""
+    sc = objective.scenario
+    dim = sc.outcomes ** sc.parties
+    digits = np.indices((sc.outcomes,) * sc.parties).reshape(sc.parties, dim)
+    u = objective.phase_factors(phases)
+    g = np.zeros((dim, dim), dtype=complex)
+    for t, weight in enumerate(objective.weights):
+        factor = np.prod([u[t, p, digits[p]] for p in range(sc.parties)], axis=0)
+        g[objective.rows[t], np.arange(dim)] += weight * factor
+    return g
+
+
+@st.composite
+def mixed_mask_problems(draw):
+    """A mixed-mask functional (N <= 3, d in {2, 3, 4, 6}), phases, a state and a shift c."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    masks = draw(st.lists(entries, min_size=1, max_size=3))
+    settings_tuples = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    parts = st.floats(-2, 2, allow_nan=False)
+    weights = st.builds(complex, parts, parts).filter(lambda w: abs(w) > 1e-3)
+    terms = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks), weights),
+                          min_size=1, max_size=6))
+    form = draw(st.sampled_from(list(FunctionalForm)))
+    functional = BellFunctional.from_terms(Scenario(n, k, d), terms, form)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    return functional, rng, shift
+
+
+def rolled(phases, shift):
+    """phases[p, x, j + c_p]: every party's phase rows rolled by its entry of c."""
+    return np.stack([np.roll(phases[p], -c, axis=-1) for p, c in enumerate(shift)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=mixed_mask_problems())
+def test_translation_invariance_and_coset_blocks(problem):
+    functional, rng, shift = problem
+    sc = functional.scenario
+    n, d = sc.parties, sc.outcomes
+    dim = d**n
+    support = coset_support(functional)
+    objective = _MultiportObjective(functional, support)
+    in_h = np.zeros(dim, dtype=bool)
+    in_h[support] = True
+    phases = rng.uniform(0, 2 * np.pi, size=(n, sc.settings, d))
+    theta = rng.uniform(0, 2 * np.pi)
+    g = dense_g(objective, phases)
+
+    # no entry of G couples two different cosets of H
+    digits = np.indices((d,) * n).reshape(n, dim)
+    rows, cols = np.nonzero(np.abs(g) > 0)
+    assert in_h[flat_indices(sc, digits[:, rows] - digits[:, cols])].all()
+
+    # the support-built G is the dense G on H's rows and columns
+    assert np.allclose(objective.g_matrix(phases), g[np.ix_(support, support)],
+                       rtol=0, atol=1e-12)
+
+    # a state translated by c pairs like the state itself with phase rows rolled by c
+    state = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+    translated = np.roll(state, shift, axis=tuple(range(n)))
+    moved = objective.pair_total(phases, objective.state_products(translated))
+    kept = objective.pair_total(rolled(phases, shift), objective.state_products(state))
+    assert abs(moved - kept) < 1e-12
+
+    # the full top eigenvalue is H's block maximized over one translation per coset
+    cosets, seen = [], np.zeros(dim, dtype=bool)
+    for j in range(dim):
+        if not seen[j]:
+            seen[flat_indices(sc, digits[:, support] + digits[:, j:j + 1])] = True
+            cosets.append(tuple(digits[:, j]))
+    assert len(cosets) * len(support) == dim
+    full_top = np.linalg.eigvalsh(objective._hermitian(g, theta))[-1]
+    block_tops = [np.linalg.eigvalsh(objective._hermitian(
+        objective.g_matrix(rolled(phases, c)), theta))[-1] for c in cosets]
+    assert abs(full_top - max(block_tops)) < 1e-10
+
+
+def ghz_indices(n, d):
+    return sorted(np.ravel_multi_index((j,) * n, (d,) * n) for j in range(d))
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 4), (4, 4), (2, 6)])
+@pytest.mark.parametrize("form", list(FunctionalForm))
+def test_product_g_support_is_the_diagonal(n, d, form):
+    support = coset_support(product_g_functional(n, d, form))
+    assert support.tolist() == ghz_indices(n, d)
+
+
+def test_i323_support_is_the_aba_subgroup():
+    support = coset_support(i323_functional())
+    want = sorted(np.ravel_multi_index((a, b, a), (3, 3, 3)) for a in range(3) for b in range(3))
+    assert support.tolist() == want
+
+
+@pytest.mark.parametrize("name, functional", [
+    ("d4 half shift", d4_half_shift_functional()),
+    ("unit masks", BellFunctional.from_terms(
+        Scenario(3, 2, 3), [((0, 0, 0), (1, 0, 0), 1.0), ((1, 0, 1), (0, 1, 0), 1.0),
+                            ((0, 1, 1), (0, 0, 2), 1.0)])),
+])
+def test_generating_masks_give_the_whole_space(name, functional):
+    sc = functional.scenario
+    assert coset_support(functional).tolist() == list(range(sc.outcomes ** sc.parties)), name
+
+
+def test_523_search_assembles_nothing_larger_than_3x3(monkeypatch):
+    shapes = []
+    build = _MultiportObjective.g_matrix
+
+    def recording(self, phases):
+        g = build(self, phases)
+        shapes.append(g.shape)
+        return g
+
+    monkeypatch.setattr(_MultiportObjective, "g_matrix", recording)
+    for form in FunctionalForm:
+        result = maximize_violation(product_g_functional(5, 3, form),
+                                    OptimizationConfig(restarts=2, seed=23))
+        assert result.ratio == pytest.approx(1.0, abs=1e-6)
+    assert shapes and set(shapes) == {(3, 3)}
