@@ -5,13 +5,15 @@ transform; a measurement setting is a list of input-port phases, and the
 outcome is the index of the output port that fires.  Born probabilities are
 the authoritative path; the shift-product form of the correlations is an
 algebraically equal fast path used by the optimizer and cross-checked against
-the Born path in the test suite.
+the Born path in the test suite.  Both paths are contracted party by party
+over all k^N joint settings at once: one tensordot per party, no loop over
+settings tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .core import (
     Scenario,
     as_mask,
     correlation_from_probabilities,
-    settings_tuples,
     unit_roots,
 )
 
@@ -53,7 +54,9 @@ class MultiportUnitary:
         object.__setattr__(self, "matrix", mat)
 
 
+@lru_cache(maxsize=None)
 def fourier_multiport(d: int) -> MultiportUnitary:
+    """The d-port Fourier multiport; built and checked once per d."""
     if d < 2:
         raise ValueError("need d >= 2")
     grid = np.outer(np.arange(d), np.arange(d)) % d
@@ -103,53 +106,59 @@ class QuantumSetup:
         return cls(scenario, amps / norm, phases)
 
 
-def _final_amplitudes(setup: QuantumSetup, x: tuple[int, ...]) -> np.ndarray:
-    """State after the phase shifters and multiports for joint settings x."""
-    scenario = setup.scenario
-    d = scenario.outcomes
-    fourier = fourier_multiport(d).matrix
+def _final_amplitudes(setup: QuantumSetup, phases: np.ndarray) -> np.ndarray:
+    """Output amplitudes for every joint setting of phases at once.
+
+    phases has shape (N, k', d): k' settings per party.  Party by party, the
+    stack of k' transfer matrices F diag(e^(i phi)) is contracted with that
+    party's port axis, and the party's settings axis is appended; the result
+    has shape (d,)*N + (k',)*N, the ProbabilityTable layout.
+    """
+    fourier = fourier_multiport(setup.scenario.outcomes).matrix
     psi = setup.amplitudes
-    for p, xp in enumerate(x):
-        transfer = fourier * np.exp(1j * setup.phases[p, xp])[None, :]
-        psi = np.moveaxis(np.tensordot(transfer, psi, axes=([1], [p])), 0, p)
+    for p, shifters in enumerate(np.exp(1j * phases)):
+        transfer = fourier[None] * shifters[:, None, :]  # (k', d out, d in)
+        psi = np.moveaxis(np.tensordot(psi, transfer, axes=([p], [2])), -1, p)
     return psi
 
 
 def born_probabilities(setup: QuantumSetup, x: tuple[int, ...]) -> np.ndarray:
     """p(a|x) = |<a|Psi'>|^2, shape (d,)*N; sums to 1."""
-    if len(x) != setup.scenario.parties:
+    n, k = setup.scenario.parties, setup.scenario.settings
+    if len(x) != n:
         raise ValueError("settings tuple length does not match the party count")
-    psi = _final_amplitudes(setup, tuple(int(v) for v in x))
-    return np.abs(psi) ** 2
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < k
+               for v in x):
+        raise ValueError(f"settings must be integers in [0, {k}), got {tuple(x)!r}")
+    phases = setup.phases[np.arange(n), np.asarray(x, dtype=np.int64)][:, None, :]
+    psi = _final_amplitudes(setup, phases)
+    return np.abs(psi.reshape(psi.shape[:n])) ** 2
 
 
 def probability_table(setup: QuantumSetup) -> ProbabilityTable:
     """Born probabilities for every joint setting, as a ProbabilityTable."""
-    scenario = setup.scenario
-    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
-    values = np.empty((d,) * n + (k,) * n)
-    for x in settings_tuples(scenario):
-        values[(slice(None),) * n + x] = born_probabilities(setup, x)
-    return ProbabilityTable(scenario, values)
+    psi = _final_amplitudes(setup, setup.phases)
+    return ProbabilityTable(setup.scenario, np.abs(psi) ** 2)
 
 
 def quantum_correlation_tensor(setup: QuantumSetup, mask) -> CorrelationTensor:
     """E_x(r) via the shift-product form: the Fourier sums collapse the double
-    Born sum onto amplitude pairs displaced by the mask."""
+    Born sum onto amplitude pairs displaced by the mask.
+
+    With B[j] = s_j conj(s_(j+r)) and f_p[x, j] = e^(i phi[p,x,j]) conj(e^(i
+    phi[p,x,j+r_p])), E_x = sum_j B[j] prod_p f_p[x_p, j_p], contracted one
+    party at a time.
+    """
     scenario = setup.scenario
     mask = as_mask(scenario, mask)
-    d = scenario.outcomes
     shifted = setup.amplitudes
     for p, r in enumerate(mask.entries):
         shifted = np.roll(shifted, -r, axis=p)  # entry j -> s_(j + r)
-    values = np.empty(scenario.settings_shape(), dtype=complex)
-    for x in settings_tuples(scenario):
-        factors = []
-        for p, r in enumerate(mask.entries):
-            e = np.exp(1j * setup.phases[p, x[p]])
-            factors.append(e * np.roll(e, -r).conj())
-        weight = reduce(np.multiply.outer, factors)
-        values[x] = np.sum(weight * setup.amplitudes * shifted.conj())
+    values = setup.amplitudes * shifted.conj()
+    for p, r in enumerate(mask.entries):
+        e = np.exp(1j * setup.phases[p])  # (k, d)
+        factor = e * np.roll(e, -r, axis=1).conj()
+        values = np.tensordot(values, factor, axes=([0], [1]))  # party p's settings last
     # round-off can push |E| a hair above 1; clip the modulus, not the phase
     mags = np.abs(values)
     over = mags > 1.0

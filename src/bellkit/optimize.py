@@ -85,9 +85,9 @@ class OptimizationConfig:
     the state is resolved exactly per iteration by an eigensolve on the
     support.  restarts is the number of Sobol starts, tolerance the least
     gain that continues a restart's alternating sweeps (at most
-    MAX_ITERATIONS of them), seed selects the Sobol scrambling, and
-    polish_iterations caps the L-BFGS-B steps on the best restart (0 skips the
-    polish).
+    MAX_ITERATIONS of them), seed (a non-negative integer) selects the Sobol
+    scrambling, and polish_iterations caps the L-BFGS-B steps on the best
+    restart (0 skips the polish).
     """
 
     restarts: int = 200
@@ -96,7 +96,8 @@ class OptimizationConfig:
     polish_iterations: int = 60
 
     def __post_init__(self):
-        for name, least in (("restarts", 1), ("polish_iterations", 0)):
+        # seed=None would draw fresh entropy and break bit-for-bit repeats
+        for name, least in (("restarts", 1), ("polish_iterations", 0), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -1,8 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellkit import Scenario, root_of_unity
-from bellkit.core import ConjugationMask
+from bellkit.core import ConjugationMask, settings_tuples
 from bellkit.multiport import (
     QuantumSetup,
     born_correlation_tensor,
@@ -154,3 +157,67 @@ def test_setup_validation():
         QuantumSetup(sc, good, bad_phases)
     fixed = QuantumSetup.normalized(sc, good, bad_phases)
     assert fixed.phases[0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("x", [(-1, 0), (0.5, 0), (2, 0), (0, 3), (True, 0), ("0", 0)])
+def test_born_probabilities_rejects_bad_settings(x):
+    setup = random_setup(Scenario(2, 2, 3), np.random.default_rng(5))
+    with pytest.raises(ValueError, match="settings"):
+        born_probabilities(setup, x)
+
+
+def test_born_probabilities_accepts_numpy_settings():
+    setup = random_setup(Scenario(2, 2, 3), np.random.default_rng(5))
+    x = np.array([1, 0])
+    assert np.array_equal(born_probabilities(setup, x), born_probabilities(setup, (1, 0)))
+
+
+# The per-settings loops the batched kernels replaced, kept as the oracle.
+
+def loop_born_probabilities(setup, x):
+    d = setup.scenario.outcomes
+    psi = setup.amplitudes
+    for p, xp in enumerate(x):
+        transfer = fourier_multiport(d).matrix * np.exp(1j * setup.phases[p, xp])[None, :]
+        psi = np.moveaxis(np.tensordot(transfer, psi, axes=([1], [p])), 0, p)
+    return np.abs(psi) ** 2
+
+
+def loop_quantum_correlations(setup, mask):
+    scenario = setup.scenario
+    shifted = setup.amplitudes
+    for p, r in enumerate(mask):
+        shifted = np.roll(shifted, -r, axis=p)
+    values = np.empty(scenario.settings_shape(), dtype=complex)
+    for x in settings_tuples(scenario):
+        factors = []
+        for p, r in enumerate(mask):
+            e = np.exp(1j * setup.phases[p, x[p]])
+            factors.append(e * np.roll(e, -r).conj())
+        weight = reduce(np.multiply.outer, factors)
+        values[x] = np.sum(weight * setup.amplitudes * shifted.conj())
+    return values
+
+
+@st.composite
+def setups_and_masks(draw):
+    n, k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    return random_setup(Scenario(n, k, d), rng), mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=setups_and_masks())
+def test_batched_kernels_match_per_settings_loops(case):
+    setup, mask = case
+    n = setup.scenario.parties
+    table = probability_table(setup)
+    for x in settings_tuples(setup.scenario):
+        oracle = loop_born_probabilities(setup, x)
+        assert np.abs(table.slice_for(x) - oracle).max() <= 1e-13
+        # one setting per party takes another BLAS path: equal up to round-off
+        assert np.abs(born_probabilities(setup, x) - table.slice_for(x)).max() <= 1e-14
+    fast = quantum_correlation_tensor(setup, mask).values
+    assert fast.shape == (setup.scenario.settings,) * n
+    assert np.abs(fast - loop_quantum_correlations(setup, mask)).max() <= 1e-13

@@ -167,6 +167,11 @@ def test_config_rejects_non_positive_tolerance(tolerance):
     ("polish_iterations", 1.5),
     ("polish_iterations", False),
     ("polish_iterations", None),
+    ("seed", -1),
+    ("seed", 2.5),
+    ("seed", True),
+    ("seed", None),
+    ("seed", "1"),
 ])
 def test_config_rejects_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):
@@ -174,8 +179,9 @@ def test_config_rejects_bad_counts(field, value):
 
 
 def test_config_accepts_integer_counts():
-    config = OptimizationConfig(restarts=np.int64(3), polish_iterations=0)
-    assert config.restarts == 3 and config.polish_iterations == 0
+    config = OptimizationConfig(restarts=np.int64(3), polish_iterations=0, seed=np.uint32(7))
+    assert config.restarts == 3 and config.polish_iterations == 0 and config.seed == 7
+    assert OptimizationConfig(seed=0).seed == 0
 
 
 def test_symmetric_g_single_target():
