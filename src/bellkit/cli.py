@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -31,6 +32,7 @@ from .lhv import (
     facet_check,
 )
 from .optimize import (
+    SOBOL_BITS,
     OptimizationConfig,
     maximize_restricted_ghz,
     maximize_violation,
@@ -132,8 +134,11 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
 def _config_from_args(args) -> OptimizationConfig:
     if args.restarts < 1:
         raise SpecParseError("--restarts", f"need at least one restart, got {args.restarts}")
-    if not args.tolerance > 0:
-        raise SpecParseError("--tolerance", f"must be positive, got {args.tolerance}")
+    if args.restarts > 1 << SOBOL_BITS:
+        raise SpecParseError("--restarts", f"at most 2**{SOBOL_BITS} restarts (the Sobol "
+                             f"stream's length), got {args.restarts}")
+    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+        raise SpecParseError("--tolerance", f"must be positive and finite, got {args.tolerance}")
     if args.seed < 0:
         raise SpecParseError("--seed", f"must be non-negative, got {args.seed}")
     return OptimizationConfig(

@@ -27,20 +27,24 @@ Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  A fixed seed
 gives bit-identical results on every run: restarts draw from disjoint rows of
 one Sobol stream, run in index order, and the reduction breaks ties by restart
-index.
+index.  The stream is the scrambled Sobol sequence of scipy.stats.qmc.Sobol,
+rebuilt here bit for bit from the Joe-Kuo direction numbers scipy ships (see
+_sobol_points), so importing this module does not load scipy.stats.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 from scipy import linalg as scilinalg
 from scipy import optimize as sciopt
-from scipy.stats import qmc
 
 from .core import Scenario, correlation_from_probabilities
 from .bases import (
@@ -74,6 +78,7 @@ __all__ = [
 
 BETA_CUTOFF = 1e-9  # below this the ratio R is reported as absent
 MAX_ITERATIONS = 2000  # alternating sweeps per restart
+SOBOL_BITS = 30  # bits of every Sobol coordinate: one stream has 2**SOBOL_BITS points
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,12 @@ class OptimizationConfig:
     The search runs over the free port phases (ports 1..d-1 of every party and
     setting; port 0 is gauge-fixed) plus one rotation angle for modulus forms;
     the state is resolved exactly per iteration by an eigensolve on the
-    support.  restarts is the number of Sobol starts, tolerance the least
-    gain that continues a restart's alternating sweeps (at most
-    MAX_ITERATIONS of them), seed (a non-negative integer) selects the Sobol
-    scrambling, and polish_iterations caps the L-BFGS-B steps on the best
-    restart (0 skips the polish).
+    support.  restarts is the number of Sobol starts (at most 2**SOBOL_BITS,
+    the length of the stream), tolerance the least gain (positive and finite)
+    that continues a restart's alternating sweeps (at most MAX_ITERATIONS of
+    them), seed (a non-negative integer) selects the Sobol scrambling, and
+    polish_iterations caps the L-BFGS-B steps on the best restart (0 skips the
+    polish).
     """
 
     restarts: int = 200
@@ -103,8 +109,12 @@ class OptimizationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not self.tolerance > 0:  # NaN too: it would run every restart to the cap
-            raise ValueError("tolerance must be positive")
+        if self.restarts > 1 << SOBOL_BITS:
+            raise ValueError(f"restarts must be at most 2**{SOBOL_BITS}, the Sobol stream's "
+                             f"length, got {self.restarts}")
+        # NaN would run every restart to the cap, inf stop each after one sweep
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -449,10 +459,84 @@ def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
     return value, phases, theta, state, iterations
 
 
+@functools.cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe-Kuo primitive polynomials and initial direction numbers, as scipy ships them.
+
+    The file is read with np.load, not through scipy.stats, whose import is
+    about half of bellkit's start-up time.
+    """
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        return table["poly"], table["vinit"]
+
+
+@functools.cache
+def _direction_numbers(dims: int) -> np.ndarray:
+    """Unscrambled direction numbers, (dims, SOBOL_BITS) uint32, column j shifted by 29 - j.
+
+    Dimension 0 is all ones; dimension i of degree m = bit_length(poly[i]) - 1
+    takes its first m numbers from vinit and the rest from the Bratley-Fox
+    recurrence v[j] = v[j-m] ^ XOR_k a_k (v[j-k-1] << (k+1)) over the bits a_k
+    of poly[i], in uint32 like scipy.  Read-only: the cache hands it to every
+    caller.
+    """
+    poly, vinit = _sobol_table()
+    if dims > len(poly):
+        raise ValueError(f"at most {len(poly)} Sobol dimensions are supported, got {dims}")
+    poly = poly[:dims].astype(np.uint32)
+    degree = np.frexp(poly)[1] - 1
+    taps = np.arange(vinit.shape[1])
+    # the term v[j-k-1] << (k+1) enters where bit m-1-k of poly is set, for k < m
+    active = (taps < degree[:, None]) & (
+        (poly[:, None] >> np.maximum(degree[:, None] - 1 - taps, 0)) & 1 == 1)
+    shifts = (taps + 1).astype(np.uint32)
+    v = np.zeros((dims, SOBOL_BITS), dtype=np.uint32)
+    v[:, :vinit.shape[1]] = vinit[:dims]
+    v[0] = 1
+    rows = np.arange(dims)
+    for j in range(1, SOBOL_BITS):
+        recurring = (degree > 0) & (degree <= j)
+        earlier = v[:, np.maximum(j - 1 - taps, 0)] << shifts
+        step = v[rows, np.maximum(j - degree, 0)] ^ np.bitwise_xor.reduce(
+            np.where(active, earlier, 0), axis=1)
+        v[recurring, j] = step[recurring]
+    v <<= SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32)
+    v.setflags(write=False)
+    return v
+
+
 def _sobol_points(seed: int, count: int, dims: int) -> np.ndarray:
-    sampler = qmc.Sobol(d=dims, scramble=True, seed=seed)
-    size = 1 << max(0, math.ceil(math.log2(max(count, 1))))
-    return sampler.random(size)[:count] * 2 * np.pi
+    """The first count points of a scrambled Sobol stream in [0, 2*pi)^dims.
+
+    Bit-identical to qmc.Sobol(dims, scramble=True, seed=seed).random(2**m)
+    [:count] * 2 * pi for any 2**m >= count: the same direction numbers, the
+    same draws from np.random.default_rng(seed) in the same order (the digital
+    shift, then the lower-triangular LMS matrices with unit diagonal), the same
+    GF(2) products, and the points in Gray-code order from the shift, point i
+    being point i-1 XOR the scrambled direction number of i's lowest set bit.
+    Only the first bit_length(count - 1) direction numbers are scrambled; with
+    a single point no LMS matrix is needed, and none is drawn, since no draw
+    follows it.
+    """
+    directions = _direction_numbers(dims)
+    rng = np.random.default_rng(seed)
+    weights = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)
+    quasi = np.empty((count, dims), dtype=np.uint32)
+    quasi[0] = rng.integers(2, size=(dims, SOBOL_BITS), dtype=np.uint32) @ weights
+    if count > 1:
+        used = int(count - 1).bit_length()
+        lms = np.tril(rng.integers(2, size=(dims, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        lms[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        # most significant bit first: row p of lms produces bit 29 - p
+        msb = weights[::-1, None]
+        bits = (directions[:, None, :used] & msb) != 0                    # (dims, bits, used)
+        scrambled = (((lms @ bits) & 1) * msb).sum(axis=1, dtype=np.uint32)  # (dims, used)
+        index = np.arange(1, count)
+        lowest_bit = np.frexp(index & -index)[1] - 1
+        quasi[1:] = scrambled[:, lowest_bit].T
+        np.bitwise_xor.accumulate(quasi, axis=0, out=quasi)
+    return quasi * 2.0**-SOBOL_BITS * 2 * np.pi
 
 
 def _resolve_bound(functional, budget: int = DEFAULT_BUDGET) -> float:

@@ -121,6 +121,9 @@ I323_SETUP = {
                                "--ghz-family", "--optimize-phases"], "--ghz-family: "),
     ("optimize-phases-without-setup", ["optimize", "--spec", "chsh", "--optimize-phases"],
      "--optimize-phases: "),
+    ("tolerance-1e400", ["optimize", "--spec", "chsh", "--tolerance", "1e400"], "--tolerance: "),
+    ("restarts-beyond-sobol", ["optimize", "--spec", "chsh", "--restarts", "2000000000"],
+     "--restarts: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -165,7 +168,7 @@ GOOD_VALUES = {
     "--scenarios": ["2,2,2", "2,2,3", "2,2,2;2,2,3", "", "2,3,3"],
     "--restarts": ["1", "2"],
     "--budget": [str(10**8)],
-    "--tolerance": ["1e-8", "inf"],
+    "--tolerance": ["1e-8"],
     "--seed": ["0"],
     "--pairing": ["bilinear", "sesquilinear"],
     "--format": ["json", "csv"],
@@ -176,7 +179,7 @@ BAD_VALUES = {
     "--scenarios": ["2,2", "a,b,c", "2;2;2"],
     "--restarts": ["-1", "0"],
     "--budget": ["-1", "0", "3"],
-    "--tolerance": ["0", "nan", "x"],
+    "--tolerance": ["0", "nan", "inf", "x"],
     "--seed": ["-1", "x"],
     "--pairing": ["x"],
     "--format": ["x"],
@@ -380,6 +383,28 @@ def test_table_523_row_single_thread_has_no_error():
     assert row["error"] is None
     assert row["ratio_abs"] <= 1 + 1e-9
     assert row["ratio_re"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import bellkit, sys; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+    ["-X", "importtime", "-m", "bellkit.cli", "--version"],
+])
+def test_cold_start_does_not_import_scipy_stats(argv):
+    # scipy.stats costs about half of bellkit's start-up; the Sobol starts
+    # are built without it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                               env=env, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    if argv[0] == "-c":
+        assert completed.stdout.strip() == "[]"
+    else:
+        # -X importtime lists every module the process imported on stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in completed.stderr.splitlines()]
+        assert "bellkit.optimize" in imported
+        assert not [name for name in imported if name.startswith("scipy.stats")]
 
 
 def test_table_empty_scenarios_header_only(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc  # the oracle for _sobol_points only; bellkit never imports it
 
 from bellkit import (
     BellFunctional,
@@ -24,6 +25,7 @@ from bellkit.optimize import (
     _MultiportObjective,
     _child_seed,
     _ghz_support,
+    _sobol_points,
     _state_column,
     _sweep_phases,
     _top_eigenvector,
@@ -151,7 +153,7 @@ def test_fixed_state_rejects_bad_amplitudes(name, amplitudes):
                                   OptimizationConfig(restarts=1), beta=3.0)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan")])
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan"), float("inf")])
 def test_config_rejects_non_positive_tolerance(tolerance):
     with pytest.raises(ValueError, match="tolerance"):
         OptimizationConfig(tolerance=tolerance)
@@ -163,6 +165,7 @@ def test_config_rejects_non_positive_tolerance(tolerance):
     ("restarts", 3.0),
     ("restarts", "4"),
     ("restarts", 0),
+    ("restarts", 2**30 + 1),
     ("polish_iterations", -3),
     ("polish_iterations", 1.5),
     ("polish_iterations", False),
@@ -182,6 +185,8 @@ def test_config_accepts_integer_counts():
     config = OptimizationConfig(restarts=np.int64(3), polish_iterations=0, seed=np.uint32(7))
     assert config.restarts == 3 and config.polish_iterations == 0 and config.seed == 7
     assert OptimizationConfig(seed=0).seed == 0
+    # the whole 30-bit Sobol stream; building the config starts no search
+    assert OptimizationConfig(restarts=2**30).restarts == 2**30
 
 
 def test_symmetric_g_single_target():
@@ -251,6 +256,34 @@ def test_scan_handles_bad_rows_and_continues():
     assert rows[0].error is not None
     assert rows[1].error is None
     assert rows[1].ratio_re == pytest.approx(np.sqrt(2), abs=1e-3)
+
+
+def scipy_sobol_points(seed, count, dims):
+    size = 1 << int(count - 1).bit_length()
+    return qmc.Sobol(d=dims, scramble=True, seed=seed).random(size)[:count] * 2 * np.pi
+
+
+sobol_seeds = st.one_of(
+    st.integers(0, 2**64 + 1),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.builds(_child_seed, st.integers(0, 2**32), st.integers(0, 60)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=sobol_seeds, count=st.integers(1, 300) | st.integers(1, 300).map(np.int64),
+       dims=st.integers(1, 80))
+def test_sobol_points_match_scipy(seed, count, dims):
+    assert np.array_equal(_sobol_points(seed, count, dims), scipy_sobol_points(seed, count, dims))
+
+
+def test_sobol_points_cover_the_direction_table():
+    last = qmc.Sobol.MAXDIM
+    assert np.array_equal(_sobol_points(5, 1, last), scipy_sobol_points(5, 1, last))
+    with pytest.raises(ValueError):
+        qmc.Sobol(d=last + 1, scramble=True, seed=5)
+    with pytest.raises(ValueError, match="dimensions"):
+        _sobol_points(5, 1, last + 1)
 
 
 def test_child_seed_stability():
