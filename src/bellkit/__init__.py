@@ -48,6 +48,7 @@ from .multiport import (
     quantum_correlation_tensor,
 )
 from .optimize import (
+    ConfigError,
     OptResult,
     OptimizationConfig,
     maximize_restricted_ghz,

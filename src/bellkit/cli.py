@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -32,7 +31,7 @@ from .lhv import (
     facet_check,
 )
 from .optimize import (
-    SOBOL_BITS,
+    ConfigError,
     OptimizationConfig,
     maximize_restricted_ghz,
     maximize_violation,
@@ -132,20 +131,15 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
 
 
 def _config_from_args(args) -> OptimizationConfig:
-    if args.restarts < 1:
-        raise SpecParseError("--restarts", f"need at least one restart, got {args.restarts}")
-    if args.restarts > 1 << SOBOL_BITS:
-        raise SpecParseError("--restarts", f"at most 2**{SOBOL_BITS} restarts (the Sobol "
-                             f"stream's length), got {args.restarts}")
-    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
-        raise SpecParseError("--tolerance", f"must be positive and finite, got {args.tolerance}")
-    if args.seed < 0:
-        raise SpecParseError("--seed", f"must be non-negative, got {args.seed}")
-    return OptimizationConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
+    """The search config of the optimizer flags; a bad value names its flag."""
+    try:
+        return OptimizationConfig(
+            restarts=args.restarts,
+            seed=args.seed,
+            tolerance=args.tolerance,
+        )
+    except ConfigError as exc:
+        raise SpecParseError(f"--{exc.field}", str(exc)) from exc
 
 
 def _pairing_from_args(args) -> Pairing | None:

@@ -19,9 +19,7 @@ Each restart runs a monotone alternating ascent: with the state held fixed,
 every free phase has a sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C
 whose coefficients are read off a per-party environment tensor (the pairing
 contracted over every other party), so each phase is maximized exactly in
-turn; the state is then refreshed by an eigensolve.  A quasi-Newton polish
-tightens the best restart with the exact gradient: Hellmann-Feynman for the
-eigenvalue, and the same environment coefficients for the phase derivatives.
+turn; the state is then refreshed by an eigensolve.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  A fixed seed
@@ -43,8 +41,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-from scipy import linalg as scilinalg
-from scipy import optimize as sciopt
 
 from .core import Scenario, correlation_from_probabilities
 from .bases import (
@@ -61,6 +57,7 @@ from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound
 from .multiport import QuantumSetup, probability_table, quantum_correlation_tensor
 
 __all__ = [
+    "ConfigError",
     "OptimizationConfig",
     "OptResult",
     "ScanRow",
@@ -81,6 +78,22 @@ MAX_ITERATIONS = 2000  # alternating sweeps per restart
 SOBOL_BITS = 30  # bits of every Sobol coordinate: one stream has 2**SOBOL_BITS points
 
 
+class ConfigError(ValueError):
+    """A search option out of range; field names the option."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse anything but an integer (bool excluded) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(name, f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(name, f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Budget and seed of one search, whatever its state support.
@@ -91,35 +104,35 @@ class OptimizationConfig:
     support.  restarts is the number of Sobol starts (at most 2**SOBOL_BITS,
     the length of the stream), tolerance the least gain (positive and finite)
     that continues a restart's alternating sweeps (at most MAX_ITERATIONS of
-    them), seed (a non-negative integer) selects the Sobol scrambling, and
-    polish_iterations caps the L-BFGS-B steps on the best restart (0 skips the
-    polish).
+    them), and seed (a non-negative integer) selects the Sobol scrambling.  A
+    value out of range raises ConfigError naming its field.
     """
 
     restarts: int = 200
     tolerance: float = 1e-8
     seed: int = 0
-    polish_iterations: int = 60
 
     def __post_init__(self):
         # seed=None would draw fresh entropy and break bit-for-bit repeats
-        for name, least in (("restarts", 1), ("polish_iterations", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name, least in (("restarts", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if self.restarts > 1 << SOBOL_BITS:
-            raise ValueError(f"restarts must be at most 2**{SOBOL_BITS}, the Sobol stream's "
-                             f"length, got {self.restarts}")
+            raise ConfigError("restarts", f"restarts must be at most 2**{SOBOL_BITS}, the "
+                                          f"Sobol stream's length, got {self.restarts}")
         # NaN would run every restart to the cap, inf stop each after one sweep
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+            raise ConfigError("tolerance",
+                              f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best quantum value found, with the setup that realizes it."""
+    """Best quantum value found, with the setup that realizes it.
+
+    restart_index is the best restart (ties go to the lower index), iterations
+    the number of alternating sweeps it ran, and restart_values every
+    restart's final seesaw value in restart order.
+    """
 
     quantum_value: float
     classical_bound: float
@@ -187,15 +200,12 @@ class _MultiportObjective:
         self.rows = np.array(
             [np.ravel_multi_index(shifted[t], (d,) * n) for t in range(len(terms))]
         )
-        # port indices j + r_t and j - r_t, per party, for rolling phase rows by a mask entry
+        # port indices j + r_t, per party, for rolling phase rows by a mask entry
         ports = np.arange(d)
         roll_idx = (ports[None, None, :] + self.rs.T[:, :, None]) % d       # (n, T, d)
-        self.back_idx = (ports[None, None, :] - self.rs.T[:, :, None]) % d  # (n, T, d)
         # flat indices into phases[p] of ports j and j + r_t for setting x_t, per party
         self.port_idx = self.xs.T[:, :, None] * d + ports                   # (n, T, d)
         self.shifted_port_idx = self.xs.T[:, :, None] * d + roll_idx
-        # selector[p][x, t] = 1 where term t reads setting x of party p
-        self.selector = (self.xs.T[:, None, :] == np.arange(k)[None, :, None]).astype(float)
         # per (party, setting): the terms whose phase row moves, their c + r and c - r ports
         self.port_terms = [[self._port_terms(p, x) for x in range(k)] for p in range(n)]
         self.support = np.asarray(support)
@@ -203,7 +213,6 @@ class _MultiportObjective:
         self._index_support()
         self.is_modulus = functional.form is FunctionalForm.MODULUS
         self.n_phases = n * k * (d - 1)
-        self.n_params = self.n_phases + self.is_modulus
 
     def _index_support(self):
         """Where each term puts its G entries on the support.
@@ -226,18 +235,6 @@ class _MultiportObjective:
         inside = self.support[rows] == targets
         self.g_cells = (rows * size + np.arange(size))[inside]
         self.g_sources = (np.arange(len(masks))[:, None] * size + np.arange(size))[inside]
-
-    # -- parameter packing -------------------------------------------------
-    def unpack(self, params: np.ndarray) -> tuple[np.ndarray, float]:
-        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        phases = np.zeros((n, k, d))
-        phases[:, :, 1:] = np.asarray(params)[: self.n_phases].reshape(n, k, d - 1)
-        theta = float(params[self.n_phases]) if self.is_modulus else 0.0
-        return phases, theta
-
-    def pack(self, phases: np.ndarray, theta: float) -> np.ndarray:
-        flat = phases[:, :, 1:].ravel()
-        return np.append(flat, theta) if self.is_modulus else flat
 
     def _port_terms(self, p: int, x: int):
         d = self.scenario.outcomes
@@ -316,29 +313,6 @@ class _MultiportObjective:
         rotated = g * np.exp(1j * theta) if self.is_modulus else g
         return 0.5 * (rotated + rotated.conj().T)
 
-    def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective and its exact gradient in the packed parameters.
-
-        For eigen-resolved states the value is lambda_max = Re[e^(i*theta) s* G s]
-        at the top eigenvector s, and by Hellmann-Feynman its derivatives are
-        those of that expression with s held fixed.  Party p's environment gives
-        d total / d phi[p, x, c] = i sum_(t: x_t,p = x) (D[t, c] - D[t, c - r_t])
-        with D[t, j] = M_p[t, j] u_t,p(j).
-        """
-        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        phases, theta = self.unpack(params)
-        products = self.state_products(self.top_state(phases, theta))
-        u = self.phase_factors(phases)
-        d_total = np.empty((n, k, d), dtype=complex)
-        for p in range(n):
-            shares = self.environment(u, products, p) * u[:, p]
-            back = np.take_along_axis(shares, self.back_idx[p], axis=1)
-            d_total[p] = 1j * (self.selector[p] @ (shares - back))
-        total = complex(shares.sum())
-        rotation = np.exp(1j * theta) if self.is_modulus else 1.0
-        grad = self.pack((rotation * d_total).real, -(rotation * total).imag)
-        return float((rotation * total).real), grad
-
     def _top_block(self, g: np.ndarray, theta: float) -> np.ndarray:
         if self.fixed is not None:
             return self.fixed
@@ -349,11 +323,6 @@ class _MultiportObjective:
         state = np.zeros(self.dim, dtype=complex)
         state[self.support] = block
         return state
-
-    def top_state(self, phases: np.ndarray, theta: float) -> np.ndarray:
-        """The best full state at these phases (the fixed state, if there is one)."""
-        g = None if self.fixed is not None else self.g_matrix(phases)
-        return self.scatter(self._top_block(g, theta))
 
     def refreshed_state(self, phases: np.ndarray, state: np.ndarray | None, theta: float):
         """Eigen state update; for modulus forms also re-center the rotation."""
@@ -396,7 +365,9 @@ def _top_eigenvector(h: np.ndarray) -> np.ndarray:
     try:
         _, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
-        _, vecs = scilinalg.eigh(h, driver="evr")
+        from scipy import linalg  # imported only here: no converging run loads it
+
+        _, vecs = linalg.eigh(h, driver="evr")
     return vecs[:, -1]
 
 
@@ -456,7 +427,7 @@ def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
             value = max(value, new_value)
             break
         value = new_value
-    return value, phases, theta, state, iterations
+    return value, phases, state, iterations
 
 
 @functools.cache
@@ -547,11 +518,11 @@ def _resolve_bound(functional, budget: int = DEFAULT_BUDGET) -> float:
 
 def _search(functional, config: OptimizationConfig | None, beta: float | None,
             support: np.ndarray, fixed: np.ndarray | None = None) -> OptResult:
-    """The one search driver: restarts, polish and Born re-evaluation.
+    """The one search driver: restarts and Born re-evaluation.
 
     States range over the basis states in support, or are the fixed unit
-    vector on it.  Every restart runs the seesaw from its own
-    Sobol start; the best one, ties broken by restart index, is polished.
+    vector on it.  Every restart runs the seesaw from its own Sobol start;
+    the best one, ties broken by restart index, is reported as found.
     """
     config = config or OptimizationConfig()
     if beta is None:
@@ -569,25 +540,7 @@ def _search(functional, config: OptimizationConfig | None, beta: float | None,
     outcomes = [run_restart(i) for i in range(config.restarts)]
 
     index = max(range(config.restarts), key=lambda i: (outcomes[i][0], -i))
-    value, phases, theta, state, iterations = outcomes[index]
-
-    if config.polish_iterations > 0:
-        def negative(params):
-            objective_value, grad = objective.value_and_gradient(params)
-            return -objective_value, -grad
-
-        polished = sciopt.minimize(
-            negative,
-            objective.pack(phases, theta),
-            method="L-BFGS-B",
-            jac=True,
-            options=dict(maxiter=config.polish_iterations),
-        )
-        if -polished.fun > value:
-            phases, theta = objective.unpack(polished.x)
-            state = objective.top_state(phases, theta)
-            iterations += int(polished.nit)
-
+    _, phases, state, iterations = outcomes[index]
     setup = objective.setup_at(phases, state)
     born_value = quantum_functional_value(functional, setup, path="born")
     return OptResult(
@@ -793,26 +746,22 @@ def symmetric_g_search(
     Tables are grouped into relabeling orbits (see g_orbit) and one
     representative per orbit is optimized: a coarse pass over every orbit, then
     a refined pass with the full restart budget on the leading candidates.
+    coarse_restarts (at least 1) caps the coarse pass's restarts and
+    refine_top (at least 0) is the number of leaders refined; either out of
+    range raises ConfigError naming it before any search runs.
     """
     config = config or OptimizationConfig()
+    _check_count("coarse_restarts", coarse_restarts, 1)
+    _check_count("refine_top", refine_top, 0)
     scenario = Scenario(2, 3, 3)
     basis = fourier_party_basis(3)
-    tables = symmetric_g_tables()
 
-    representatives: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # orbits are closed and disjoint, so each is met once and named by its least member
     assigned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for table in tables:
-        key = tuple(table.ravel().tolist())
-        if key in assigned:
-            continue
-        orbit = g_orbit(table, form)
-        rep = min(orbit)
-        members = sorted(orbit)
-        bucket = representatives.setdefault(rep, [])
-        for member in members:
-            assigned[member] = rep
-            if member not in bucket:
-                bucket.append(member)
+    for table in symmetric_g_tables():
+        if tuple(table.ravel().tolist()) not in assigned:
+            orbit = g_orbit(table, form)
+            assigned.update(dict.fromkeys(orbit, min(orbit)))
 
     def functional_for(key: tuple[int, ...]) -> BellFunctional:
         g = GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3))
@@ -826,7 +775,7 @@ def symmetric_g_search(
         ratio = result.ratio if result.ratio is not None else float("-inf")
         return ratio, result
 
-    reps = sorted(representatives)
+    reps = sorted(set(assigned.values()))
     scored: dict[tuple[int, ...], tuple[float, OptResult]] = {}
     for index, key in enumerate(reps):
         scored[key] = optimize_rep(index, key, min(coarse_restarts, config.restarts))
@@ -842,13 +791,11 @@ def symmetric_g_search(
         key=lambda item: (-item[1], item[0]),
     )
     best_rep = max(scored, key=lambda key: (scored[key][0], [-v for v in key]))
-    best_ratio, best_result = scored[best_rep]
-    best_member = min(representatives[best_rep])
-    best_g = GTable(scenario, np.asarray(best_member, dtype=np.int64).reshape(3, 3))
+    best_g = GTable(scenario, np.asarray(best_rep, dtype=np.int64).reshape(3, 3))
     return SymmetricSearchResult(
         form=form,
         pairing=pairing,
         best_g=best_g,
-        best=best_result,
+        best=scored[best_rep][1],
         ranking=tuple(ranking),
     )

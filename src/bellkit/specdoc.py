@@ -79,17 +79,26 @@ def _need(doc: dict, key: str, location: str):
     return doc[key]
 
 
+def _parse_int(value: Any, location: str) -> int:
+    # int() would truncate 2.7 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecParseError(location, f"expected an integer, got {value!r}")
+    return value
+
+
+def _parse_int_list(value: Any, location: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise SpecParseError(location, f"expected a list of integers, got {value!r}")
+    return tuple(_parse_int(v, location) for v in value)
+
+
 def _parse_scenario(doc: Any, location: str) -> Scenario:
     if not isinstance(doc, dict):
         raise SpecParseError(location, "scenario must be an object")
+    counts = [_parse_int(_need(doc, key, location), f"{location}.{key}")
+              for key in ("parties", "settings", "outcomes")]
     try:
-        return Scenario(
-            int(_need(doc, "parties", location)),
-            int(_need(doc, "settings", location)),
-            int(_need(doc, "outcomes", location)),
-        )
-    except SpecParseError:
-        raise
+        return Scenario(*counts)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(location, str(exc)) from exc
 
@@ -165,16 +174,11 @@ def parse_functional_document(doc: dict, location: str = "spec",
             tloc = f"{loc}[{i}]"
             if not isinstance(item, dict):
                 raise SpecParseError(tloc, "term must be an object")
-            try:
-                parsed.append((
-                    tuple(int(v) for v in _need(item, "settings", tloc)),
-                    tuple(int(v) for v in _need(item, "mask", tloc)),
-                    _parse_complex(_need(item, "weight", tloc), f"{tloc}.weight"),
-                ))
-            except SpecParseError:
-                raise
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SpecParseError(tloc, str(exc)) from exc
+            parsed.append((
+                _parse_int_list(_need(item, "settings", tloc), f"{tloc}.settings"),
+                _parse_int_list(_need(item, "mask", tloc), f"{tloc}.mask"),
+                _parse_complex(_need(item, "weight", tloc), f"{tloc}.weight"),
+            ))
         try:
             return BellFunctional.from_terms(scenario, parsed, form, cached_bound=bound)
         except ValueError as exc:
@@ -182,8 +186,9 @@ def parse_functional_document(doc: dict, location: str = "spec",
 
     mask = doc.get("mask")
     if mask is not None:
+        mask = _parse_int_list(mask, f"{location}.mask")
         try:
-            mask = as_mask(scenario, tuple(int(v) for v in mask))
+            mask = as_mask(scenario, mask)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"{location}.mask", str(exc)) from exc
 
@@ -228,9 +233,7 @@ def parse_functional_document(doc: dict, location: str = "spec",
 
 
 def _parse_int_exponent(value: Any, location: str, outcomes: int) -> complex:
-    if not isinstance(value, int):
-        raise SpecParseError(location, f"g entries must be integers, got {value!r}")
-    if not 0 <= value < outcomes:
+    if not 0 <= _parse_int(value, location) < outcomes:
         raise SpecParseError(location, f"g entry {value} outside [0, {outcomes})")
     return complex(value)
 

@@ -93,6 +93,17 @@ INFINITE_AMPLITUDE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}
 HUGE_PHASE = ('{"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, '
               '"amplitudes": [1, 0, 0, 1], '
               '"phases": [[[0, 1e400], [0, 1]], [[0, 1], [0, 1]]]}')
+# fractional counts, settings and masks: int() would truncate them to another functional
+TERMS_DOC = {
+    "scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+    "form": "real-part",
+    "terms": [{"settings": [0, 1], "mask": [1, 1], "weight": 1.0}],
+}
+FRACTIONAL_PARTIES = dict(TERMS_DOC, scenario={"parties": 2.7, "settings": 2, "outcomes": 2})
+FRACTIONAL_SETTINGS = dict(TERMS_DOC, terms=[{"settings": [0.9, 1.5], "mask": [1, 1],
+                                              "weight": 1.0}])
+FRACTIONAL_MASK = dict(TERMS_DOC, terms=[{"settings": [0, 1], "mask": [1, 1.99], "weight": 1.0}])
+BOOLEAN_MASK = dict(CHSH_DOC, mask=[1, True])
 
 I323_SETUP = {
     "scenario": {"parties": 3, "settings": 3, "outcomes": 3},
@@ -124,6 +135,10 @@ I323_SETUP = {
     ("tolerance-1e400", ["optimize", "--spec", "chsh", "--tolerance", "1e400"], "--tolerance: "),
     ("restarts-beyond-sobol", ["optimize", "--spec", "chsh", "--restarts", "2000000000"],
      "--restarts: "),
+    ("parties-2.7", ["bound", "--spec", "{fractional_parties}"], ".scenario.parties: "),
+    ("settings-0.9", ["bound", "--spec", "{fractional_settings}"], ".terms[0].settings: "),
+    ("mask-1.99", ["bound", "--spec", "{fractional_mask}"], ".terms[0].mask: "),
+    ("mask-true", ["bound", "--spec", "{boolean_mask}"], ".mask: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -132,7 +147,9 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "bound_object": dict(CHSH_DOC, bound={"value": 2.0}),
              "huge_coefficient": HUGE_COEFFICIENT, "nan_weight": NAN_WEIGHT,
              "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE,
-             "i323_setup": I323_SETUP}
+             "i323_setup": I323_SETUP, "fractional_parties": FRACTIONAL_PARTIES,
+             "fractional_settings": FRACTIONAL_SETTINGS, "fractional_mask": FRACTIONAL_MASK,
+             "boolean_mask": BOOLEAN_MASK}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:
@@ -385,13 +402,17 @@ def test_table_523_row_single_thread_has_no_error():
     assert row["ratio_re"] is not None
 
 
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+
+
 @pytest.mark.parametrize("argv", [
-    ["-c", "import bellkit, sys; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+    ["-c", "import bellkit, sys; print(sorted(m for m in sys.modules if m.startswith("
+           f"{HEAVY_SCIPY!r})))"],
     ["-X", "importtime", "-m", "bellkit.cli", "--version"],
 ])
-def test_cold_start_does_not_import_scipy_stats(argv):
-    # scipy.stats costs about half of bellkit's start-up; the Sobol starts
-    # are built without it
+def test_cold_start_does_not_import_scipy_stats_optimize_or_linalg(argv):
+    # each costs a large share of bellkit's start-up: the Sobol starts are
+    # built without scipy.stats, and scipy.linalg loads only if numpy's eigh fails
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -404,7 +425,7 @@ def test_cold_start_does_not_import_scipy_stats(argv):
         # -X importtime lists every module the process imported on stderr
         imported = [line.rsplit("|", 1)[-1].strip() for line in completed.stderr.splitlines()]
         assert "bellkit.optimize" in imported
-        assert not [name for name in imported if name.startswith("scipy.stats")]
+        assert not [name for name in imported if name.startswith(HEAVY_SCIPY)]
 
 
 def test_table_empty_scenarios_header_only(capsys):

@@ -32,6 +32,7 @@ from bellkit.optimize import (
     coset_support,
     g_orbit,
     scan_product_g,
+    symmetric_g_search,
     symmetric_g_tables,
 )
 
@@ -97,10 +98,8 @@ def test_top_eigenvector_falls_back_when_eigh_fails(monkeypatch):
 
 def test_restart_prefix_monotonicity():
     functional = cglmp_correlation_functional()
-    small = maximize_violation(functional, OptimizationConfig(restarts=3, seed=5,
-                                                              polish_iterations=0))
-    large = maximize_violation(functional, OptimizationConfig(restarts=6, seed=5,
-                                                              polish_iterations=0))
+    small = maximize_violation(functional, OptimizationConfig(restarts=3, seed=5))
+    large = maximize_violation(functional, OptimizationConfig(restarts=6, seed=5))
     assert large.restart_values[:3] == small.restart_values
     assert large.quantum_value >= small.quantum_value - 1e-12
 
@@ -166,10 +165,6 @@ def test_config_rejects_non_positive_tolerance(tolerance):
     ("restarts", "4"),
     ("restarts", 0),
     ("restarts", 2**30 + 1),
-    ("polish_iterations", -3),
-    ("polish_iterations", 1.5),
-    ("polish_iterations", False),
-    ("polish_iterations", None),
     ("seed", -1),
     ("seed", 2.5),
     ("seed", True),
@@ -182,11 +177,33 @@ def test_config_rejects_bad_counts(field, value):
 
 
 def test_config_accepts_integer_counts():
-    config = OptimizationConfig(restarts=np.int64(3), polish_iterations=0, seed=np.uint32(7))
-    assert config.restarts == 3 and config.polish_iterations == 0 and config.seed == 7
+    config = OptimizationConfig(restarts=np.int64(3), seed=np.uint32(7))
+    assert config.restarts == 3 and config.seed == 7
     assert OptimizationConfig(seed=0).seed == 0
     # the whole 30-bit Sobol stream; building the config starts no search
     assert OptimizationConfig(restarts=2**30).restarts == 2**30
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("coarse_restarts", 0),
+    ("coarse_restarts", -2),
+    ("coarse_restarts", 1.5),
+    ("coarse_restarts", True),
+    ("refine_top", -1),
+    ("refine_top", 2.0),
+    ("refine_top", None),
+])
+def test_symmetric_g_search_rejects_bad_arguments_before_searching(monkeypatch, argument, value):
+    import bellkit.optimize as optimize
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before the arguments were checked")
+
+    monkeypatch.setattr(optimize, "maximize_violation", no_search)
+    monkeypatch.setattr(optimize, "classical_bound", no_search)
+    with pytest.raises(ValueError, match=argument):
+        symmetric_g_search(FunctionalForm.MODULUS, OptimizationConfig(restarts=1),
+                           **{argument: value})
 
 
 def test_symmetric_g_single_target():
@@ -391,38 +408,6 @@ def test_sweep_never_lowers_the_objective(name, make):
             assert swept >= apply_form(functional.form, before) - 1e-12, (name, kind)
             after = apply_form(functional.form, objective.pair_total(phases, products))
             assert abs(swept - after) < 1e-12, (name, kind)
-
-
-def reference_value(objective, params):
-    """The objective by definition: the top eigenvalue on the support, or the fixed value."""
-    phases, theta = objective.unpack(params)
-    h = objective._hermitian(objective.g_matrix(phases), theta)
-    if objective.fixed is not None:
-        return float(np.real(objective.fixed.conj() @ h @ objective.fixed))
-    return np.linalg.eigvalsh(h)[-1]
-
-
-def central_difference(objective, params, step=1e-5):
-    grad = np.empty_like(params)
-    for i in range(len(params)):
-        offset = np.zeros_like(params)
-        offset[i] = step
-        grad[i] = (reference_value(objective, params + offset)
-                   - reference_value(objective, params - offset)) / (2 * step)
-    return grad
-
-
-@pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
-@pytest.mark.parametrize("kind", STATE_KINDS)
-def test_analytic_gradient_matches_central_difference(form, kind):
-    functional = product_g_functional(3, 3, form)
-    rng = np.random.default_rng(29)
-    objective = objective_of_kind(functional, kind, rng)
-    for _ in range(3):
-        params = rng.uniform(0, 2 * np.pi, size=objective.n_params)
-        value, grad = objective.value_and_gradient(params)
-        assert abs(value - reference_value(objective, params)) < 1e-10
-        assert np.allclose(grad, central_difference(objective, params), rtol=0, atol=1e-7)
 
 
 # -- the coset subgroup H = <r_t> ----------------------------------------------
