@@ -17,17 +17,30 @@ eigensolve is needed.
 
 Each restart runs a monotone alternating ascent: with the state held fixed,
 every free phase has a sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C
-whose coefficients are read off a per-party environment tensor (the pairing
+whose coefficients are read off a per-party environment (the pairing
 contracted over every other party), so each phase is maximized exactly in
 turn; the state is then refreshed by an eigensolve.
+
+The ascent runs on a batch of rows.  A row is one (functional, restart) pair;
+the rows of a batch share a term structure and a support and differ in their
+weights and start phases.  The search driver puts every restart of every
+functional it is given into one batch per term structure and support, so the
+orbit representatives of the exponent-table sweep share one batch.  The phase
+factors, environments, G, its Hermitian part, one stacked eigensolve, the
+modulus rotation re-centring and the convergence test run on all rows at
+once, and a converged row leaves the batch.  The single-phase updates are
+sequential, so each row makes them in plain complex arithmetic from its
+environment summed per (setting, shift) group.  Every batched sum runs along
+the last axis of a fresh array and every eigensolve is one matrix's, so a
+row's result is bit-identical whatever else shares its batch.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  A fixed seed
 gives bit-identical results on every run: restarts draw from disjoint rows of
-one Sobol stream, run in index order, and the reduction breaks ties by restart
-index.  The stream is the scrambled Sobol sequence of scipy.stats.qmc.Sobol,
-rebuilt here bit for bit from the Joe-Kuo direction numbers scipy ships (see
-_sobol_points), so importing this module does not load scipy.stats.
+one Sobol stream, and the reduction breaks ties by restart index.  The stream
+is the scrambled Sobol sequence of scipy.stats.qmc.Sobol, rebuilt here bit for
+bit from the Joe-Kuo direction numbers scipy ships (see _sobol_points), so
+importing this module does not load scipy.stats.
 """
 
 from __future__ import annotations
@@ -119,6 +132,10 @@ class OptimizationConfig:
         if self.restarts > 1 << SOBOL_BITS:
             raise ConfigError("restarts", f"restarts must be at most 2**{SOBOL_BITS}, the "
                                           f"Sobol stream's length, got {self.restarts}")
+        # bool is an int; a str or None would fail later, inside the comparison
+        if isinstance(self.tolerance, bool) or not isinstance(
+                self.tolerance, (int, float, np.integer, np.floating)):
+            raise ConfigError("tolerance", f"tolerance must be a number, got {self.tolerance!r}")
         # NaN would run every restart to the cap, inf stop each after one sweep
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ConfigError("tolerance",
@@ -130,8 +147,9 @@ class OptResult:
     """Best quantum value found, with the setup that realizes it.
 
     restart_index is the best restart (ties go to the lower index), iterations
-    the number of alternating sweeps it ran, and restart_values every
-    restart's final seesaw value in restart order.
+    the number of alternating sweeps it ran, restart_values every restart's
+    final seesaw value and restart_iterations its sweep count, both in restart
+    order; a restart that MAX_ITERATIONS stopped shows MAX_ITERATIONS.
     """
 
     quantum_value: float
@@ -141,6 +159,7 @@ class OptResult:
     restart_index: int
     iterations: int
     restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
 
 def quantum_functional_value(functional, setup: QuantumSetup, path: str = "born") -> float:
@@ -175,25 +194,35 @@ def coset_support(functional) -> np.ndarray:
 
 
 class _MultiportObjective:
-    """Pairing totals, G(phi) on a support, and eigen-resolved states for one functional.
+    """Pairing totals, G(phi) on a support, and eigen-resolved states, batched over rows.
 
-    States live on support, an ascending index array of basis states, and are
-    scattered into the full d^N state wherever the pairing is contracted.  G
-    is built on the support's rows and columns only; entries that would leave
-    the support are dropped, which on H never happens.  A fixed state is the
-    unit vector fixed on the support, and then no eigensolve runs.
+    The functionals share one term structure: they list the same (settings,
+    mask) pairs in the same order and differ only in their weights, one row of
+    weights (F, T) and of mask_weights (F, M, T) each.  The batched methods
+    take a leading axis of B rows, each reading its own functional's weights.
+    States live on support, an ascending index array of basis states: G is
+    built on the support's rows and columns and the pairing is contracted over
+    the support's states; entries that would leave the support are dropped,
+    which on H never happens.  A fixed state is the unit vector fixed on the
+    support, and then no eigensolve runs.
+
+    Every batched sum runs along the last axis of a fresh array and every
+    eigensolve is one matrix's, so a row's arithmetic does not depend on the
+    other rows of its batch.
     """
 
-    def __init__(self, functional, support: np.ndarray, fixed: np.ndarray | None = None):
-        self.functional = functional
-        scenario: Scenario = functional.scenario
+    def __init__(self, functionals: Sequence, support: np.ndarray,
+                 fixed: np.ndarray | None = None):
+        first = functionals[0]
+        scenario: Scenario = first.scenario
         self.scenario = scenario
         n, k, d = scenario.parties, scenario.settings, scenario.outcomes
         self.dim = d**n
-        terms = functional.terms()
+        terms = first.terms()
         self.xs = np.array([t[0] for t in terms], dtype=np.int64)          # (T, n)
         self.rs = np.array([t[1] for t in terms], dtype=np.int64)          # (T, n)
-        self.weights = np.array([t[2] for t in terms], dtype=complex)      # (T,)
+        self.weights = np.array([[t[2] for t in functional.terms()]
+                                 for functional in functionals], dtype=complex)  # (F, T)
         grid = np.indices((d,) * n).reshape(n, self.dim)
         # rows[t, j] = flat index of (j + r_t) mod d
         shifted = (grid[None, :, :] + self.rs[:, :, None]) % d
@@ -206,117 +235,134 @@ class _MultiportObjective:
         # flat indices into phases[p] of ports j and j + r_t for setting x_t, per party
         self.port_idx = self.xs.T[:, :, None] * d + ports                   # (n, T, d)
         self.shifted_port_idx = self.xs.T[:, :, None] * d + roll_idx
-        # per (party, setting): the terms whose phase row moves, their c + r and c - r ports
-        self.port_terms = [[self._port_terms(p, x) for x in range(k)] for p in range(n)]
         self.support = np.asarray(support)
         self.fixed = fixed
         self._index_support()
-        self.is_modulus = functional.form is FunctionalForm.MODULUS
+        self._group_shifts()
+        self.is_modulus = first.form is FunctionalForm.MODULUS
         self.n_phases = n * k * (d - 1)
 
     def _index_support(self):
-        """Where each term puts its G entries on the support.
+        """Where each term puts its G entries and pairs its amplitudes on the support.
 
         Column a of G holds basis state h = support[a]; a term with mask r puts
         w prod_p u_p(h_p) in the row of h + r.  Terms sharing a mask share that
         row, so their entries are summed first (mask_weights) and each distinct
-        mask fills distinct cells of G.
+        mask fills distinct cells of G.  partners[t, a] is the support position
+        of h + r_t, or the support's size where h + r_t leaves it.
         """
         n, d = self.scenario.parties, self.scenario.outcomes
         size = len(self.support)
-        digits = np.array(np.unravel_index(self.support, (d,) * n))       # (n, m)
-        # u.reshape(T, n * d)[:, factor_idx] gives u[t, p, h_p] for every column
-        self.factor_idx = np.arange(n)[:, None] * d + digits               # (n, m)
+        count = len(self.xs)
+        self.digits = np.array(np.unravel_index(self.support, (d,) * n))  # (n, m)
+        # u.reshape(B, T, n * d)[:, :, factor_idx] gives u[b, t, p, h_p] for every column
+        self.factor_idx = np.arange(n)[:, None] * d + self.digits          # (n, m)
+        # port_masks[p, c, a] = 1 where support[a] has digit c at party p
+        self.port_masks = (self.digits[:, None, :] == np.arange(d)[:, None]).astype(float)
         masks, mask_of = np.unique(self.rs, axis=0, return_inverse=True)
-        self.mask_weights = np.zeros((len(masks), len(self.xs)), dtype=complex)
-        self.mask_weights[mask_of.reshape(-1), np.arange(len(self.xs))] = self.weights
-        targets = np.ravel_multi_index((digits[:, None] + masks.T[:, :, None]) % d, (d,) * n)
+        mask_of = mask_of.reshape(-1)
+        self.mask_weights = np.zeros((len(self.weights), len(masks), count), dtype=complex)
+        self.mask_weights[:, mask_of, np.arange(count)] = self.weights
+        targets = np.ravel_multi_index((self.digits[:, None] + masks.T[:, :, None]) % d,
+                                       (d,) * n)
         rows = np.minimum(np.searchsorted(self.support, targets), size - 1)  # (M, m)
         inside = self.support[rows] == targets
         self.g_cells = (rows * size + np.arange(size))[inside]
         self.g_sources = (np.arange(len(masks))[:, None] * size + np.arange(size))[inside]
+        self.partners = np.where(inside, rows, size)[mask_of]                # (T, m)
 
-    def _port_terms(self, p: int, x: int):
-        d = self.scenario.outcomes
-        terms = np.flatnonzero((self.xs[:, p] == x) & (self.rs[:, p] % d != 0))
-        shifts = self.rs[terms, p]
-        ports = np.arange(d)[:, None]
-        return terms, (ports + shifts) % d, (ports - shifts) % d
+    def _group_shifts(self):
+        """Per party, the terms whose phase row moves, grouped by (setting, mask entry s).
 
-    # -- core algebra -------------------------------------------------------
+        shift_masks[p][g] marks group g's terms.  shift_groups[p][x] lists, for
+        the groups reading setting x, (g, plus, minus) with plus[c] = c + s and
+        minus[c] = c - s mod d.
+        """
+        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
+        ports = np.arange(d)
+        self.shift_masks, self.shift_groups = [], []
+        for p in range(n):
+            settings, shifts = self.xs[:, p], self.rs[:, p] % d
+            keys = sorted({(int(x), int(s)) for x, s in zip(settings, shifts) if s})
+            self.shift_masks.append(np.array(
+                [(settings == x) & (shifts == s) for x, s in keys], dtype=float,
+            ).reshape(len(keys), len(self.xs)))
+            groups = [[] for _ in range(k)]
+            for g, (x, s) in enumerate(keys):
+                groups[x].append((g, ((ports + s) % d).tolist(), ((ports - s) % d).tolist()))
+            self.shift_groups.append(groups)
+
+    # -- core algebra, batched over a leading row axis ------------------------
     def phase_factors(self, phases: np.ndarray) -> np.ndarray:
-        """u[t, p, j] = exp(i(phi[p][x_t_p][j] - phi[p][x_t_p][j + r_t_p]))."""
+        """u[b, t, p, j] = exp(i(phi[b, p, x_t_p, j] - phi[b, p, x_t_p, j + r_t_p])), (B, T, n, d)."""
         return np.stack([self.party_factors(phases, p) for p in range(self.scenario.parties)],
-                        axis=1)
+                        axis=2)
 
     def party_factors(self, phases: np.ndarray, p: int) -> np.ndarray:
-        """u[:, p, :], the phase factors of one party."""
-        row = phases[p].ravel()
-        return np.exp(1j * (row[self.port_idx[p]] - row[self.shifted_port_idx[p]]))
+        """u[:, :, p, :], the phase factors of one party."""
+        row = phases[:, p].reshape(len(phases), -1)
+        return np.exp(1j * (row[:, self.port_idx[p]] - row[:, self.shifted_port_idx[p]]))
 
-    def state_products(self, state: np.ndarray) -> np.ndarray:
-        """B[t, j] = s_j * conj(s_(j + r_t)), stacked over terms."""
-        flat = state.ravel()
-        return flat[None, :] * flat.conj()[self.rows]
+    def support_factors(self, u: np.ndarray) -> np.ndarray:
+        """f[b, t, p, a] = u[b, t, p, h_p] at the support's states h = support[a], (B, T, n, m)."""
+        return u.reshape(u.shape[0], u.shape[1], -1)[:, :, self.factor_idx]
 
-    def pair_total(self, phases: np.ndarray, products: np.ndarray) -> complex:
-        """sum_t w_t sum_j u_t(j) B_t(j), contracted party by party (reference path)."""
+    def state_products(self, blocks: np.ndarray) -> np.ndarray:
+        """P[b, t, a] = s_a conj(s_(a + r_t)) for states s on the support, (B, T, m)."""
+        padded = np.concatenate([blocks, np.zeros((len(blocks), 1))], axis=1)
+        return blocks[:, None, :] * padded.conj()[:, self.partners]
+
+    def environment(self, factors: np.ndarray, products: np.ndarray, weights: np.ndarray,
+                    p: int) -> np.ndarray:
+        """M_p[b, t, c] = w_t sum_(h_p = c) prod_(q != p) u_t,q(h_q) P_t(h), (B, T, d).
+
+        The sum runs over the support's states h.  The pairing total is
+        sum_t,c M_p[t, c] u_t,p(c) and M_p does not depend on party p's phases,
+        so it serves every phase of that party.
+        """
+        z = products
+        for q in range(self.scenario.parties):
+            if q != p:
+                z = z * factors[:, :, q]
+        return weights[:, :, None] * (z[:, :, None, :] * self.port_masks[p]).sum(axis=-1)
+
+    def shift_sums(self, env: np.ndarray, p: int) -> np.ndarray:
+        """E[b, g, j] = sum of M_p[b, t, j] over the terms of party p's shift group g, (B, G, d)."""
+        return (env.transpose(0, 2, 1)[:, None] * self.shift_masks[p][:, None, :]).sum(axis=-1)
+
+    def g_matrix(self, phases: np.ndarray, mask_weights: np.ndarray) -> np.ndarray:
+        """G(phi) of every row on the support, (B, m, m).
+
+        G[b, a', a] couples support[a] with support[a'] = support[a] + r_t.
+        """
+        count, size = len(phases), len(self.support)
+        factors = self.support_factors(self.phase_factors(phases))
+        columns = factors[:, :, 0]
+        for q in range(1, self.scenario.parties):
+            columns = columns * factors[:, :, q]                              # (B, T, m)
+        per_mask = (mask_weights[:, :, None, :]
+                    * columns.transpose(0, 2, 1)[:, None]).sum(axis=-1)      # (B, M, m)
+        g = np.zeros((count, size * size), dtype=complex)
+        g[:, self.g_cells] = per_mask.reshape(count, -1)[:, self.g_sources]
+        return g.reshape(count, size, size)
+
+    def pair_total(self, phases: np.ndarray, state: np.ndarray, weights: np.ndarray) -> complex:
+        """sum_t w_t sum_j u_t(j) s_j conj(s_(j + r_t)) for one row on the whole space.
+
+        The reference path: a full d^N state, contracted party by party.
+        """
         n, d = self.scenario.parties, self.scenario.outcomes
-        u = self.phase_factors(phases)
-        z = products.reshape((len(self.xs),) + (d,) * n)
+        u = self.phase_factors(phases[None])[0]
+        flat = state.ravel()
+        z = (flat[None, :] * flat.conj()[self.rows]).reshape((len(self.xs),) + (d,) * n)
         for p in range(n):
             z = (z * u[:, p][(...,) + (None,) * (n - 1 - p)]).sum(axis=1)
-        return complex(self.weights @ z)
-
-    def environment(self, u: np.ndarray, products: np.ndarray, p: int) -> np.ndarray:
-        """M_p[t, j_p] = w_t sum_(j_q, q != p) prod_(q != p) u_t,q(j_q) B_t(j).
-
-        The pairing total is sum_t,c M_p[t, c] u_t,p(c) and M_p does not depend
-        on party p's phases, so it serves every phase of that party.
-        """
-        n, d = self.scenario.parties, self.scenario.outcomes
-        count = len(self.xs)
-        left = np.ones((count, 1), dtype=complex)
-        for q in range(p):
-            left = (left[:, :, None] * u[:, q, None, :]).reshape(count, -1)
-        right = np.ones((count, 1), dtype=complex)
-        for q in range(p + 1, n):
-            right = (right[:, :, None] * u[:, q, None, :]).reshape(count, -1)
-        z = products.reshape(count, d**p, d, d ** (n - 1 - p))
-        return self.weights[:, None] * np.einsum("ta,tacb,tb->tc", left, z, right)
-
-    def phase_coefficients(self, env: np.ndarray, factors: np.ndarray, p: int, x: int,
-                           c: int) -> tuple[complex, complex]:
-        """(A, B) with total = A e^(i*phi) + B e^(-i*phi) + C in phi = phi[p, x, c].
-
-        env is M_p and factors[j] = e^(i*phi[p, x, j]) at the current phases.  A
-        sums M_p[t, c] e^(-i*phi[c + r_t]) and B sums M_p[t, c - r_t]
-        e^(i*phi[c - r_t]) over the terms reading setting x with a nonzero mask
-        entry.
-        """
-        terms, plus, minus = self.port_terms[p][x]
-        a = env[terms, c] @ factors[plus[c]].conj()
-        b = env[terms, minus[c]] @ factors[minus[c]]
-        return complex(a), complex(b)
-
-    def g_matrix(self, phases: np.ndarray) -> np.ndarray:
-        """G(phi) on the support: G[a, b] couples support[b] with support[a] = support[b] + r_t."""
-        size = len(self.support)
-        u = self.phase_factors(phases).reshape(len(self.xs), -1)
-        per_mask = self.mask_weights @ u[:, self.factor_idx].prod(axis=1)   # (M, m)
-        g = np.zeros(size * size, dtype=complex)
-        g[self.g_cells] = per_mask.ravel()[self.g_sources]
-        return g.reshape(size, size)
+        return complex(weights @ z)
 
     # -- eigen-resolved objective -------------------------------------------
-    def _hermitian(self, g: np.ndarray, theta: float) -> np.ndarray:
-        rotated = g * np.exp(1j * theta) if self.is_modulus else g
-        return 0.5 * (rotated + rotated.conj().T)
-
-    def _top_block(self, g: np.ndarray, theta: float) -> np.ndarray:
-        if self.fixed is not None:
-            return self.fixed
-        return _top_eigenvector(self._hermitian(g, theta))
+    def _hermitian(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        rotated = g * np.exp(1j * theta)[:, None, None] if self.is_modulus else g
+        return 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
 
     def scatter(self, block: np.ndarray) -> np.ndarray:
         """The full d^N state whose amplitudes on the support are block."""
@@ -324,26 +370,34 @@ class _MultiportObjective:
         state[self.support] = block
         return state
 
-    def refreshed_state(self, phases: np.ndarray, state: np.ndarray | None, theta: float):
-        """Eigen state update; for modulus forms also re-center the rotation."""
-        g = self.g_matrix(phases)
+    def refreshed_states(self, phases: np.ndarray, mask_weights: np.ndarray,
+                         blocks: np.ndarray | None, theta: np.ndarray):
+        """Eigen state updates of every row; for modulus forms also re-centre the rotations.
+
+        A modulus row's state is refreshed at its rotation theta, which then
+        moves to -arg(s* G s), for up to 8 rounds or until it moves by less than
+        1e-12; blocks None starts each row from the top eigenvector at theta.
+        Returns the states on the support, the rotations and the values.
+        """
+        g = self.g_matrix(phases, mask_weights)
         if not self.is_modulus:
-            new = self._top_block(g, 0.0)
-            return self.scatter(new), 0.0, float(np.real(new.conj() @ (g @ new)))
-        block = self._top_block(g, theta) if state is None else state[self.support]
-        total = complex(block.conj() @ (g @ block))
-        theta = -np.angle(total) if abs(total) > 0 else theta
+            new = _top_eigenvectors(self._hermitian(g, theta))
+            return new, theta, _quadratic(g, new).real
+        if blocks is None:
+            blocks = _top_eigenvectors(self._hermitian(g, theta))
+        new, total = np.empty_like(blocks), _quadratic(g, blocks)
+        theta = np.where(total != 0, -np.angle(total), theta)
+        live = np.arange(len(g))
         for _ in range(8):
-            new = self._top_block(g, theta)
-            total = complex(new.conj() @ (g @ new))
-            if abs(total) == 0:
+            new[live] = _top_eigenvectors(self._hermitian(g[live], theta[live]))
+            total[live] = sums = _quadratic(g[live], new[live])
+            next_theta = -np.angle(sums)
+            settled = np.abs((next_theta - theta[live] + np.pi) % (2 * np.pi) - np.pi) < 1e-12
+            theta[live] = np.where(sums != 0, next_theta, theta[live])
+            live = live[(sums != 0) & ~settled]
+            if not live.size:
                 break
-            next_theta = -np.angle(total)
-            if abs((next_theta - theta + np.pi) % (2 * np.pi) - np.pi) < 1e-12:
-                theta = next_theta
-                break
-            theta = next_theta
-        return self.scatter(new), theta, float(abs(total))
+        return new, theta, np.abs(total)
 
     def setup_at(self, phases: np.ndarray, state: np.ndarray) -> QuantumSetup:
         # fix the state's arbitrary global phase for reproducible output
@@ -352,6 +406,11 @@ class _MultiportObjective:
         d = self.scenario.outcomes
         shape = (d,) * self.scenario.parties
         return QuantumSetup.normalized(self.scenario, state.reshape(shape), phases)
+
+
+def _quadratic(g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """s* G s for every row of a (B, m, m) stack and (B, m) states."""
+    return (blocks.conj() * (g * blocks[:, None, :]).sum(axis=-1)).sum(axis=-1)
 
 
 def _top_eigenvector(h: np.ndarray) -> np.ndarray:
@@ -371,63 +430,130 @@ def _top_eigenvector(h: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
-def _sweep_phases(objective: _MultiportObjective, phases: np.ndarray,
-                  products: np.ndarray, theta: float) -> tuple[float, float]:
-    """One pass of exact single-phase updates with the state held fixed.
+def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
+    """Top eigenvectors of a (B, m, m) stack of Hermitian matrices, one per row.
 
-    With everything else frozen, the pairing total is A e^(i*phi) + B e^(-i*phi)
-    + C in any single phase.  Party p's environment is contracted once and
-    yields A and B for each of its phases in turn; the exact maximizer of
-    Re[e^(i*theta) * total] is then taken and the running total updated, so
-    every step is monotone.  Returns the final value and rotation.
+    The stacked eigh solves each matrix as a call on it alone would.  If it
+    raises, every matrix is solved alone through _top_eigenvector, so a row's
+    vector never depends on the rest of its stack.
     """
-    n, k, d = (objective.scenario.parties, objective.scenario.settings,
-               objective.scenario.outcomes)
+    try:
+        return np.linalg.eigh(h)[1][:, :, -1]
+    except np.linalg.LinAlgError:
+        return np.array([_top_eigenvector(matrix) for matrix in h])
+
+
+def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: float,
+                   modulus: bool) -> tuple[complex, float]:
+    """Exact single-phase updates of one row's party, in plain complex arithmetic.
+
+    rows[x][c] is the party's phase phi[x, c], updated in place for c >= 1 in
+    order; sums[g] is the shift group sum E_s of group g.  With everything
+    else frozen the pairing total is A e^(i*phi) + B e^(-i*phi) + C in
+    phi[x, c], with A = sum_s E_s[c] e^(-i*phi[x, c + s]) and
+    B = sum_s E_s[c - s] e^(i*phi[x, c - s]) over the groups reading setting x.
+    Each phase takes the exact maximizer of Re[e^(i*theta) * total] and the
+    running total follows, so every step is monotone.  Returns the final
+    total and rotation.
+    """
+    for x, phis in enumerate(rows):
+        moving = [(sums[g], plus, minus) for g, plus, minus in groups[x]]
+        factors = [cmath.exp(1j * phi) for phi in phis]
+        for c in range(1, len(phis)):
+            a = b = 0j
+            for shift_sum, plus, minus in moving:
+                a += shift_sum[c] * factors[plus[c]].conjugate()
+                j = minus[c]
+                b += shift_sum[j] * factors[j]
+            current = factors[c]
+            const = total - a * current - b * current.conjugate()
+            rotation = cmath.exp(1j * theta)
+            z = rotation * a + (rotation * b).conjugate()
+            if z != 0:
+                phis[c] = -cmath.phase(z)
+                factors[c] = current = z.conjugate() / abs(z)
+            total = a * current + b * current.conjugate() + const
+            if modulus and total != 0:
+                theta = -cmath.phase(total)
+    return total, theta
+
+
+def _sweep(objective: _MultiportObjective, phases: np.ndarray, products: np.ndarray,
+           theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of exact single-phase updates on every row, with the states held fixed.
+
+    Party by party, the environments of all rows are contracted in one batch
+    and summed per shift group; then each row updates that party's phases in
+    turn (_update_phases).  Updates phases in place and returns the rows'
+    final values and rotations.
+    """
     u = objective.phase_factors(phases)
-    for p in range(n):
-        env = objective.environment(u, products, p)
-        total = complex(np.sum(env * u[:, p]))
-        for x in range(k):
-            factors = np.exp(1j * phases[p, x])
-            for c in range(1, d):
-                a, b = objective.phase_coefficients(env, factors, p, x, c)
-                current = complex(factors[c])
-                const = total - a * current - b * current.conjugate()
-                rotation = cmath.exp(1j * theta)
-                z = rotation * a + (rotation * b).conjugate()
-                if z != 0:
-                    phases[p, x, c] = -cmath.phase(z)
-                    factors[c] = current = z.conjugate() / abs(z)
-                total = a * current + b * current.conjugate() + const
-                if objective.is_modulus and total != 0:
-                    theta = -cmath.phase(total)
-        u[:, p] = objective.party_factors(phases, p)
-    return apply_form(objective.functional.form, total), theta
+    factors = objective.support_factors(u)
+    thetas = theta.tolist()
+    for p in range(objective.scenario.parties):
+        env = objective.environment(factors, products, weights, p)
+        totals = (env * u[:, :, p]).reshape(len(env), -1).sum(axis=-1).tolist()
+        sums = objective.shift_sums(env, p).tolist()
+        rows = phases[:, p].tolist()
+        groups = objective.shift_groups[p]
+        for b, row in enumerate(rows):
+            totals[b], thetas[b] = _update_phases(row, sums[b], groups, totals[b], thetas[b],
+                                                  objective.is_modulus)
+        phases[:, p] = rows
+        u[:, :, p] = objective.party_factors(phases, p)
+        factors[:, :, p] = u[:, :, p][:, :, objective.digits[p]]
+    totals = np.array(totals)
+    values = np.abs(totals) if objective.is_modulus else totals.real
+    return values, np.array(thetas)
 
 
-def _seesaw(objective: _MultiportObjective, start_phases: np.ndarray,
-            config: OptimizationConfig):
-    """Alternate exact phase sweeps and eigen state updates until stationary.
+def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np.ndarray,
+            tolerance: float):
+    """Alternate exact phase sweeps and eigen state updates on every row until stationary.
 
-    A fixed state never changes, so its value and rotation are the sweep's
-    running pairing total and no state update runs.
+    Row b runs functional owners[b] from start_phases[b].  A row leaves the
+    batch once a sweep and state update gain at most tolerance, or after
+    MAX_ITERATIONS sweeps.  A fixed state never changes, so its value and
+    rotation are the sweep's running pairing total and no state update runs.
+    Returns every row's value, phases, state on the support and sweep count.
     """
     phases = start_phases.copy()
-    phases[:, :, 0] = 0.0
-    state, theta, value = objective.refreshed_state(phases, None, 0.0)
-    products = objective.state_products(state)
-    iterations = 0
-    for _ in range(MAX_ITERATIONS):
-        iterations += 1
-        new_value, theta = _sweep_phases(objective, phases, products, theta)
+    phases[:, :, :, 0] = 0.0
+    weights = objective.weights[owners]
+    mask_weights = objective.mask_weights[owners]
+    theta = np.zeros(len(owners))
+    if objective.fixed is None:
+        blocks, theta, value = objective.refreshed_states(phases, mask_weights, None, theta)
+    else:
+        blocks = np.tile(objective.fixed, (len(owners), 1))
+        total = _quadratic(objective.g_matrix(phases, mask_weights), blocks)
+        if objective.is_modulus:
+            theta = np.where(total != 0, -np.angle(total), theta)
+        value = np.abs(total) if objective.is_modulus else total.real
+    products = objective.state_products(blocks)
+    values, final_phases = np.empty(len(owners)), np.empty_like(phases)
+    states, iterations = np.empty_like(blocks), np.empty(len(owners), dtype=np.int64)
+    ids = np.arange(len(owners))
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        new_value, theta = _sweep(objective, phases, products, theta, weights)
         if objective.fixed is None:
-            state, theta, new_value = objective.refreshed_state(phases, state, theta)
-            products = objective.state_products(state)
-        if new_value <= value + config.tolerance:
-            value = max(value, new_value)
+            blocks, theta, new_value = objective.refreshed_states(phases, mask_weights, blocks,
+                                                                  theta)
+            products = objective.state_products(blocks)
+        done = new_value <= value + tolerance
+        value = np.where(done, np.maximum(value, new_value), new_value)
+        if iteration == MAX_ITERATIONS:
+            done[:] = True
+        finished = ids[done]
+        values[finished], final_phases[finished] = value[done], phases[done]
+        states[finished], iterations[finished] = blocks[done], iteration
+        if done.all():
             break
-        value = new_value
-    return value, phases, state, iterations
+        kept = ~done
+        ids, phases, blocks, products = ids[kept], phases[kept], blocks[kept], products[kept]
+        theta, value = theta[kept], value[kept]
+        weights, mask_weights = weights[kept], mask_weights[kept]
+    return values, final_phases, states, iterations
 
 
 @functools.cache
@@ -516,42 +642,66 @@ def _resolve_bound(functional, budget: int = DEFAULT_BUDGET) -> float:
     return classical_bound(functional, budget).bound
 
 
-def _search(functional, config: OptimizationConfig | None, beta: float | None,
-            support: np.ndarray, fixed: np.ndarray | None = None) -> OptResult:
-    """The one search driver: restarts and Born re-evaluation.
+def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
+            config: OptimizationConfig, support: np.ndarray | None = None,
+            fixed: np.ndarray | None = None) -> list[OptResult]:
+    """The one search driver: batched restarts and Born re-evaluation, one OptResult per job.
 
-    States range over the basis states in support, or are the fixed unit
-    vector on it.  Every restart runs the seesaw from its own Sobol start;
-    the best one, ties broken by restart index, is reported as found.
+    A job is (functional, seed, beta); beta None is the functional's classical
+    bound.  Its config.restarts restarts start from the first points of the
+    Sobol stream of seed.  States range over the basis states in support (each
+    functional's coset_support when None), or are the fixed unit vector on it.
+    The restarts of all jobs whose functionals share a term structure and a
+    support run as rows of one seesaw; a row's result does not depend on the
+    rows beside it.  Each job's best restart, ties broken by restart index,
+    is reported as found.
     """
+    betas = [_resolve_bound(f) if beta is None else beta for f, _, beta in jobs]
+    batches: dict = {}
+    for index, (functional, _, _) in enumerate(jobs):
+        own = coset_support(functional) if support is None else support
+        structure = tuple((tuple(x), tuple(r)) for x, r, _ in functional.terms())
+        key = (functional.scenario, functional.form, structure, own.tobytes())
+        batches.setdefault(key, (own, []))[1].append(index)
+
+    restarts = config.restarts
+    results: list = [None] * len(jobs)
+    for own, members in batches.values():
+        objective = _MultiportObjective([jobs[i][0] for i in members], own, fixed)
+        n, k, d = (objective.scenario.parties, objective.scenario.settings,
+                   objective.scenario.outcomes)
+        starts = np.zeros((len(members) * restarts, n, k, d))
+        for slot, index in enumerate(members):
+            points = _sobol_points(jobs[index][1], restarts, objective.n_phases)
+            starts[slot * restarts:(slot + 1) * restarts, :, :, 1:] = points.reshape(
+                restarts, n, k, d - 1)
+        owners = np.repeat(np.arange(len(members)), restarts)
+        values, phases, states, iterations = _seesaw(objective, owners, starts, config.tolerance)
+        for slot, index in enumerate(members):
+            rows = slice(slot * restarts, (slot + 1) * restarts)
+            restart_values = tuple(values[rows].tolist())
+            best = max(range(restarts), key=lambda i: (restart_values[i], -i))
+            row = slot * restarts + best
+            setup = objective.setup_at(phases[row], objective.scatter(states[row]))
+            functional, beta = jobs[index][0], betas[index]
+            born_value = quantum_functional_value(functional, setup, path="born")
+            results[index] = OptResult(
+                quantum_value=float(born_value),
+                classical_bound=float(beta),
+                ratio=born_value / beta if abs(beta) > BETA_CUTOFF else None,
+                setup=setup,
+                restart_index=best,
+                iterations=int(iterations[row]),
+                restart_values=restart_values,
+                restart_iterations=tuple(iterations[rows].tolist()),
+            )
+    return results
+
+
+def _search_one(functional, config: OptimizationConfig | None, beta: float | None,
+                support: np.ndarray | None = None, fixed: np.ndarray | None = None) -> OptResult:
     config = config or OptimizationConfig()
-    if beta is None:
-        beta = _resolve_bound(functional)
-    objective = _MultiportObjective(functional, support, fixed)
-    n, k, d = (objective.scenario.parties, objective.scenario.settings,
-               objective.scenario.outcomes)
-    starts = _sobol_points(config.seed, config.restarts, objective.n_phases)
-
-    def run_restart(index: int):
-        phases = np.zeros((n, k, d))
-        phases[:, :, 1:] = starts[index].reshape(n, k, d - 1)
-        return _seesaw(objective, phases, config)
-
-    outcomes = [run_restart(i) for i in range(config.restarts)]
-
-    index = max(range(config.restarts), key=lambda i: (outcomes[i][0], -i))
-    _, phases, state, iterations = outcomes[index]
-    setup = objective.setup_at(phases, state)
-    born_value = quantum_functional_value(functional, setup, path="born")
-    return OptResult(
-        quantum_value=float(born_value),
-        classical_bound=float(beta),
-        ratio=born_value / beta if abs(beta) > BETA_CUTOFF else None,
-        setup=setup,
-        restart_index=index,
-        iterations=iterations,
-        restart_values=tuple(outcome[0] for outcome in outcomes),
-    )
+    return _search([(functional, config.seed, beta)], config, support, fixed)[0]
 
 
 def maximize_violation(functional, config: OptimizationConfig | None = None,
@@ -563,7 +713,7 @@ def maximize_violation(functional, config: OptimizationConfig | None = None,
     with every party's phase rows rolled by c_p (F X^c = Z^c F), so every coset
     reaches the same optimum.  When the masks generate Z_d^N, H is everything.
     """
-    return _search(functional, config, beta, coset_support(functional))
+    return _search_one(functional, config, beta)
 
 
 def _state_column(scenario: Scenario, amplitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -584,7 +734,7 @@ def _state_column(scenario: Scenario, amplitudes) -> tuple[np.ndarray, np.ndarra
 def maximize_with_fixed_state(functional, amplitudes, config: OptimizationConfig | None = None,
                               beta: float | None = None) -> OptResult:
     """Optimize the phases only, holding the input state fixed."""
-    return _search(functional, config, beta, *_state_column(functional.scenario, amplitudes))
+    return _search_one(functional, config, beta, *_state_column(functional.scenario, amplitudes))
 
 
 def _ghz_support(scenario: Scenario) -> np.ndarray:
@@ -598,7 +748,7 @@ def _ghz_support(scenario: Scenario) -> np.ndarray:
 def maximize_restricted_ghz(functional, config: OptimizationConfig | None = None,
                             beta: float | None = None) -> OptResult:
     """Optimization with amplitudes confined to span{|00..0>, |11..1>, ...}."""
-    return _search(functional, config, beta, _ghz_support(functional.scenario))
+    return _search_one(functional, config, beta, _ghz_support(functional.scenario))
 
 
 def product_g_functional(parties: int, outcomes: int, form: FunctionalForm,
@@ -723,6 +873,19 @@ def g_orbit(table: np.ndarray, form: FunctionalForm, outcomes: int = 3) -> set[t
     }
 
 
+RANK_DECIMALS = 6  # coarse ratios equal to this many decimals rank by table key
+
+
+def _refine_leaders(ratios: dict[tuple[int, ...], float], count: int) -> list[tuple[int, ...]]:
+    """The count tables to refine: best coarse ratio first, rounded to RANK_DECIMALS.
+
+    Many orbits reach the same ratio up to about 1e-8, so ranking by the raw
+    ratio would let last-bit differences pick the leaders (and, through their
+    rank, their child seeds); rounded ties go to the smaller table key.
+    """
+    return sorted(ratios, key=lambda key: (-round(ratios[key], RANK_DECIMALS), key))[:count]
+
+
 @dataclass(frozen=True)
 class SymmetricSearchResult:
     """Outcome of the symmetric-g sweep on the two-party, k = d = 3 scenario."""
@@ -767,22 +930,20 @@ def symmetric_g_search(
         g = GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3))
         return build_functional(scenario, basis, g, form, pairing)
 
-    def optimize_rep(index: int, key: tuple[int, ...], restarts: int):
-        functional = functional_for(key)
-        beta = classical_bound(functional).bound
-        local = replace(config, restarts=restarts, seed=_child_seed(config.seed, index))
-        result = maximize_violation(functional, local, beta=beta)
-        ratio = result.ratio if result.ratio is not None else float("-inf")
-        return ratio, result
+    def search(keys: list[tuple[int, ...]], first_index: int, restarts: int) -> dict:
+        jobs = []
+        for index, key in enumerate(keys):
+            functional = functional_for(key)
+            seed = _child_seed(config.seed, first_index + index)
+            jobs.append((functional, seed, classical_bound(functional).bound))
+        results = _search(jobs, replace(config, restarts=restarts))
+        return {key: (result.ratio if result.ratio is not None else float("-inf"), result)
+                for key, result in zip(keys, results)}
 
     reps = sorted(set(assigned.values()))
-    scored: dict[tuple[int, ...], tuple[float, OptResult]] = {}
-    for index, key in enumerate(reps):
-        scored[key] = optimize_rep(index, key, min(coarse_restarts, config.restarts))
-
-    leaders = sorted(scored, key=lambda key: (-scored[key][0], key))[:refine_top]
-    for index, key in enumerate(leaders):
-        candidate = optimize_rep(len(reps) + index, key, config.restarts)
+    scored = search(reps, 0, min(coarse_restarts, config.restarts))
+    leaders = _refine_leaders({key: ratio for key, (ratio, _) in scored.items()}, refine_top)
+    for key, candidate in search(leaders, len(reps), config.restarts).items():
         if candidate[0] > scored[key][0]:
             scored[key] = candidate
 

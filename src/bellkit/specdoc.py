@@ -355,6 +355,7 @@ def serialize_opt_result(result: OptResult) -> dict:
         "restart_index": result.restart_index,
         "iterations": result.iterations,
         "restart_values": round_floats(list(result.restart_values)),
+        "restart_iterations": list(result.restart_iterations),
     }
 
 
