@@ -242,18 +242,22 @@ class BellFunctional:
         """(settings tuple, mask entries, weight) for every term, in order."""
         return list(self.term_list)
 
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct mask entries of the terms, in order of first use."""
+        return tuple(dict.fromkeys(r for _, r, _ in self.term_list))
+
     def contract(self, correlations) -> complex:
         """sum_t w_t E^(r_t)[x_t], summed in term order.
 
-        `correlations(r)` returns the correlation tensor for mask entries r;
-        it is called once per distinct mask.
+        `correlations(masks)` is called once with `self.masks()` and returns
+        their correlation tensors stacked, shape (M,) + settings shape.
         """
-        tensors = {}
+        masks = self.masks()
+        stack = correlations(masks)
+        row = {r: m for m, r in enumerate(masks)}
         total = 0j
         for x, r, w in self.term_list:
-            if r not in tensors:
-                tensors[r] = correlations(r)
-            total += w * tensors[r][x]
+            total += w * complex(stack[(row[r],) + x])
         return total
 
     def rescaled(self, factor: complex) -> "BellFunctional":
@@ -387,4 +391,4 @@ def evaluate_functional(functional: BellFunctional, tensor: CorrelationTensor) -
     if functional.mask is None or tensor.mask.entries != functional.mask.entries:
         entries = "mixed" if functional.mask is None else functional.mask.entries
         raise ValueError(f"mask mismatch: functional {entries}, tensor {tensor.mask.entries}")
-    return apply_form(functional.form, functional.contract(lambda _: tensor))
+    return apply_form(functional.form, functional.contract(lambda _: tensor.values[None]))

@@ -21,7 +21,7 @@ from .core import (
     DeterministicStrategy,
     ProbabilityTable,
     Scenario,
-    correlation_from_probabilities,
+    correlation_stack,
     root_of_unity,
 )
 from .bases import (
@@ -235,7 +235,7 @@ def i323_value(target) -> float:
     if isinstance(target, QuantumSetup):
         return quantum_functional_value(functional, target, path="born")
     if isinstance(target, ProbabilityTable):
-        total = functional.contract(lambda mask: correlation_from_probabilities(target, mask))
+        total = functional.contract(lambda masks: correlation_stack(target, masks))
         return apply_form(functional.form, total)
     raise TypeError(f"cannot evaluate on {type(target).__name__}")
 

@@ -28,6 +28,7 @@ __all__ = [
     "root_of_unity",
     "settings_tuples",
     "correlation_from_probabilities",
+    "correlation_stack",
     "strategy_value",
     "strategy_correlation_tensor",
     "point_mass_table",
@@ -201,6 +202,20 @@ class ProbabilityTable:
         return self.values[index]
 
 
+def check_correlations(scenario: Scenario, masks, values: np.ndarray) -> None:
+    """Refuse a stack of correlation tensors, shape (M,) + settings shape, one per mask.
+
+    Every |E| must be at most 1, and two-outcome tensors under the plain mask
+    must be real, both up to 1e-12 of round-off.
+    """
+    if np.abs(values).max() > 1 + 1e-12:
+        raise ValueError(f"|E| = {np.abs(values).max():.15f} exceeds 1; not a correlation")
+    if scenario.outcomes == 2:
+        plain = [all(r == 1 for r in mask.entries) for mask in masks]
+        if any(plain) and np.abs(values[plain].imag).max() > 1e-12:
+            raise ValueError("two-outcome correlations with the plain mask must be real")
+
+
 @dataclass(frozen=True)
 class CorrelationTensor:
     """One Fourier component E_x of the outcome distribution, per settings tuple."""
@@ -214,11 +229,7 @@ class CorrelationTensor:
         arr = np.asarray(self.values, dtype=complex)
         if arr.shape != self.scenario.settings_shape():
             raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
-        if np.abs(arr).max() > 1 + 1e-12:
-            raise ValueError(f"|E| = {np.abs(arr).max():.15f} exceeds 1; not a correlation")
-        if self.scenario.outcomes == 2 and all(r == 1 for r in self.mask.entries):
-            if np.abs(arr.imag).max() > 1e-12:
-                raise ValueError("two-outcome correlations with the plain mask must be real")
+        check_correlations(self.scenario, [self.mask], arr[None])
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -274,14 +285,28 @@ def _mask_weight_tensor(scenario: Scenario, mask: ConjugationMask) -> np.ndarray
     return reduce(np.multiply.outer, factors)
 
 
+def correlation_stack(table: ProbabilityTable, masks) -> np.ndarray:
+    """E^(r)_x = sum_a alpha^(r . a) p(a|x) for every mask r and settings tuple x.
+
+    The result has shape (M,) + settings shape, one slice per mask in order.
+    Row m of the weight matrix W is mask m's weight tensor, and each row is
+    multiplied into the table on its own, so a mask's slice does not depend
+    on the other masks in the stack.
+    """
+    scenario = table.scenario
+    masks = [as_mask(scenario, mask) for mask in masks]
+    weights = np.stack([_mask_weight_tensor(scenario, mask).ravel() for mask in masks])
+    probabilities = table.values.reshape(scenario.n_outcome_tuples, -1).astype(complex)
+    values = np.concatenate([weights[m:m + 1] @ probabilities for m in range(len(masks))])
+    values = values.reshape((len(masks),) + scenario.settings_shape())
+    check_correlations(scenario, masks, values)
+    return values
+
+
 def correlation_from_probabilities(table: ProbabilityTable, mask) -> CorrelationTensor:
     """E_x = sum_a alpha^(mask . a) p(a|x) for every settings tuple x."""
-    scenario = table.scenario
-    mask = as_mask(scenario, mask)
-    weights = _mask_weight_tensor(scenario, mask)
-    n = scenario.parties
-    values = np.tensordot(weights, table.values, axes=(tuple(range(n)), tuple(range(n))))
-    return CorrelationTensor(scenario, mask, values)
+    mask = as_mask(table.scenario, mask)
+    return CorrelationTensor(table.scenario, mask, correlation_stack(table, [mask])[0])
 
 
 def strategy_value(strategy: DeterministicStrategy, x: tuple[int, ...], mask) -> complex:

@@ -18,7 +18,9 @@ them all without visiting each one:
 
 Facet certification embeds the deterministic correlation tensors in the real
 space of dimension 2*k^N (real and imaginary parts) and compares the affine
-rank of the saturating set against the polytope's affine dimension.
+rank of the saturating set against the polytope's affine dimension.  Every
+entry of a vertex is a root of unity, so distinct vertices are found exactly
+by their integer exponents rather than by rounding floats.
 """
 
 from __future__ import annotations
@@ -120,10 +122,15 @@ def _party_assignments(scenario: Scenario) -> np.ndarray:
     return rows
 
 
+def _party_exponents(scenario: Scenario, assignments: np.ndarray) -> np.ndarray:
+    """[x, r, i] = r * a_i(x) mod d: one party's exponent for setting x and mask entry r."""
+    d = scenario.outcomes
+    return np.arange(d)[:, None] * assignments.T[:, None, :] % d
+
+
 def _party_factors(scenario: Scenario, assignments: np.ndarray) -> np.ndarray:
     """[x, r, i] = alpha^(r * a_i(x)): one party's factor for setting x and mask entry r."""
-    d = scenario.outcomes
-    return unit_roots(d)[np.arange(d)[:, None] * assignments.T[:, None, :] % d]
+    return unit_roots(scenario.outcomes)[_party_exponents(scenario, assignments)]
 
 
 def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
@@ -160,7 +167,8 @@ def strategy_functional_value(functional, strategy: DeterministicStrategy) -> fl
     """Evaluate a functional on one deterministic strategy."""
     if strategy.scenario != functional.scenario:
         raise ValueError("strategy belongs to a different scenario")
-    total = functional.contract(lambda mask: strategy_correlation_tensor(strategy, mask))
+    total = functional.contract(lambda masks: np.stack(
+        [strategy_correlation_tensor(strategy, mask).values for mask in masks]))
     return apply_form(functional.form, total)
 
 
@@ -301,6 +309,24 @@ def correlation_vertex_matrix(
     return matrix
 
 
+def vertex_exponents(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy i, one column per x.
+
+    Row i of `correlation_vertex_matrix` is alpha to these exponents, so two
+    strategies give the same vertex exactly when their exponent rows agree.
+    """
+    total = _check_budget(scenario, budget)
+    mask = as_mask(scenario, mask)
+    n, d = scenario.parties, scenario.outcomes
+    xs = settings_tuples(scenario)
+    exponents = _party_exponents(scenario, _party_assignments(scenario))
+    matrix = np.empty((total, len(xs)), dtype=np.min_scalar_type(d - 1))
+    for col, x in enumerate(xs):
+        columns = [exponents[x[p], mask.entries[p]] for p in range(n)]
+        matrix[:, col] = reduce(np.add.outer, columns).ravel() % d
+    return matrix
+
+
 def _embed_real(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows.real, rows.imag])
 
@@ -315,18 +341,18 @@ def _affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
-def _affine_dimension(rows: np.ndarray) -> int:
-    """Affine rank of the distinct real-embedded rows, rounded to 12 digits."""
-    points = np.ascontiguousarray(np.round(_embed_real(rows), 12) + 0.0)  # -0.0 -> 0.0
+def _affine_dimension(exponents: np.ndarray, d: int) -> int:
+    """Affine rank of the distinct vertices with these exponent rows, real-embedded."""
+    exponents = np.ascontiguousarray(exponents)
     # one 1-D unique over whole rows as opaque bytes, far cheaper than unique(axis=0)
-    keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    keys = exponents.view(np.dtype((np.void, exponents.itemsize * exponents.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
-    return _affine_rank(points[np.sort(first)])
+    return _affine_rank(_embed_real(unit_roots(d)[exponents[np.sort(first)]]))
 
 
 def polytope_dimension(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> int:
     """Affine dimension of the deterministic correlation tensors, real-embedded."""
-    return _affine_dimension(correlation_vertex_matrix(scenario, mask, budget))
+    return _affine_dimension(vertex_exponents(scenario, mask, budget), scenario.outcomes)
 
 
 def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> FacetReport:
@@ -334,7 +360,8 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
 
     The saturating vertices are those within 1e-9 of the bound; the inequality
     is a facet precisely when their affine rank is one less than the polytope's
-    affine dimension.
+    affine dimension.  Both ranks are taken over distinct vertices, found by
+    their integer exponents (`vertex_exponents`).
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
@@ -347,14 +374,15 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
         )
     scenario = functional.scenario
     vertices = correlation_vertex_matrix(scenario, functional.mask, budget)
+    exponents = vertex_exponents(scenario, functional.mask, budget)
     coeff = functional.coefficients.ravel()
     values = (vertices @ coeff).real
     computed = float(values.max())
     reference = functional.cached_bound if functional.cached_bound is not None else computed
     is_valid = bool(computed <= reference + SATURATION_TOL)
-    saturating = vertices[values >= reference - SATURATION_TOL]
-    rank = _affine_dimension(saturating)
-    dim = _affine_dimension(vertices)
+    saturating = exponents[values >= reference - SATURATION_TOL]
+    rank = _affine_dimension(saturating, scenario.outcomes)
+    dim = _affine_dimension(exponents, scenario.outcomes)
     return FacetReport(
         bound=reference,
         polytope_dimension=dim,

@@ -6,8 +6,8 @@ outcome is the index of the output port that fires.  Born probabilities are
 the authoritative path; the shift-product form of the correlations is an
 algebraically equal fast path used by the optimizer and cross-checked against
 the Born path in the test suite.  Both paths are contracted party by party
-over all k^N joint settings at once: one tensordot per party, no loop over
-settings tuples.
+over all k^N joint settings at once, with no loop over settings tuples, and
+each evaluates all of a functional's masks in one call.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     ProbabilityTable,
     Scenario,
     as_mask,
+    check_correlations,
     correlation_from_probabilities,
     unit_roots,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "fourier_multiport",
     "born_probabilities",
     "probability_table",
+    "quantum_correlation_stack",
     "quantum_correlation_tensor",
     "born_correlation_tensor",
 ]
@@ -141,24 +143,33 @@ def probability_table(setup: QuantumSetup) -> ProbabilityTable:
     return ProbabilityTable(setup.scenario, np.abs(psi) ** 2)
 
 
-def quantum_correlation_tensor(setup: QuantumSetup, mask) -> CorrelationTensor:
-    """E_x(r) via the shift-product form: the Fourier sums collapse the double
-    Born sum onto amplitude pairs displaced by the mask.
+def quantum_correlation_stack(setup: QuantumSetup, masks) -> np.ndarray:
+    """E^(r)_x via the shift-product form, for every mask r at once.
 
-    With B[j] = s_j conj(s_(j+r)) and f_p[x, j] = e^(i phi[p,x,j]) conj(e^(i
-    phi[p,x,j+r_p])), E_x = sum_j B[j] prod_p f_p[x_p, j_p], contracted one
-    party at a time.
+    The Fourier sums collapse the double Born sum onto amplitude pairs
+    displaced by the mask.  With B[j] = s_j conj(s_(j+r)) and f_p[x, j] =
+    e^(i phi[p,x,j]) conj(e^(i phi[p,x,j+r_p])), E_x = sum_j B[j] prod_p
+    f_p[x_p, j_p], contracted one party at a time with one matmul over the
+    mask axis.  The result has shape (M,) + settings shape, one slice per mask
+    in order; a mask's slice does not depend on the other masks in the stack.
     """
     scenario = setup.scenario
-    mask = as_mask(scenario, mask)
-    shifted = setup.amplitudes
-    for p, r in enumerate(mask.entries):
-        shifted = np.roll(shifted, -r, axis=p)  # entry j -> s_(j + r)
-    values = setup.amplitudes * shifted.conj()
-    for p, r in enumerate(mask.entries):
-        e = np.exp(1j * setup.phases[p])  # (k, d)
-        factor = e * np.roll(e, -r, axis=1).conj()
-        values = np.tensordot(values, factor, axes=([0], [1]))  # party p's settings last
+    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
+    masks = [as_mask(scenario, mask) for mask in masks]
+    count = len(masks)
+    # ports[m, p, j] = j + r_p (mod d) under mask m
+    ports = (np.arange(d) + np.array([mask.entries for mask in masks]).reshape(count, n, 1)) % d
+    amps = setup.amplitudes
+    shifted = amps[tuple(ports[:, p].reshape((count,) + (1,) * p + (d,) + (1,) * (n - 1 - p))
+                         for p in range(n))]
+    values = amps * shifted.conj()  # (M,) + (d,)*N
+    e = np.exp(1j * setup.phases)  # (N, k, d)
+    for p in range(n):
+        factor = e[p] * e[p][np.arange(k)[:, None], ports[:, p, None, :]].conj()  # (M, k, d)
+        rest = values.shape[2:]
+        # party p's ports lead the remaining axes; its settings axis goes last
+        flat = values.reshape(count, d, -1).transpose(0, 2, 1)
+        values = (flat @ factor.transpose(0, 2, 1)).reshape((count,) + rest + (k,))
     # round-off can push |E| a hair above 1; clip the modulus, not the phase
     mags = np.abs(values)
     over = mags > 1.0
@@ -166,7 +177,14 @@ def quantum_correlation_tensor(setup: QuantumSetup, mask) -> CorrelationTensor:
         if mags.max() > 1 + 1e-10:
             raise ValueError(f"correlation modulus {mags.max()} exceeds 1 beyond round-off")
         values = np.where(over, values / mags, values)
-    return CorrelationTensor(scenario, mask, values)
+    check_correlations(scenario, masks, values)
+    return values
+
+
+def quantum_correlation_tensor(setup: QuantumSetup, mask) -> CorrelationTensor:
+    """E_x(r) via the shift-product form; one mask of `quantum_correlation_stack`."""
+    mask = as_mask(setup.scenario, mask)
+    return CorrelationTensor(setup.scenario, mask, quantum_correlation_stack(setup, [mask])[0])
 
 
 def born_correlation_tensor(setup: QuantumSetup, mask) -> CorrelationTensor:

@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .core import Scenario, correlation_from_probabilities
+from .core import Scenario, correlation_stack
 from .bases import (
     BellFunctional,
     FunctionalForm,
@@ -67,7 +67,7 @@ from .bases import (
     k2_conjugate_basis,
 )
 from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound
-from .multiport import QuantumSetup, probability_table, quantum_correlation_tensor
+from .multiport import QuantumSetup, probability_table, quantum_correlation_stack
 
 __all__ = [
     "ConfigError",
@@ -173,9 +173,9 @@ def quantum_functional_value(functional, setup: QuantumSetup, path: str = "born"
         raise ValueError("setup belongs to a different scenario")
     if path == "born":
         table = probability_table(setup)
-        correlations = lambda mask: correlation_from_probabilities(table, mask)
+        correlations = lambda masks: correlation_stack(table, masks)
     elif path == "fast":
-        correlations = lambda mask: quantum_correlation_tensor(setup, mask)
+        correlations = lambda masks: quantum_correlation_stack(setup, masks)
     else:
         raise ValueError(f"unknown path {path!r}")
     return apply_form(functional.form, functional.contract(correlations))
@@ -911,7 +911,9 @@ def symmetric_g_search(
     a refined pass with the full restart budget on the leading candidates.
     coarse_restarts (at least 1) caps the coarse pass's restarts and
     refine_top (at least 0) is the number of leaders refined; either out of
-    range raises ConfigError naming it before any search runs.
+    range raises ConfigError naming it before any search runs.  The ranking
+    and the best table order ratios rounded to RANK_DECIMALS, ties by table
+    key, as the leaders are chosen.
     """
     config = config or OptimizationConfig()
     _check_count("coarse_restarts", coarse_restarts, 1)
@@ -949,9 +951,9 @@ def symmetric_g_search(
 
     ranking = sorted(
         ((member, scored[assigned[member]][0]) for member in assigned),
-        key=lambda item: (-item[1], item[0]),
+        key=lambda item: (-round(item[1], RANK_DECIMALS), item[0]),
     )
-    best_rep = max(scored, key=lambda key: (scored[key][0], [-v for v in key]))
+    (best_rep,) = _refine_leaders({key: ratio for key, (ratio, _) in scored.items()}, 1)
     best_g = GTable(scenario, np.asarray(best_rep, dtype=np.int64).reshape(3, 3))
     return SymmetricSearchResult(
         form=form,

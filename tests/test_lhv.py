@@ -241,12 +241,37 @@ def test_polytope_dimensions():
     assert 4 <= d223 <= 8
 
 
+def _row_unique_rank(rows):
+    """Affine rank of the distinct real-embedded rows, found by rounding floats."""
+    return _affine_rank(np.unique(np.round(_embed_real(rows), 12), axis=0))
+
+
 def test_polytope_dimension_matches_row_unique_reference():
-    for scenario, mask in ((Scenario(2, 2, 3), (1, 1)), (Scenario(2, 2, 4), (2, 1)),
-                           (Scenario(3, 2, 3), (1, 2, 1))):
+    """Both ranks facet_check takes over exponent-distinct vertices, against rounded floats."""
+    rng = np.random.default_rng(7)
+    for scenario, mask in (
+        (Scenario(2, 2, 3), (1, 1)),
+        (Scenario(2, 2, 4), (2, 1)),
+        (Scenario(3, 2, 3), (1, 2, 1)),
+        (Scenario(2, 2, 4), (2, 2)),     # every entry shares a factor with d
+        (Scenario(3, 2, 4), (2, 0, 3)),  # a zero entry and a shared factor
+        (Scenario(2, 3, 3), (0, 2)),     # a zero entry
+        (Scenario(2, 2, 2), (0, 0)),     # a single vertex
+    ):
         vertices = correlation_vertex_matrix(scenario, mask)
-        reference = _affine_rank(np.unique(np.round(_embed_real(vertices), 12), axis=0))
-        assert polytope_dimension(scenario, mask) == reference
+        dimension = _row_unique_rank(vertices)
+        assert polytope_dimension(scenario, mask) == dimension
+        for _ in range(4):
+            coeff = rng.integers(-2, 3, size=scenario.settings_shape()).astype(complex)
+            coeff.flat[0] = 1.0
+            functional = BellFunctional(scenario, coeff, FunctionalForm.REAL_PART,
+                                        ConjugationMask(mask, scenario.outcomes))
+            values = (vertices @ coeff.ravel()).real
+            saturating = vertices[values >= values.max() - SATURATION_TOL]
+            report = facet_check(functional)
+            assert report.polytope_dimension == dimension
+            assert report.saturating_count == len(saturating)
+            assert report.saturating_rank == _row_unique_rank(saturating)
 
 
 def test_product_g_523_facet_certificate():

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellkit import Scenario, root_of_unity
-from bellkit.core import ConjugationMask, settings_tuples
+from bellkit import FunctionalForm, Scenario, product_g_functional, root_of_unity
+from bellkit.bases import apply_form
+from bellkit.cglmp import i323_functional
+from bellkit.core import (ConjugationMask, _mask_weight_tensor, check_correlations,
+                          correlation_stack, settings_tuples)
 from bellkit.multiport import (
     QuantumSetup,
     born_correlation_tensor,
     born_probabilities,
     fourier_multiport,
     probability_table,
+    quantum_correlation_stack,
     quantum_correlation_tensor,
 )
+from bellkit.optimize import quantum_functional_value
 
 SCENARIOS = [Scenario(2, 2, 3), Scenario(2, 3, 3), Scenario(3, 2, 3), Scenario(2, 2, 5)]
 
@@ -221,3 +226,149 @@ def test_batched_kernels_match_per_settings_loops(case):
     fast = quantum_correlation_tensor(setup, mask).values
     assert fast.shape == (setup.scenario.settings,) * n
     assert np.abs(fast - loop_quantum_correlations(setup, mask)).max() <= 1e-13
+
+
+# The per-mask kernels the mask-batched stacks replaced, kept as the oracle.
+
+def per_mask_fast(setup, mask, clip=True):
+    shifted = setup.amplitudes
+    for p, r in enumerate(mask):
+        shifted = np.roll(shifted, -r, axis=p)
+    values = setup.amplitudes * shifted.conj()
+    for p, r in enumerate(mask):
+        e = np.exp(1j * setup.phases[p])
+        factor = e * np.roll(e, -r, axis=1).conj()
+        values = np.tensordot(values, factor, axes=([0], [1]))
+    mags = np.abs(values)
+    if clip and np.any(mags > 1.0):
+        values = np.where(mags > 1.0, values / mags, values)
+    return values
+
+
+def per_mask_born(table, mask):
+    weights = _mask_weight_tensor(table.scenario, ConjugationMask(mask, table.scenario.outcomes))
+    n = table.scenario.parties
+    return np.tensordot(weights, table.values, axes=(tuple(range(n)), tuple(range(n))))
+
+
+def per_mask_value(functional, correlations):
+    """sum_t w_t E^(r_t)[x_t] with one kernel call per distinct mask, in term order."""
+    tensors, total = {}, 0j
+    for x, r, w in functional.terms():
+        if r not in tensors:
+            tensors[r] = correlations(r)
+        total += w * complex(tensors[r][x])
+    return apply_form(functional.form, total)
+
+
+@st.composite
+def setups_and_mask_lists(draw):
+    n, k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    masks = draw(st.lists(mask, min_size=1, max_size=5, unique=True))
+    return random_setup(Scenario(n, k, d), rng), masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=setups_and_mask_lists())
+def test_mask_stacks_match_per_mask_kernels_bit_for_bit(case):
+    setup, masks = case
+    table = probability_table(setup)
+    fast = quantum_correlation_stack(setup, masks)
+    born = correlation_stack(table, masks)
+    assert fast.shape == born.shape == (len(masks),) + setup.scenario.settings_shape()
+    for m, mask in enumerate(masks):
+        assert np.array_equal(fast[m], per_mask_fast(setup, mask))
+        assert np.array_equal(born[m], per_mask_born(table, mask))
+        assert np.array_equal(quantum_correlation_tensor(setup, mask).values, fast[m])
+        assert np.array_equal(born_correlation_tensor(setup, mask).values, born[m])
+
+
+@pytest.mark.parametrize("case", [
+    (Scenario(2, 2, 2), [(1, 1)]),                  # d = 2, all ones: must come out real
+    (Scenario(3, 2, 3), [(1, 0, 2), (0, 0, 0)]),    # zero entries drop parties
+    (Scenario(2, 3, 4), [(2, 2), (1, 3), (2, 0)]),  # entries sharing a factor with d
+])
+def test_mask_stack_cases(case):
+    scenario, masks = case
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        setup = random_setup(scenario, rng)
+        fast = quantum_correlation_stack(setup, masks)
+        born = correlation_stack(probability_table(setup), masks)
+        for m, mask in enumerate(masks):
+            assert np.array_equal(fast[m], per_mask_fast(setup, mask))
+            assert np.allclose(fast[m], born[m], atol=1e-10)
+            if all(r == 0 for r in mask):
+                assert np.allclose(fast[m], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, functional", [
+    ("i323", i323_functional()),  # three masks
+    ("product-g (3,2,3)", product_g_functional(3, 3, FunctionalForm.MODULUS)),
+])
+def test_functional_value_takes_one_stack_per_path(name, functional):
+    assert len(functional.masks()) == (3 if name == "i323" else 1)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        setup = random_setup(functional.scenario, rng)
+        table = probability_table(setup)
+        born = per_mask_value(functional, lambda r: per_mask_born(table, r))
+        fast = per_mask_value(functional, lambda r: per_mask_fast(setup, r))
+        assert quantum_functional_value(functional, setup, path="born") == born
+        assert quantum_functional_value(functional, setup, path="fast") == fast
+
+
+def test_fast_path_clips_round_off_and_refuses_more():
+    # the zero mask gives sum |s|^2 = 1 up to round-off: find setups a hair above 1
+    rng = np.random.default_rng(3)
+    clipped = 0
+    for _ in range(200):
+        setup = random_setup(Scenario(3, 2, 3), rng)
+        masks = [(0, 0, 0), (1, 1, 1)]
+        raw = per_mask_fast(setup, masks[0], clip=False)
+        stack = quantum_correlation_stack(setup, masks)
+        assert np.abs(stack).max() <= 1.0
+        assert np.array_equal(stack[0], per_mask_fast(setup, masks[0]))
+        clipped += bool(np.abs(raw).max() > 1.0)
+    assert clipped > 0
+    # a state 1e-3 off unit norm is beyond round-off, whichever mask shows it
+    setup = random_setup(Scenario(2, 2, 3), rng)
+    object.__setattr__(setup, "amplitudes", setup.amplitudes * (1 + 1e-3))
+    with pytest.raises(ValueError, match="beyond round-off"):
+        quantum_correlation_stack(setup, [(1, 2), (0, 0)])
+
+
+def test_stack_checks_apply_to_every_mask():
+    scenario = Scenario(2, 2, 2)
+    masks = [ConjugationMask((1, 0), 2), ConjugationMask((1, 1), 2)]
+    values = np.zeros((2, 2, 2), dtype=complex)
+    values[0, 0, 0] = 1j  # an imaginary part is allowed under a mask that is not plain
+    check_correlations(scenario, masks, values)
+    values[1, 1, 1] = 1e-9j
+    with pytest.raises(ValueError, match="must be real"):
+        check_correlations(scenario, masks, values)
+    values[1, 1, 1] = 0
+    values[0, 1, 0] = 1 + 1e-9
+    with pytest.raises(ValueError, match="exceeds 1"):
+        check_correlations(scenario, masks, values)
+
+
+def test_stacks_refuse_a_mask_of_another_scenario():
+    setup = random_setup(Scenario(2, 2, 3), np.random.default_rng(2))
+    for stack in (lambda masks: quantum_correlation_stack(setup, masks),
+                  lambda masks: correlation_stack(probability_table(setup), masks)):
+        with pytest.raises(ValueError, match="entries"):
+            stack([(1, 1), (1, 1, 1)])
+        with pytest.raises(ValueError, match="mask entries"):
+            stack([(1, 3)])
+
+
+def test_functional_value_refuses_foreign_setups_and_unknown_paths():
+    functional = i323_functional()
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="different scenario"):
+        quantum_functional_value(functional, random_setup(Scenario(3, 2, 4), rng))
+    with pytest.raises(ValueError, match="unknown path"):
+        quantum_functional_value(functional, random_setup(functional.scenario, rng), path="slow")

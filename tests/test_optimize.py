@@ -294,9 +294,13 @@ def test_g_orbit_is_the_closed_orbit_of_its_table():
             yield (table + 1) % d
 
     for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
+        seen = set()
         for table in symmetric_g_tables():
+            if tuple(table.ravel().tolist()) in seen:
+                continue  # its orbit, a member's g_orbit, was checked in full already
             orbit = g_orbit(table, form)
             assert tuple(table.ravel().tolist()) in orbit
+            seen |= orbit
             for key in orbit:
                 member = np.asarray(key).reshape(3, 3)
                 for image in generators(member, form):
