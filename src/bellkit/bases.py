@@ -24,6 +24,7 @@ from .core import (
     ConjugationMask,
     CorrelationTensor,
     Scenario,
+    as_index,
     as_mask,
     root_of_unity,
     settings_tuples,
@@ -211,7 +212,8 @@ class BellFunctional:
     def _from_term_list(self):
         """Validated terms, plus the shared mask and dense tensor if there is one."""
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        terms = [(tuple(int(v) for v in x), tuple(int(v) for v in r), complex(w))
+        terms = [(tuple(as_index(v, "setting") for v in x),
+                  tuple(as_index(v, "mask entry") for v in r), complex(w))
                  for x, r, w in self.term_list]
         for x, r, _ in terms:
             fits = (len(x) == len(r) == n and all(0 <= s < k for s in x)

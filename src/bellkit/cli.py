@@ -27,8 +27,8 @@ from .lhv import (
     BudgetExceededError,
     UnsupportedFormError,
     classical_bound,
-    correlation_vertex_matrix,
     facet_check,
+    vertex_exponents,
 )
 from .optimize import (
     ConfigError,
@@ -256,44 +256,37 @@ def _ww_rows(parties: int) -> list[dict]:
     n = parties
     r_tuples = list(itertools.product(range(2), repeat=n))
     count = 2 ** len(r_tuples)
-    signs = np.empty((count, len(r_tuples)))
-    for col in range(len(r_tuples)):
-        period = 2 ** (len(r_tuples) - 1 - col)
-        pattern = np.arange(count) // period % 2
-        signs[:, col] = 1.0 - 2.0 * pattern
-    walsh = np.array(
-        [[(-1.0) ** sum(r[p] * x[p] for p in range(n)) for x in r_tuples] for r in r_tuples]
-    )
+    # row i: the binary digits of i, first column most significant, as signs
+    signs = 1.0 - 2.0 * (np.arange(count)[:, None] >> np.arange(len(r_tuples))[::-1] & 1)
+    walsh = np.array([[(-1.0) ** np.dot(r, x) for x in r_tuples] for r in r_tuples])
     q = signs @ walsh / 2**n
 
     scenario = Scenario(n, 2, 2)
-    vertices = correlation_vertex_matrix(scenario, (1,) * n).real
+    # alpha = -1, so each vertex entry (-1)^e is exactly 1 - 2e
+    vertices = 1.0 - 2.0 * vertex_exponents(scenario, (1,) * n)
     values = q @ vertices.T
     bounds = values.max(axis=1)
 
     # f factorizes (trivial inequality) iff f(r) = f(0) prod_p (f(0) f(e_p))^(r_p)
-    index_of = {r: i for i, r in enumerate(r_tuples)}
-    basis_cols = [index_of[tuple(1 if q_ == p else 0 for q_ in range(n))] for p in range(n)]
-    f0 = signs[:, index_of[(0,) * n]]
+    # r_tuples is lexicographic: column 0 is r = 0, column 2^(n-1-p) is e_p
+    f0 = signs[:, 0]
     predicted = np.tile(f0[:, None], (1, len(r_tuples)))
     for col, r in enumerate(r_tuples):
         for p in range(n):
             if r[p]:
-                predicted[:, col] *= f0 * signs[:, basis_cols[p]]
+                predicted[:, col] *= f0 * signs[:, 2 ** (n - 1 - p)]
     factorizes = np.all(predicted == signs, axis=1)
 
-    rows = []
-    for i in range(count):
-        rows.append(
-            {
-                "f": [int(v) for v in signs[i]],
-                "coefficients": round_floats(q[i].tolist()),
-                "bound": round_floats(float(bounds[i])),
-                "bound_is_one": bool(abs(bounds[i] - 1.0) < 1e-9),
-                "nontrivial": bool(not factorizes[i]),
-            }
-        )
-    return rows
+    return [
+        {
+            "f": [int(v) for v in signs[i]],
+            "coefficients": round_floats(q[i].tolist()),
+            "bound": round_floats(float(bounds[i])),
+            "bound_is_one": bool(abs(bounds[i] - 1.0) < 1e-9),
+            "nontrivial": bool(not factorizes[i]),
+        }
+        for i in range(count)
+    ]
 
 
 def cmd_ww(args, argv) -> int:

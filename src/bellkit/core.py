@@ -119,6 +119,13 @@ class RootOfUnity:
         return root_of_unity(self.order, self.exponent)
 
 
+def as_index(value, name: str) -> int:
+    """An int or numpy integer as int; int() would truncate 1.7 and read True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConjugationMask:
     """Per-party Fourier exponents: party p contributes alpha^(r_p * a_p).
@@ -131,7 +138,7 @@ class ConjugationMask:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple(as_index(r, "mask entry") for r in self.entries))
         if any(not 0 <= r < self.order for r in self.entries):
             raise ValueError(f"mask entries must lie in [0, {self.order}), got {self.entries}")
 
@@ -205,11 +212,13 @@ class ProbabilityTable:
 def check_correlations(scenario: Scenario, masks, values: np.ndarray) -> None:
     """Refuse a stack of correlation tensors, shape (M,) + settings shape, one per mask.
 
-    Every |E| must be at most 1, and two-outcome tensors under the plain mask
-    must be real, both up to 1e-12 of round-off.
+    Every |E| must be finite and at most 1, and two-outcome tensors under the
+    plain mask must be real, both up to 1e-12 of round-off.
     """
-    if np.abs(values).max() > 1 + 1e-12:
-        raise ValueError(f"|E| = {np.abs(values).max():.15f} exceeds 1; not a correlation")
+    largest = np.abs(values).max()
+    # NaN fails every comparison, so test the bound itself
+    if not largest <= 1 + 1e-12:
+        raise ValueError(f"|E| = {largest:.15f} exceeds 1 or is not finite; not a correlation")
     if scenario.outcomes == 2:
         plain = [all(r == 1 for r in mask.entries) for mask in masks]
         if any(plain) and np.abs(values[plain].imag).max() > 1e-12:

@@ -2,8 +2,10 @@
 
 The maximum of Re[linear] or |linear| over the LHV polytope is attained at a
 vertex, so the classical bound of any functional here is the maximum of its
-value over all d^(N*k) deterministic strategies.  `classical_bound` covers
-them all without visiting each one:
+value over all d^(N*k) deterministic strategies.  A strategy gives term t the
+root alpha^e, e = sum_p r_p a_p(x_p) mod d, so values are exact integer
+exponent sums looked up in a table of w_t alpha^e.  `classical_bound` covers
+the strategies without visiting each one:
 
 - Gauge.  Shifting every outcome of party p by c_p multiplies term t by
   alpha^(r_t.c).  The shifts that change no value form a group G in Z_d^N,
@@ -118,19 +120,13 @@ def enumerate_strategies(
 def _party_assignments(scenario: Scenario) -> np.ndarray:
     """All d^k single-party assignments, row i in lexicographic order (setting 0 slowest)."""
     k, d = scenario.settings, scenario.outcomes
-    rows = np.array(list(itertools.product(range(d), repeat=k)), dtype=np.int64)
-    return rows
+    return np.array(list(itertools.product(range(d), repeat=k)), dtype=np.int64)
 
 
-def _party_exponents(scenario: Scenario, assignments: np.ndarray) -> np.ndarray:
+def _party_exponents(scenario: Scenario) -> np.ndarray:
     """[x, r, i] = r * a_i(x) mod d: one party's exponent for setting x and mask entry r."""
     d = scenario.outcomes
-    return np.arange(d)[:, None] * assignments.T[:, None, :] % d
-
-
-def _party_factors(scenario: Scenario, assignments: np.ndarray) -> np.ndarray:
-    """[x, r, i] = alpha^(r * a_i(x)): one party's factor for setting x and mask entry r."""
-    return unit_roots(scenario.outcomes)[_party_exponents(scenario, assignments)]
+    return np.arange(d)[:, None] * _party_assignments(scenario).T[:, None, :] % d
 
 
 def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
@@ -142,24 +138,29 @@ def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
     return digits[::-1]
 
 
-def _chunk_values(functional, scenario, assignments, indices) -> np.ndarray:
-    """Complex functional totals for the given flat strategy indices.
+def _term_table(terms, d: int) -> np.ndarray:
+    """[t, e] = w_t * alpha^e, multiplied as Python complex numbers like `contract` does."""
+    roots = [complex(root) for root in unit_roots(d)]
+    return np.array([[w * root for root in roots] for _, _, w in terms], dtype=complex)
 
-    A strategy's value does not depend on the batch it is evaluated in.
+
+def _chunk_values(functional, indices) -> np.ndarray:
+    """Complex totals of the strategies at these flat indices, one batch evaluator for all.
+
+    Term t is `_term_table` at the term's exponent sum, added in term order, so
+    each total is bit for bit `strategy_functional_value`'s `contract`.
     """
+    scenario = functional.scenario
+    d = scenario.outcomes
+    exponents = _party_exponents(scenario)
     indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) == 1:
-        # numpy's in-place complex multiply rounds a length-1 array differently
-        return _chunk_values(functional, scenario, assignments, np.repeat(indices, 2))[:1]
-    n = scenario.parties
-    party_idx = _digits(indices, [len(assignments)] * n)
-    factors = _party_factors(scenario, assignments)
+    party_idx = _digits(indices, [exponents.shape[2]] * scenario.parties)
+    terms = functional.terms()
+    table = _term_table(terms, d)
     totals = np.zeros(len(indices), dtype=complex)
-    for x, mask_entries, weight in functional.terms():
-        factor = np.ones(len(indices), dtype=complex)
-        for p in range(n):
-            factor *= factors[x[p], mask_entries[p]][party_idx[p]]
-        totals += weight * factor
+    for t, (x, r, _) in enumerate(terms):
+        exponent = sum(exponents[x[p], r[p]][idx] for p, idx in enumerate(party_idx))
+        totals += table[t][exponent % d]
     return totals
 
 
@@ -174,6 +175,14 @@ def strategy_functional_value(functional, strategy: DeterministicStrategy) -> fl
 
 def _form_values(form: FunctionalForm, totals: np.ndarray) -> np.ndarray:
     return totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
+
+
+def _strategy_values(functional, indices, chunk: int) -> np.ndarray:
+    """Real part or modulus of the strategies at these flat indices, `chunk` at a time."""
+    return np.concatenate([
+        _form_values(functional.form, _chunk_values(functional, indices[start:start + chunk]))
+        for start in range(0, len(indices), chunk)
+    ])
 
 
 def _gauge(functional, chunk: int) -> tuple[np.ndarray, list[int]]:
@@ -240,10 +249,11 @@ def classical_bound(
     terms = functional.terms()
     xs = np.array([x for x, _, _ in terms], dtype=np.int64)
     rs = np.array([r for _, r, _ in terms], dtype=np.int64)
-    weights = np.array([w for _, _, w in terms], dtype=complex)
     roots = unit_roots(d)
-    factors = _party_factors(scenario, assignments)
-    prefix_phases = [factors[xs[:, p], rs[:, p], : allowed[p]].T for p in range(n - 1)]
+    # a prefix's term t is table[t, e], e its exponent summed over parties 1..N-1
+    table = _term_table(terms, d)
+    exponents = _party_exponents(scenario)
+    prefix_exponents = [exponents[xs[:, p], rs[:, p], : allowed[p]].T for p in range(n - 1)]
     outcomes = np.arange(d)
     last_phases = np.zeros((len(terms), k * d), dtype=complex)
     last_phases[np.arange(len(terms))[:, None], xs[:, -1:] * d + outcomes] = (
@@ -251,7 +261,7 @@ def classical_bound(
     last_columns = assignments[: allowed[-1]] + np.arange(k) * d
 
     # |top| <= sum |w|, so this is at least twice the saturation tolerance
-    window = 2 * SATURATION_TOL * max(1.0, float(np.abs(weights).sum()))
+    window = 2 * SATURATION_TOL * max(1.0, float(np.abs(table[:, 0]).sum()))
     prefixes = math.prod(allowed[:-1])
     block = max(1, chunk // max(len(terms), k * allowed[-1]))
     top = -np.inf
@@ -259,12 +269,12 @@ def classical_bound(
     for start in range(0, prefixes, block):
         ids = np.arange(start, min(start + block, prefixes), dtype=np.int64)
         digits = _digits(ids, allowed[:-1])
-        partial = np.broadcast_to(weights, (len(ids), len(terms)))
+        exponent = np.zeros((len(ids), len(terms)), dtype=np.int64)
         prefix_flat = np.zeros(len(ids), dtype=np.int64)
-        for phases, digit in zip(prefix_phases, digits):
-            partial = partial * phases[digit]
+        for part, digit in zip(prefix_exponents, digits):
+            exponent += part[digit]
             prefix_flat = prefix_flat * per_party + digit
-        sums = partial @ last_phases
+        sums = table[np.arange(len(terms)), exponent % d] @ last_phases
         values = _form_values(form, sums[:, last_columns].sum(axis=2))
         top = max(top, float(values.max()))
         prefix, row = np.nonzero(values >= top - window)
@@ -279,11 +289,7 @@ def classical_bound(
     for p, party_rows in enumerate(_digits(representatives, [per_party] * n)):
         orbits = orbits * per_party + shifted[group[:, p]][:, party_rows].T
     orbits = orbits.ravel()
-    values = np.concatenate([
-        _form_values(form, _chunk_values(functional, scenario, assignments,
-                                         orbits[start:start + chunk]))
-        for start in range(0, len(orbits), chunk)
-    ])
+    values = _strategy_values(functional, orbits, chunk)
     bound = values.max()
     tol = SATURATION_TOL * max(1.0, abs(bound))
     saturating = np.array(sorted(orbits[values >= bound - tol].tolist()))
@@ -292,34 +298,17 @@ def classical_bound(
     return ClassicalBoundResult(float(bound), argmax, total)
 
 
-def correlation_vertex_matrix(
-    scenario: Scenario, mask, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """Row i: the correlation tensor of strategy i, flattened canonically."""
-    total = _check_budget(scenario, budget)
-    mask = as_mask(scenario, mask)
-    assignments = _party_assignments(scenario)
-    n = scenario.parties
-    xs = settings_tuples(scenario)
-    factors = _party_factors(scenario, assignments)
-    matrix = np.empty((total, len(xs)), dtype=complex)
-    for col, x in enumerate(xs):
-        columns = [factors[x[p], mask.entries[p]] for p in range(n)]
-        matrix[:, col] = reduce(np.multiply.outer, columns).ravel()
-    return matrix
-
-
 def vertex_exponents(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy i, one column per x.
 
-    Row i of `correlation_vertex_matrix` is alpha to these exponents, so two
+    Row i of the correlation vertex matrix is alpha to these exponents, so two
     strategies give the same vertex exactly when their exponent rows agree.
     """
     total = _check_budget(scenario, budget)
     mask = as_mask(scenario, mask)
     n, d = scenario.parties, scenario.outcomes
     xs = settings_tuples(scenario)
-    exponents = _party_exponents(scenario, _party_assignments(scenario))
+    exponents = _party_exponents(scenario)
     matrix = np.empty((total, len(xs)), dtype=np.min_scalar_type(d - 1))
     for col, x in enumerate(xs):
         columns = [exponents[x[p], mask.entries[p]] for p in range(n)]
@@ -334,8 +323,7 @@ def _embed_real(rows: np.ndarray) -> np.ndarray:
 def _affine_rank(points: np.ndarray) -> int:
     if len(points) <= 1:
         return 0
-    diffs = points[1:] - points[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
+    sv = np.linalg.svd(points[1:] - points[0], compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > RANK_RTOL * sv[0]))
@@ -361,7 +349,9 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     The saturating vertices are those within 1e-9 of the bound; the inequality
     is a facet precisely when their affine rank is one less than the polytope's
     affine dimension.  Both ranks are taken over distinct vertices, found by
-    their integer exponents (`vertex_exponents`).
+    their integer exponents (`vertex_exponents`).  The values are
+    `_chunk_values` over the term list, so without a cached bound the bound
+    reported is `classical_bound`'s, bit for bit.
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
@@ -373,10 +363,8 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
             "per-term masks do not embed in one correlation polytope"
         )
     scenario = functional.scenario
-    vertices = correlation_vertex_matrix(scenario, functional.mask, budget)
     exponents = vertex_exponents(scenario, functional.mask, budget)
-    coeff = functional.coefficients.ravel()
-    values = (vertices @ coeff).real
+    values = _strategy_values(functional, np.arange(len(exponents)), DEFAULT_CHUNK)
     computed = float(values.max())
     reference = functional.cached_bound if functional.cached_bound is not None else computed
     is_valid = bool(computed <= reference + SATURATION_TOL)

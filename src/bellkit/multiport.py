@@ -21,6 +21,7 @@ from .core import (
     CorrelationTensor,
     ProbabilityTable,
     Scenario,
+    as_index,
     as_mask,
     check_correlations,
     correlation_from_probabilities,
@@ -65,6 +66,12 @@ def fourier_multiport(d: int) -> MultiportUnitary:
     return MultiportUnitary(d, unit_roots(d)[grid] / np.sqrt(d))
 
 
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values
+
+
 @dataclass(frozen=True)
 class QuantumSetup:
     """Input-state amplitudes plus per-party, per-setting input port phases.
@@ -80,13 +87,13 @@ class QuantumSetup:
 
     def __post_init__(self):
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _finite("amplitudes", np.asarray(self.amplitudes, dtype=complex))
         if amps.shape != (d,) * n:
             raise ValueError(f"expected amplitude shape {(d,) * n}, got {amps.shape}")
         norm = np.linalg.norm(amps.ravel())
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} is not 1; use QuantumSetup.normalized")
-        phases = np.asarray(self.phases, dtype=float)
+        phases = _finite("phases", np.asarray(self.phases, dtype=float))
         if phases.shape != (n, k, d):
             raise ValueError(f"expected phase shape {(n, k, d)}, got {phases.shape}")
         if np.abs(phases[:, :, 0]).max() > 0:
@@ -99,11 +106,11 @@ class QuantumSetup:
     @classmethod
     def normalized(cls, scenario: Scenario, amplitudes, phases) -> "QuantumSetup":
         """Build a setup from raw data: normalize the state, gauge-fix port 0."""
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = _finite("amplitudes", np.asarray(amplitudes, dtype=complex))
         norm = np.linalg.norm(amps.ravel())
         if norm == 0:
             raise ValueError("cannot normalize the zero state")
-        phases = np.asarray(phases, dtype=float)
+        phases = _finite("phases", np.asarray(phases, dtype=float))
         phases = phases - phases[:, :, :1]
         return cls(scenario, amps / norm, phases)
 
@@ -129,8 +136,7 @@ def born_probabilities(setup: QuantumSetup, x: tuple[int, ...]) -> np.ndarray:
     n, k = setup.scenario.parties, setup.scenario.settings
     if len(x) != n:
         raise ValueError("settings tuple length does not match the party count")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < k
-               for v in x):
+    if not all(0 <= as_index(v, "settings") < k for v in x):
         raise ValueError(f"settings must be integers in [0, {k}), got {tuple(x)!r}")
     phases = setup.phases[np.arange(n), np.asarray(x, dtype=np.int64)][:, None, :]
     psi = _final_amplitudes(setup, phases)

@@ -241,3 +241,18 @@ def test_functional_requires_nonzero_coefficients():
     sc = Scenario(2, 2, 2)
     with pytest.raises(ValueError):
         BellFunctional(sc, np.zeros((2, 2)), FunctionalForm.REAL_PART)
+
+
+def test_functional_refuses_non_integer_settings_and_masks():
+    sc = Scenario(2, 2, 3)
+    # int() would read these as settings (0, 1) and mask (1, 2)
+    for x, r in [((0.9, 1.5), (1, 2)), ((0, 1), (1.99, 2)), ((True, 0), (1, 2)),
+                 ((0, 1), (1, np.bool_(True)))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            BellFunctional.from_terms(sc, [(x, r, 1.0)])
+    for mask in [(1.5, 2.2), (1.0, 2), (True, 2)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            BellFunctional(sc, np.ones((2, 2)), FunctionalForm.REAL_PART, mask)
+    numpy_ints = BellFunctional.from_terms(sc, [((np.int64(0), 1), (1, np.int32(2)), 1.0)])
+    assert numpy_ints.terms() == [((0, 1), (1, 2), 1.0)]
+    assert type(numpy_ints.terms()[0][0][0]) is int

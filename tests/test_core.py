@@ -68,6 +68,11 @@ def test_mask_validation_and_conjugation():
     assert ConjugationMask((0, 0), 3).conjugated().entries == (0, 0)
     with pytest.raises(ValueError):
         correlation_from_probabilities(uniform_table(sc), (1, 1, 1))
+    # int() would truncate these; numpy integers are integers
+    for entries in [(1.7, 2), (1.0, 2), (True, 2), (np.bool_(True), 2), ("1", 2)]:
+        with pytest.raises(ValueError, match="mask entry"):
+            ConjugationMask(entries, 3)
+    assert ConjugationMask((np.int64(1), np.uint8(2)), 3).entries == (1, 2)
 
 
 def test_probability_table_normalization_and_clamp():
@@ -215,3 +220,9 @@ def test_correlation_tensor_validation():
     with pytest.raises(ValueError):
         CorrelationTensor(sc, ConjugationMask((1,), 2), np.array([0.5 + 0.5j]))
     CorrelationTensor(sc, ConjugationMask((1,), 2), np.array([0.5 + 0j]))
+    sc3 = Scenario(2, 2, 3)
+    for bad in [np.nan, np.inf, complex(0, np.nan)]:
+        values = np.zeros((2, 2), dtype=complex)
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            CorrelationTensor(sc3, ConjugationMask((1, 2), 3), values)

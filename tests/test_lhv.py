@@ -23,9 +23,7 @@ from bellkit.lhv import (
     _chunk_values,
     _embed_real,
     _gauge,
-    _party_assignments,
     classical_bound,
-    correlation_vertex_matrix,
     enumerate_strategies,
     facet_check,
     linearize_modulus,
@@ -111,7 +109,7 @@ def brute_force_bound(functional):
     """Bound and saturating flat indices from every strategy, in one batch."""
     scenario = functional.scenario
     indices = np.arange(scenario.n_strategies)
-    totals = _chunk_values(functional, scenario, _party_assignments(scenario), indices)
+    totals = _chunk_values(functional, indices)
     values = totals.real if functional.form is FunctionalForm.REAL_PART else np.abs(totals)
     bound = values.max()
     tol = SATURATION_TOL * max(1.0, abs(bound))
@@ -131,8 +129,8 @@ SMALL_SCENARIOS = [(n, k, d) for n in (1, 2, 3) for k in (1, 2, 3) for d in (2, 
 
 
 @st.composite
-def mixed_mask_functionals(draw):
-    n, k, d = draw(st.sampled_from(SMALL_SCENARIOS))
+def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS):
+    n, k, d = draw(st.sampled_from(scenarios))
     entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
     masks = draw(st.lists(entries, min_size=1, max_size=3))
     settings_tuples = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
@@ -173,17 +171,36 @@ def test_gauge_steps_and_exactness(scenario, terms, form, steps):
 
 
 def test_strategy_value_does_not_depend_on_batch():
-    # numpy rounds an in-place complex product of length 1 differently; this
-    # functional's unique optimum moved by two ulps when re-evaluated alone
+    # a strategy evaluated alone must get its batch total: a kernel that
+    # multiplied per-party complex factors moved this unique optimum by two ulps
     scenario = Scenario(2, 1, 6)
     terms = [((0, 0), (2, 5), -2 + 1j), ((0, 0), (1, 0), 2.0), ((0, 0), (1, 0), 1j),
              ((0, 0), (1, 0), 1 - 2j), ((0, 0), (1, 0), -2.0)]
     functional = BellFunctional.from_terms(scenario, terms, FunctionalForm.REAL_PART)
-    assignments = _party_assignments(scenario)
-    batch = _chunk_values(functional, scenario, assignments, np.arange(36))
-    alone = [_chunk_values(functional, scenario, assignments, [i])[0] for i in range(36)]
+    batch = _chunk_values(functional, np.arange(36))
+    alone = [_chunk_values(functional, [i])[0] for i in range(36)]
     assert list(batch) == alone
     assert_matches_brute_force(functional)
+
+
+def contract_total(functional, strategy):
+    """The complex total `strategy_functional_value` takes, from the strategy's tensors."""
+    return functional.contract(lambda masks: np.stack(
+        [strategy_correlation_tensor(strategy, mask).values for mask in masks]))
+
+
+KERNEL_SCENARIOS = [(n, k, d) for n in (1, 2, 3) for k in (1, 2, 3) for d in range(2, 8)
+                    if d ** (n * k) <= 1000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(functional=mixed_mask_functionals(KERNEL_SCENARIOS))
+def test_chunk_values_equal_contract_bit_for_bit(functional):
+    scenario = functional.scenario
+    totals = _chunk_values(functional, np.arange(scenario.n_strategies))
+    expected = np.array([contract_total(functional, strategy)
+                         for strategy in enumerate_strategies(scenario)])
+    assert np.array_equal(totals.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("form", list(FunctionalForm))
@@ -258,7 +275,8 @@ def test_polytope_dimension_matches_row_unique_reference():
         (Scenario(2, 3, 3), (0, 2)),     # a zero entry
         (Scenario(2, 2, 2), (0, 0)),     # a single vertex
     ):
-        vertices = correlation_vertex_matrix(scenario, mask)
+        vertices = np.stack([strategy_correlation_tensor(strategy, mask).values.ravel()
+                             for strategy in enumerate_strategies(scenario)])
         dimension = _row_unique_rank(vertices)
         assert polytope_dimension(scenario, mask) == dimension
         for _ in range(4):
@@ -272,6 +290,21 @@ def test_polytope_dimension_matches_row_unique_reference():
             assert report.polytope_dimension == dimension
             assert report.saturating_count == len(saturating)
             assert report.saturating_rank == _row_unique_rank(saturating)
+
+
+@pytest.mark.parametrize("functional", [
+    chsh_functional(),
+    BellFunctional(Scenario(2, 2, 3), cglmp_coefficients(), FunctionalForm.REAL_PART,
+                   ConjugationMask((1, 2), 3)),
+    BellFunctional.from_terms(Scenario(3, 2, 4), [((0, 1, 0), (2, 0, 3), 1 - 1j),
+                                                  ((1, 1, 1), (2, 0, 3), 0.5),
+                                                  ((1, 0, 1), (2, 0, 3), -2j)]),
+    product_g_functional(3, 3, FunctionalForm.REAL_PART),
+    product_g_functional(5, 3, FunctionalForm.REAL_PART),
+], ids=["chsh", "cglmp", "mask-203", "product-g-323", "product-g-523"])
+def test_facet_bound_is_the_classical_bound(functional):
+    assert functional.cached_bound is None
+    assert facet_check(functional).bound == classical_bound(functional).bound
 
 
 def test_product_g_523_facet_certificate():

@@ -162,6 +162,21 @@ def test_setup_validation():
         QuantumSetup(sc, good, bad_phases)
     fixed = QuantumSetup.normalized(sc, good, bad_phases)
     assert fixed.phases[0, 0, 0] == 0.0
+    for bad in [np.nan, np.inf, complex(np.nan, 0)]:
+        amps = good.astype(complex)
+        amps[1, 2] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            QuantumSetup(sc, amps, np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            QuantumSetup.normalized(sc, amps, np.zeros((2, 2, 3)))
+    for port in (0, 2):
+        for bad in [np.nan, np.inf, -np.inf]:
+            phases = np.zeros((2, 2, 3))
+            phases[1, 0, port] = bad
+            with pytest.raises(ValueError, match="phases must be finite"):
+                QuantumSetup(sc, good, phases)
+            with pytest.raises(ValueError, match="phases must be finite"):
+                QuantumSetup.normalized(sc, good, phases)
 
 
 @pytest.mark.parametrize("x", [(-1, 0), (0.5, 0), (2, 0), (0, 3), (True, 0), ("0", 0)])
