@@ -25,6 +25,7 @@ from .core import (
     CorrelationTensor,
     Scenario,
     as_index,
+    as_index_array,
     as_mask,
     root_of_unity,
     settings_tuples,
@@ -141,7 +142,7 @@ class GTable:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64)
+        arr = as_index_array(self.table, "g values")
         if arr.shape != self.scenario.settings_shape():
             raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
         if arr.min() < 0 or arr.max() >= self.scenario.outcomes:

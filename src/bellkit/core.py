@@ -49,6 +49,8 @@ class Scenario:
     outcomes: int
 
     def __post_init__(self):
+        for name in ("parties", "settings", "outcomes"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.parties < 1:
             raise ValueError(f"need at least one party, got {self.parties}")
         if self.settings < 1:
@@ -124,6 +126,14 @@ def as_index(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_index_array(values, name: str) -> np.ndarray:
+    """An integer array as int64; an int64 cast would truncate 1.7 and read True as 1."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":  # signed or unsigned integers; bool is kind "b"
+        raise ValueError(f"{name} must be integers, got an array of {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,7 @@ class DeterministicStrategy:
     assignments: np.ndarray  # shape (N, k), entries in [0, d)
 
     def __post_init__(self):
-        arr = np.asarray(self.assignments, dtype=np.int64)
+        arr = as_index_array(self.assignments, "outcomes")
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         if arr.shape != (n, k):
             raise ValueError(f"expected shape {(n, k)}, got {arr.shape}")

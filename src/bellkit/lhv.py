@@ -27,6 +27,7 @@ by their integer exponents rather than by rounding floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,16 +77,30 @@ class UnsupportedFormError(ValueError):
 
 @dataclass(frozen=True)
 class ClassicalBoundResult:
-    """Exact LHV bound with every saturating strategy."""
+    """Exact LHV bound with every saturating strategy.
+
+    saturating holds the saturating strategies of scenario as flat indices
+    (DeterministicStrategy.flat_index), ascending, in a read-only int64 array.
+    No strategy object is built until one is asked for: argmax builds them all
+    on first access and keeps them, witness builds only the first.
+    """
 
     bound: float
-    argmax: tuple[DeterministicStrategy, ...]
+    saturating: np.ndarray
     examined: int
+    scenario: Scenario
+
+    @functools.cached_property
+    def argmax(self) -> tuple[DeterministicStrategy, ...]:
+        """Every saturating strategy, lexicographically smallest first."""
+        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
+        tables = np.stack(_digits(self.saturating, [d] * (n * k)), axis=1).reshape(-1, n, k)
+        return tuple(DeterministicStrategy(self.scenario, table) for table in tables)
 
     @property
     def witness(self) -> DeterministicStrategy:
         """The lexicographically smallest saturating strategy."""
-        return self.argmax[0]
+        return DeterministicStrategy.from_flat_index(self.scenario, int(self.saturating[0]))
 
 
 @dataclass(frozen=True)
@@ -230,9 +245,10 @@ def classical_bound(
     marginal's own rounding cannot drop a tie) are expanded by their orbits
     and re-evaluated one strategy at a time by `_chunk_values`.
 
-    The saturation tolerance is 1e-9 * max(1, |bound|); all strategies within
-    it are returned, lexicographically smallest first.  `bound` and `argmax`
-    are those of evaluating all d^(N*k) strategies, bit for bit, and
+    The saturation tolerance is 1e-9 * max(1, |bound|); the flat indices of
+    all strategies within it are returned as `saturating`, ascending, and no
+    strategy object is built.  `bound` and `saturating` are those of
+    evaluating all d^(N*k) strategies, bit for bit, and
     `examined` is d^(N*k), the number of strategies the certificate covers.
     The budget applies to that number.
     """
@@ -292,10 +308,9 @@ def classical_bound(
     values = _strategy_values(functional, orbits, chunk)
     bound = values.max()
     tol = SATURATION_TOL * max(1.0, abs(bound))
-    saturating = np.array(sorted(orbits[values >= bound - tol].tolist()))
-    outcome_tables = np.stack(_digits(saturating, [d] * (n * k)), axis=1).reshape(-1, n, k)
-    argmax = tuple(DeterministicStrategy(scenario, table) for table in outcome_tables)
-    return ClassicalBoundResult(float(bound), argmax, total)
+    saturating = np.sort(orbits[values >= bound - tol])
+    saturating.setflags(write=False)
+    return ClassicalBoundResult(float(bound), saturating, total, scenario)
 
 
 def vertex_exponents(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> np.ndarray:

@@ -28,8 +28,11 @@ functional it is given into one batch per term structure and support, so the
 orbit representatives of the exponent-table sweep share one batch.  The phase
 factors, environments, G, its Hermitian part, one stacked eigensolve, the
 modulus rotation re-centring and the convergence test run on all rows at
-once, and a converged row leaves the batch.  The single-phase updates are
-sequential, so each row makes them in plain complex arithmetic from its
+once, and a converged row leaves the batch.  The phase factors are evaluated
+once per batch and carried across iterations: the sweep, the only step that
+moves phases, refreshes a party's factors right after updating its phases,
+and G is built from the factors the sweep leaves.  The single-phase updates
+are sequential, so each row makes them in plain complex arithmetic from its
 environment summed per (setting, shift) group.  Every batched sum runs along
 the last axis of a fresh array and every eigensolve is one matrix's, so a
 row's result is bit-identical whatever else shares its batch.
@@ -223,12 +226,6 @@ class _MultiportObjective:
         self.rs = np.array([t[1] for t in terms], dtype=np.int64)          # (T, n)
         self.weights = np.array([[t[2] for t in functional.terms()]
                                  for functional in functionals], dtype=complex)  # (F, T)
-        grid = np.indices((d,) * n).reshape(n, self.dim)
-        # rows[t, j] = flat index of (j + r_t) mod d
-        shifted = (grid[None, :, :] + self.rs[:, :, None]) % d
-        self.rows = np.array(
-            [np.ravel_multi_index(shifted[t], (d,) * n) for t in range(len(terms))]
-        )
         # port indices j + r_t, per party, for rolling phase rows by a mask entry
         ports = np.arange(d)
         roll_idx = (ports[None, None, :] + self.rs.T[:, :, None]) % d       # (n, T, d)
@@ -292,6 +289,14 @@ class _MultiportObjective:
                 groups[x].append((g, ((ports + s) % d).tolist(), ((ports - s) % d).tolist()))
             self.shift_groups.append(groups)
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """rows[t, j] = flat index of (j + r_t) mod d over all d^N states, for pair_total."""
+        n, d = self.scenario.parties, self.scenario.outcomes
+        grid = np.indices((d,) * n).reshape(n, self.dim)
+        shifted = (grid[None, :, :] + self.rs[:, :, None]) % d
+        return np.array([np.ravel_multi_index(shifted[t], (d,) * n) for t in range(len(self.rs))])
+
     # -- core algebra, batched over a leading row axis ------------------------
     def phase_factors(self, phases: np.ndarray) -> np.ndarray:
         """u[b, t, p, j] = exp(i(phi[b, p, x_t_p, j] - phi[b, p, x_t_p, j + r_t_p])), (B, T, n, d)."""
@@ -330,13 +335,12 @@ class _MultiportObjective:
         """E[b, g, j] = sum of M_p[b, t, j] over the terms of party p's shift group g, (B, G, d)."""
         return (env.transpose(0, 2, 1)[:, None] * self.shift_masks[p][:, None, :]).sum(axis=-1)
 
-    def g_matrix(self, phases: np.ndarray, mask_weights: np.ndarray) -> np.ndarray:
-        """G(phi) of every row on the support, (B, m, m).
+    def g_matrix(self, factors: np.ndarray, mask_weights: np.ndarray) -> np.ndarray:
+        """G(phi) of every row on the support from its support factors, (B, m, m).
 
         G[b, a', a] couples support[a] with support[a'] = support[a] + r_t.
         """
-        count, size = len(phases), len(self.support)
-        factors = self.support_factors(self.phase_factors(phases))
+        count, size = len(factors), len(self.support)
         columns = factors[:, :, 0]
         for q in range(1, self.scenario.parties):
             columns = columns * factors[:, :, q]                              # (B, T, m)
@@ -370,16 +374,17 @@ class _MultiportObjective:
         state[self.support] = block
         return state
 
-    def refreshed_states(self, phases: np.ndarray, mask_weights: np.ndarray,
+    def refreshed_states(self, factors: np.ndarray, mask_weights: np.ndarray,
                          blocks: np.ndarray | None, theta: np.ndarray):
         """Eigen state updates of every row; for modulus forms also re-centre the rotations.
 
-        A modulus row's state is refreshed at its rotation theta, which then
-        moves to -arg(s* G s), for up to 8 rounds or until it moves by less than
-        1e-12; blocks None starts each row from the top eigenvector at theta.
-        Returns the states on the support, the rotations and the values.
+        factors are the rows' support factors.  A modulus row's state is
+        refreshed at its rotation theta, which then moves to -arg(s* G s), for
+        up to 8 rounds or until it moves by less than 1e-12; blocks None starts
+        each row from the top eigenvector at theta.  Returns the states on the
+        support, the rotations and the values.
         """
-        g = self.g_matrix(phases, mask_weights)
+        g = self.g_matrix(factors, mask_weights)
         if not self.is_modulus:
             new = _top_eigenvectors(self._hermitian(g, theta))
             return new, theta, _quadratic(g, new).real
@@ -389,11 +394,12 @@ class _MultiportObjective:
         theta = np.where(total != 0, -np.angle(total), theta)
         live = np.arange(len(g))
         for _ in range(8):
-            new[live] = _top_eigenvectors(self._hermitian(g[live], theta[live]))
-            total[live] = sums = _quadratic(g[live], new[live])
+            g_live, theta_live = g[live], theta[live]
+            new[live] = vectors = _top_eigenvectors(self._hermitian(g_live, theta_live))
+            total[live] = sums = _quadratic(g_live, vectors)
             next_theta = -np.angle(sums)
-            settled = np.abs((next_theta - theta[live] + np.pi) % (2 * np.pi) - np.pi) < 1e-12
-            theta[live] = np.where(sums != 0, next_theta, theta[live])
+            settled = np.abs((next_theta - theta_live + np.pi) % (2 * np.pi) - np.pi) < 1e-12
+            theta[live] = np.where(sums != 0, next_theta, theta_live)
             live = live[(sums != 0) & ~settled]
             if not live.size:
                 break
@@ -478,17 +484,17 @@ def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: 
     return total, theta
 
 
-def _sweep(objective: _MultiportObjective, phases: np.ndarray, products: np.ndarray,
-           theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
+           factors: np.ndarray, products: np.ndarray, theta: np.ndarray,
+           weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass of exact single-phase updates on every row, with the states held fixed.
 
+    u and factors are the rows' phase factors and support factors at phases.
     Party by party, the environments of all rows are contracted in one batch
     and summed per shift group; then each row updates that party's phases in
-    turn (_update_phases).  Updates phases in place and returns the rows'
-    final values and rotations.
+    turn (_update_phases).  Updates phases, u and factors in place, party by
+    party, and returns the rows' final values and rotations.
     """
-    u = objective.phase_factors(phases)
-    factors = objective.support_factors(u)
     thetas = theta.tolist()
     for p in range(objective.scenario.parties):
         env = objective.environment(factors, products, weights, p)
@@ -515,18 +521,23 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
     batch once a sweep and state update gain at most tolerance, or after
     MAX_ITERATIONS sweeps.  A fixed state never changes, so its value and
     rotation are the sweep's running pairing total and no state update runs.
-    Returns every row's value, phases, state on the support and sweep count.
+    Phases change only inside _sweep, which keeps the phase factors u and
+    the support factors in step with them, so each is evaluated once per
+    batch.  Returns every row's value, phases, state on the support and sweep
+    count.
     """
     phases = start_phases.copy()
     phases[:, :, :, 0] = 0.0
+    u = objective.phase_factors(phases)
+    factors = objective.support_factors(u)
     weights = objective.weights[owners]
     mask_weights = objective.mask_weights[owners]
     theta = np.zeros(len(owners))
     if objective.fixed is None:
-        blocks, theta, value = objective.refreshed_states(phases, mask_weights, None, theta)
+        blocks, theta, value = objective.refreshed_states(factors, mask_weights, None, theta)
     else:
         blocks = np.tile(objective.fixed, (len(owners), 1))
-        total = _quadratic(objective.g_matrix(phases, mask_weights), blocks)
+        total = _quadratic(objective.g_matrix(factors, mask_weights), blocks)
         if objective.is_modulus:
             theta = np.where(total != 0, -np.angle(total), theta)
         value = np.abs(total) if objective.is_modulus else total.real
@@ -535,15 +546,17 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
     states, iterations = np.empty_like(blocks), np.empty(len(owners), dtype=np.int64)
     ids = np.arange(len(owners))
     for iteration in range(1, MAX_ITERATIONS + 1):
-        new_value, theta = _sweep(objective, phases, products, theta, weights)
+        new_value, theta = _sweep(objective, phases, u, factors, products, theta, weights)
         if objective.fixed is None:
-            blocks, theta, new_value = objective.refreshed_states(phases, mask_weights, blocks,
+            blocks, theta, new_value = objective.refreshed_states(factors, mask_weights, blocks,
                                                                   theta)
             products = objective.state_products(blocks)
         done = new_value <= value + tolerance
         value = np.where(done, np.maximum(value, new_value), new_value)
         if iteration == MAX_ITERATIONS:
             done[:] = True
+        if not done.any():
+            continue
         finished = ids[done]
         values[finished], final_phases[finished] = value[done], phases[done]
         states[finished], iterations[finished] = blocks[done], iteration
@@ -551,6 +564,7 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
             break
         kept = ~done
         ids, phases, blocks, products = ids[kept], phases[kept], blocks[kept], products[kept]
+        u, factors = u[kept], factors[kept]
         theta, value = theta[kept], value[kept]
         weights, mask_weights = weights[kept], mask_weights[kept]
     return values, final_phases, states, iterations
@@ -928,21 +942,20 @@ def symmetric_g_search(
             orbit = g_orbit(table, form)
             assigned.update(dict.fromkeys(orbit, min(orbit)))
 
-    def functional_for(key: tuple[int, ...]) -> BellFunctional:
-        g = GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3))
-        return build_functional(scenario, basis, g, form, pairing)
+    reps = sorted(set(assigned.values()))
+    # every representative is built and bounded once; the refined pass reuses both
+    functionals = {key: build_functional(
+        scenario, basis, GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3)),
+        form, pairing) for key in reps}
+    bounds = {key: classical_bound(functional).bound for key, functional in functionals.items()}
 
     def search(keys: list[tuple[int, ...]], first_index: int, restarts: int) -> dict:
-        jobs = []
-        for index, key in enumerate(keys):
-            functional = functional_for(key)
-            seed = _child_seed(config.seed, first_index + index)
-            jobs.append((functional, seed, classical_bound(functional).bound))
+        jobs = [(functionals[key], _child_seed(config.seed, first_index + index), bounds[key])
+                for index, key in enumerate(keys)]
         results = _search(jobs, replace(config, restarts=restarts))
         return {key: (result.ratio if result.ratio is not None else float("-inf"), result)
                 for key, result in zip(keys, results)}
 
-    reps = sorted(set(assigned.values()))
     scored = search(reps, 0, min(coarse_restarts, config.restarts))
     leaders = _refine_leaders({key: ratio for key, (ratio, _) in scored.items()}, refine_top)
     for key, candidate in search(leaders, len(reps), config.restarts).items():

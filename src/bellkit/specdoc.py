@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Scenario, as_mask
+from .core import DeterministicStrategy, Scenario, as_mask
 from .bases import (
     BellFunctional,
     FunctionalForm,
@@ -322,14 +322,17 @@ def serialize_strategy(strategy) -> list[list[int]]:
 
 
 def serialize_bound_result(result: ClassicalBoundResult) -> dict:
+    count = len(result.saturating)
+    listed = [DeterministicStrategy.from_flat_index(result.scenario, index)
+              for index in result.saturating[:MAX_STRATEGIES].tolist()]
     doc = {
         "bound": round_floats(result.bound),
         "strategies_examined": result.examined,
-        "saturating_count": len(result.argmax),
+        "saturating_count": count,
         "witness": serialize_strategy(result.witness),
-        "saturating": [serialize_strategy(s) for s in result.argmax[:MAX_STRATEGIES]],
+        "saturating": [serialize_strategy(s) for s in listed],
     }
-    if len(result.argmax) > MAX_STRATEGIES:
+    if count > MAX_STRATEGIES:
         doc["saturating_truncated"] = True
     return doc
 

@@ -237,6 +237,17 @@ def test_gtable_validation():
         GTable(sc, np.zeros((3, 3), dtype=int))
 
 
+@pytest.mark.parametrize("table", [
+    [[0.5, 1.7], [0, 2.9]],
+    np.array([[0.0, 1.0], [0.0, 2.0]]),
+    np.array([[False, True], [False, True]]),
+])
+def test_gtable_refuses_non_integer_values(table):
+    # an int64 cast would truncate [[0.5, 1.7], [0, 2.9]] to [[0, 1], [0, 2]]
+    with pytest.raises(ValueError, match="must be integers"):
+        GTable(Scenario(2, 2, 3), table)
+
+
 def test_functional_requires_nonzero_coefficients():
     sc = Scenario(2, 2, 2)
     with pytest.raises(ValueError):

@@ -13,12 +13,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bellkit.cli import main
 from bellkit.multiport import QuantumSetup
 from bellkit.specdoc import (
+    MAX_STRATEGIES,
     SpecParseError,
     parse_functional_document,
     parse_setup_document,
+    serialize_bound_result,
     serialize_setup,
 )
-from bellkit import Scenario
+from bellkit import (BellFunctional, DeterministicStrategy, FunctionalForm, Scenario,
+                     classical_bound)
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,21 @@ def test_bound_reports_witness_and_counts(capsys):
     assert result["strategies_examined"] == 16
     assert result["saturating_count"] == 8
     assert result["witness"] == [[0, 0], [0, 0]]
+    assert len(result["saturating"]) == 8 and "saturating_truncated" not in result
+
+
+def test_bound_document_lists_at_most_max_strategies():
+    # a single-term modulus is 1 on every strategy: all 3^6 saturate
+    functional = BellFunctional.from_terms(Scenario(3, 2, 3), [((0, 1, 0), (1, 2, 1), 1.0)],
+                                           FunctionalForm.MODULUS)
+    doc = serialize_bound_result(classical_bound(functional))
+    assert doc["saturating_count"] == 729
+    assert doc["saturating_truncated"] is True
+    assert len(doc["saturating"]) == MAX_STRATEGIES == 256
+    first = [DeterministicStrategy.from_flat_index(functional.scenario, i).assignments.tolist()
+             for i in range(MAX_STRATEGIES)]
+    assert doc["saturating"] == first
+    assert doc["witness"] == first[0] == [[0, 0], [0, 0], [0, 0]]
 
 
 def test_parse_failures_exit_2(capsys, tmp_path):

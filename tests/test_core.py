@@ -44,6 +44,30 @@ def test_scenario_validation():
     assert s.n_strategies == 3**6
 
 
+@pytest.mark.parametrize("counts", [(2.5, 2, 3), (True, 2, 3), (2, 2.0, 3), (2, 2, np.float64(3))])
+def test_scenario_refuses_non_integer_counts(counts):
+    # int() would truncate 2.5 and read True as one party
+    with pytest.raises(ValueError, match="must be an integer"):
+        Scenario(*counts)
+
+
+def test_scenario_counts_are_python_ints():
+    s = Scenario(np.int64(3), np.int32(2), np.int64(3))
+    assert s == Scenario(3, 2, 3)
+    assert type(s.n_strategies) is int and s.n_strategies == 3**6
+
+
+@pytest.mark.parametrize("assignments", [
+    [[0.5, 1.7], [0, 2.9]],
+    np.array([[0.0, 1.0], [0.0, 2.0]]),
+    np.array([[False, True], [False, True]]),
+])
+def test_strategy_refuses_non_integer_outcomes(assignments):
+    # an int64 cast would truncate [[0.5, 1.7], [0, 2.9]] to [[0, 1], [0, 2]]
+    with pytest.raises(ValueError, match="must be integers"):
+        DeterministicStrategy(Scenario(2, 2, 3), assignments)
+
+
 def test_root_of_unity():
     r = RootOfUnity(3, 5)
     assert r.exponent == 2

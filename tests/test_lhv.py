@@ -120,7 +120,10 @@ def assert_matches_brute_force(functional, chunk=DEFAULT_CHUNK):
     bound, argmax = brute_force_bound(functional)
     result = classical_bound(functional, chunk=chunk)
     assert result.bound == bound
+    assert result.saturating.dtype == np.int64 and not result.saturating.flags.writeable
+    assert result.saturating.tolist() == argmax
     assert [s.flat_index() for s in result.argmax] == argmax
+    assert result.witness.flat_index() == argmax[0]
     assert result.examined == functional.scenario.n_strategies
 
 

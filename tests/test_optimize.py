@@ -478,7 +478,9 @@ def test_sweep_never_lowers_the_objective(name, make):
         states = [objective.scatter(block) for block in blocks]
         before = [objective.pair_total(phases[i], states[i], weights[i]) for i in range(count)]
         theta = -np.angle(before) if objective.is_modulus else np.zeros(count)
-        swept, _ = _sweep(objective, phases, objective.state_products(blocks), theta, weights)
+        u = objective.phase_factors(phases)
+        swept, _ = _sweep(objective, phases, u, objective.support_factors(u),
+                          objective.state_products(blocks), theta, weights)
         for i in range(count):
             assert swept[i] >= apply_form(functional.form, before[i]) - 1e-12, (name, kind)
             after = objective.pair_total(phases[i], states[i], weights[i])
@@ -511,6 +513,37 @@ def test_seesaw_rows_do_not_depend_on_their_batch(name, make):
             # values, phases, states and iterations, bit for bit
             for got, want in zip(run_rows(objective, owners, starts, sizes), whole):
                 assert np.array_equal(got, want), (name, kind, sizes)
+
+
+@pytest.mark.parametrize("name, make", KERNEL_CASES)
+def test_carried_factors_match_fresh_ones(name, make, monkeypatch):
+    import bellkit.optimize as optimize
+
+    functional = make()
+    functionals = [functional, reweighted(functional, 9)]
+    rng = np.random.default_rng(37)
+    rows = 8
+    sweep, sizes = optimize._sweep, []
+
+    def checked(objective, phases, u, factors, *rest):
+        result = sweep(objective, phases, u, factors, *rest)
+        # bit for bit the factors a fresh evaluation of the swept phases gives
+        fresh = objective.phase_factors(phases)
+        assert np.array_equal(u, fresh), (name, kind)
+        assert np.array_equal(factors, objective.support_factors(fresh)), (name, kind)
+        sizes.append(len(phases))
+        return result
+
+    monkeypatch.setattr(optimize, "_sweep", checked)
+    for kind in kinds_for(functional):
+        objective = objective_of_kind(functionals, kind, rng)
+        sc = objective.scenario
+        owners = rng.integers(0, len(functionals), size=rows)
+        starts = rng.uniform(0, 2 * np.pi, size=(rows, sc.parties, sc.settings, sc.outcomes))
+        sizes.clear()
+        _seesaw(objective, owners, starts, 1e-8)
+        # the checks ran on the whole batch and again after rows retired
+        assert sizes[0] == rows and min(sizes) < rows, (name, kind, sizes)
 
 
 def test_coarse_batch_matches_single_searches():
@@ -588,7 +621,8 @@ def dense_g(objective, phases):
 
 def g_on_support(objective, phases):
     """The objective's G for one phase stack and its first functional."""
-    return objective.g_matrix(phases[None], objective.mask_weights[:1])[0]
+    factors = objective.support_factors(objective.phase_factors(phases[None]))
+    return objective.g_matrix(factors, objective.mask_weights[:1])[0]
 
 
 @st.composite
@@ -694,8 +728,8 @@ def test_523_search_assembles_nothing_larger_than_3x3(monkeypatch):
     shapes = []
     build = _MultiportObjective.g_matrix
 
-    def recording(self, phases, mask_weights):
-        g = build(self, phases, mask_weights)
+    def recording(self, factors, mask_weights):
+        g = build(self, factors, mask_weights)
         shapes.append(g.shape[1:])
         return g
 
