@@ -14,7 +14,9 @@ part or through its modulus.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,7 +138,10 @@ def k2_conjugate_basis(d: int) -> PartyBasis:
 
 @dataclass(frozen=True)
 class GTable:
-    """Exponent table g: basis-index tuples h -> Z_d, stored dense with shape (k,)*N."""
+    """Exponent table g: basis-index tuples h -> Z_d, stored dense with shape (k,)*N.
+
+    Tables compare and hash by scenario and entries.
+    """
 
     scenario: Scenario
     table: np.ndarray
@@ -150,6 +155,14 @@ class GTable:
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
+    def __eq__(self, other):
+        if not isinstance(other, GTable):
+            return NotImplemented
+        return self.scenario == other.scenario and np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash((self.scenario, self.table.tobytes()))
+
     @classmethod
     def from_function(cls, scenario: Scenario, fn) -> "GTable":
         arr = np.empty(scenario.settings_shape(), dtype=np.int64)
@@ -161,15 +174,6 @@ class GTable:
         return GTable(self.scenario, (self.table + constant) % self.scenario.outcomes)
 
 
-@dataclass(frozen=True)
-class FunctionalProvenance:
-    """How a functional's coefficients were produced (for result documents)."""
-
-    basis_kind: str | None = None
-    pairing: str | None = None
-    g: tuple | None = None
-
-
 Term = tuple[tuple[int, ...], tuple[int, ...], complex]
 
 
@@ -177,69 +181,62 @@ Term = tuple[tuple[int, ...], tuple[int, ...], complex]
 class BellFunctional:
     """Re or |.| of sum_t w_t E^(r_t)[x_t] over a term list kept in order.
 
-    The dense route BellFunctional(scenario, coefficients, form, mask) lists
-    the nonzero coefficients in settings order under one mask; from_terms
-    takes (x_t, r_t, w_t) triples whose masks may differ, as the starred
-    three-party construction needs.  `mask` and the dense `coefficients` are
-    None when the masks are mixed.  Weights are never normalized implicitly.
+    The terms are (x_t, r_t, w_t) triples: settings, mask entries and a
+    finite weight; their masks may differ, as the starred three-party
+    construction needs.  from_coefficients lists a dense tensor's nonzero
+    entries in settings order under one mask.  `mask` and the dense
+    `coefficients` are built from the terms on first use, and are None when
+    the masks are mixed.  Weights are never normalized implicitly.
     """
 
     scenario: Scenario
-    coefficients: np.ndarray | None
-    form: FunctionalForm
-    mask: ConjugationMask | None = None
-    provenance: FunctionalProvenance | None = None
+    term_list: tuple[Term, ...]
+    form: FunctionalForm = FunctionalForm.REAL_PART
     cached_bound: float | None = None
-    term_list: tuple[Term, ...] | None = None
 
     def __post_init__(self):
-        if self.term_list is None:
-            mask = as_mask(self.scenario, self.mask)
-            arr = np.asarray(self.coefficients, dtype=complex)
-            if arr.shape != self.scenario.settings_shape():
-                raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
-            values = [(x, complex(arr[x])) for x in settings_tuples(self.scenario)]
-            terms = [(x, mask.entries, c) for x, c in values if c != 0]
-        else:
-            terms, mask, arr = self._from_term_list()
-        if not any(w != 0 for _, _, w in terms):
-            raise ValueError("functional has no nonzero weight")
-        if arr is not None:
-            arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "term_list", tuple(terms))
-
-    def _from_term_list(self):
-        """Validated terms, plus the shared mask and dense tensor if there is one."""
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        terms = [(tuple(as_index(v, "setting") for v in x),
-                  tuple(as_index(v, "mask entry") for v in r), complex(w))
-                 for x, r, w in self.term_list]
-        for x, r, _ in terms:
+        terms = tuple((tuple(as_index(v, "setting") for v in x),
+                       tuple(as_index(v, "mask entry") for v in r), complex(w))
+                      for x, r, w in self.term_list)
+        for x, r, w in terms:
             fits = (len(x) == len(r) == n and all(0 <= s < k for s in x)
                     and all(0 <= e < d for e in r))
             if not fits:
                 raise ValueError(f"term with settings {x}, mask {r} does not fit {self.scenario}")
-        masks = {r for _, r, _ in terms}
-        if len(masks) != 1:
-            mask, arr = None, None
-        else:
-            mask = ConjugationMask(masks.pop(), d)
-            arr = np.zeros(self.scenario.settings_shape(), dtype=complex)
-            for x, _, w in terms:
-                arr[x] += w
-        # dataclasses.replace passes the derived fields back in
-        if self.coefficients is not None and not np.array_equal(self.coefficients, arr):
-            raise ValueError("coefficients disagree with the term list")
-        return terms, mask, arr
+            if not cmath.isfinite(w):
+                raise ValueError(f"term with settings {x}, mask {r} has weight {w}, not finite")
+        if not any(w != 0 for _, _, w in terms):
+            raise ValueError("functional has no nonzero weight")
+        object.__setattr__(self, "term_list", terms)
 
     @classmethod
-    def from_terms(cls, scenario: Scenario, terms, form=FunctionalForm.REAL_PART,
-                   provenance=None, cached_bound=None) -> "BellFunctional":
-        """A functional from (settings, mask entries, weight) triples, kept in order."""
-        return cls(scenario, None, form, provenance=provenance, cached_bound=cached_bound,
-                   term_list=tuple(terms))
+    def from_coefficients(cls, scenario: Scenario, coefficients, form: FunctionalForm,
+                          mask=None, cached_bound=None) -> "BellFunctional":
+        """The nonzero entries of a dense tensor, in settings order, under one mask."""
+        entries = as_mask(scenario, mask).entries
+        arr = np.asarray(coefficients, dtype=complex)
+        if arr.shape != scenario.settings_shape():
+            raise ValueError(f"expected shape {scenario.settings_shape()}, got {arr.shape}")
+        terms = [(x, entries, arr[x]) for x in settings_tuples(scenario) if arr[x] != 0]
+        return cls(scenario, terms, form, cached_bound)
+
+    @functools.cached_property
+    def mask(self) -> ConjugationMask | None:
+        """The terms' one mask, or None when the masks are mixed."""
+        masks = self.masks()
+        return ConjugationMask(masks[0], self.scenario.outcomes) if len(masks) == 1 else None
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray | None:
+        """The read-only dense weights under the one mask, or None when the masks are mixed."""
+        if self.mask is None:
+            return None
+        arr = np.zeros(self.scenario.settings_shape(), dtype=complex)
+        for x, _, w in self.term_list:
+            arr[x] += w
+        arr.setflags(write=False)
+        return arr
 
     def terms(self) -> list[Term]:
         """(settings tuple, mask entries, weight) for every term, in order."""
@@ -267,10 +264,8 @@ class BellFunctional:
         bound = None
         if self.cached_bound is not None and factor.imag == 0 and factor.real > 0:
             bound = self.cached_bound * factor.real
-        return BellFunctional.from_terms(
-            self.scenario, [(x, r, w * factor) for x, r, w in self.term_list], self.form,
-            provenance=self.provenance, cached_bound=bound,
-        )
+        return BellFunctional(self.scenario, [(x, r, w * factor) for x, r, w in self.term_list],
+                              self.form, bound)
 
 
 def apply_form(form: FunctionalForm, total: complex) -> float:
@@ -336,12 +331,7 @@ def build_functional(
         coeff = np.tensordot(coeff, u, axes=([0], [0]))
     if scale != 1.0:
         coeff = coeff * scale
-    provenance = FunctionalProvenance(
-        basis_kind=(bases.kind.value if isinstance(bases, PartyBasis) else None),
-        pairing=pairing.value,
-        g=tuple(g.table.ravel().tolist()),
-    )
-    return BellFunctional(scenario, coeff, form, mask, provenance=provenance)
+    return BellFunctional.from_coefficients(scenario, coeff, form, mask)
 
 
 def ww_coefficients(f) -> np.ndarray:

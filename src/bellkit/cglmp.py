@@ -143,7 +143,7 @@ CGLMP_MASK = (1, 2)  # a enters plainly, b conjugated: <alpha^(a-b)>
 
 def cglmp_correlation_functional() -> BellFunctional:
     """The correlation form: Re of the coefficient pairing, bound 3."""
-    return BellFunctional(
+    return BellFunctional.from_coefficients(
         CGLMP_SCENARIO,
         np.array([[1 - ALPHA, 1 - ALPHA**2], [ALPHA - 1, 1 - ALPHA]], dtype=complex),
         FunctionalForm.REAL_PART,
@@ -173,7 +173,7 @@ def cglmp_starred_functional() -> BellFunctional:
     Identical to the correlation form because the conjugated term's weight is
     the conjugate-rotated coefficient.
     """
-    return BellFunctional.from_terms(
+    return BellFunctional(
         CGLMP_SCENARIO,
         (
             ((0, 0), CGLMP_MASK, 1 - ALPHA),
@@ -214,7 +214,7 @@ def bell_numbers_identity_check(strategy: DeterministicStrategy) -> bool:
 def i323_functional() -> BellFunctional:
     """Three-party CGLMP generalization; a star conjugates that party's factor."""
     w1 = 1 - ALPHA
-    return BellFunctional.from_terms(
+    return BellFunctional(
         I323_SCENARIO,
         (
             ((0, 1, 1), (1, 2, 1), w1),

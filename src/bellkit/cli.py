@@ -33,6 +33,7 @@ from .lhv import (
 from .optimize import (
     ConfigError,
     OptimizationConfig,
+    _resolve_bound,
     maximize_restricted_ghz,
     maximize_violation,
     maximize_with_fixed_state,
@@ -133,11 +134,7 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
 def _config_from_args(args) -> OptimizationConfig:
     """The search config of the optimizer flags; a bad value names its flag."""
     try:
-        return OptimizationConfig(
-            restarts=args.restarts,
-            seed=args.seed,
-            tolerance=args.tolerance,
-        )
+        return OptimizationConfig(restarts=args.restarts, seed=args.seed)
     except ConfigError as exc:
         raise SpecParseError(f"--{exc.field}", str(exc)) from exc
 
@@ -167,7 +164,7 @@ def cmd_optimize(args, argv) -> int:
     functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
     config = _config_from_args(args)
     inputs = {"spec": spec_info}
-    bound = classical_bound(functional, budget=args.budget).bound
+    bound = _resolve_bound(functional, args.budget)
 
     if args.setup is not None:
         setup_doc = _read_document(args.setup, "--setup")
@@ -207,8 +204,7 @@ def cmd_optimize(args, argv) -> int:
     if result.ratio is None:
         doc["ratio_note"] = "classical bound is numerically zero; the ratio is undefined"
     return _emit(doc, argv, inputs, args.seed,
-                 {"restarts": args.restarts, "budget": args.budget,
-                  "tolerance": args.tolerance}, started)
+                 {"restarts": args.restarts, "budget": args.budget}, started)
 
 
 def _parse_scenarios(text: str) -> list[tuple[int, int, int]]:
@@ -231,15 +227,11 @@ def cmd_table(args, argv) -> int:
     started = time.time()
     scenarios = _parse_scenarios(args.scenarios)
     config = _config_from_args(args)
-    rows = []
-    for index, scenario in enumerate(scenarios):
-        _log(f"table: scenario {scenario} ({index + 1}/{len(scenarios)})")
-        rows.extend(scan_product_g([scenario], config, budget=args.budget))
+    rows = scan_product_g(scenarios, config, budget=args.budget)
     result = {"rows": serialize_scan_rows(rows)}
     csv_text = scan_rows_csv(rows)
     return _emit(result, argv, {"scenarios": [list(s) for s in scenarios]}, args.seed,
-                 {"restarts": args.restarts, "budget": args.budget,
-                  "tolerance": args.tolerance},
+                 {"restarts": args.restarts, "budget": args.budget},
                  started, fmt=args.format, csv_text=csv_text)
 
 
@@ -331,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         if optimizer:
             p.add_argument("--restarts", type=int, default=200)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--tolerance", type=float, default=1e-8)
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -261,7 +261,10 @@ class CorrelationTensor:
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """A fixed outcome for every (party, setting) pair; a vertex generator of the LHV polytope."""
+    """A fixed outcome for every (party, setting) pair; a vertex generator of the LHV polytope.
+
+    Strategies compare and hash by scenario and assignments.
+    """
 
     scenario: Scenario
     assignments: np.ndarray  # shape (N, k), entries in [0, d)
@@ -275,6 +278,15 @@ class DeterministicStrategy:
             raise ValueError(f"outcomes must lie in [0, {d})")
         arr.setflags(write=False)
         object.__setattr__(self, "assignments", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeterministicStrategy):
+            return NotImplemented
+        return self.scenario == other.scenario and np.array_equal(self.assignments,
+                                                                  other.assignments)
+
+    def __hash__(self):
+        return hash((self.scenario, self.assignments.tobytes()))
 
     def outcome(self, party: int, setting: int) -> int:
         return int(self.assignments[party, setting])

@@ -75,14 +75,15 @@ class UnsupportedFormError(ValueError):
     """Raised for operations that only apply to real-part functionals."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalBoundResult:
     """Exact LHV bound with every saturating strategy.
 
     saturating holds the saturating strategies of scenario as flat indices
     (DeterministicStrategy.flat_index), ascending, in a read-only int64 array.
     No strategy object is built until one is asked for: argmax builds them all
-    on first access and keeps them, witness builds only the first.
+    on first access and keeps them, witness builds only the first.  Results
+    compare by identity.
     """
 
     bound: float
@@ -404,9 +405,8 @@ def linearize_modulus(functional: BellFunctional, phase: float) -> BellFunctiona
     if functional.form is not FunctionalForm.MODULUS:
         raise UnsupportedFormError("only modulus functionals can be linearized")
     rotation = np.exp(1j * phase)
-    return BellFunctional.from_terms(
+    return BellFunctional(
         functional.scenario,
         [(x, r, w * rotation) for x, r, w in functional.terms()],
         FunctionalForm.REAL_PART,
-        provenance=functional.provenance,
     )

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -91,6 +90,7 @@ __all__ = [
 
 BETA_CUTOFF = 1e-9  # below this the ratio R is reported as absent
 MAX_ITERATIONS = 2000  # alternating sweeps per restart
+TOLERANCE = 1e-8  # the least gain that continues a restart's sweeps
 SOBOL_BITS = 30  # bits of every Sobol coordinate: one stream has 2**SOBOL_BITS points
 
 
@@ -118,14 +118,12 @@ class OptimizationConfig:
     setting; port 0 is gauge-fixed) plus one rotation angle for modulus forms;
     the state is resolved exactly per iteration by an eigensolve on the
     support.  restarts is the number of Sobol starts (at most 2**SOBOL_BITS,
-    the length of the stream), tolerance the least gain (positive and finite)
-    that continues a restart's alternating sweeps (at most MAX_ITERATIONS of
-    them), and seed (a non-negative integer) selects the Sobol scrambling.  A
-    value out of range raises ConfigError naming its field.
+    the length of the stream) and seed (a non-negative integer) selects the
+    Sobol scrambling.  A value out of range raises ConfigError naming its
+    field.
     """
 
     restarts: int = 200
-    tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -135,14 +133,6 @@ class OptimizationConfig:
         if self.restarts > 1 << SOBOL_BITS:
             raise ConfigError("restarts", f"restarts must be at most 2**{SOBOL_BITS}, the "
                                           f"Sobol stream's length, got {self.restarts}")
-        # bool is an int; a str or None would fail later, inside the comparison
-        if isinstance(self.tolerance, bool) or not isinstance(
-                self.tolerance, (int, float, np.integer, np.floating)):
-            raise ConfigError("tolerance", f"tolerance must be a number, got {self.tolerance!r}")
-        # NaN would run every restart to the cap, inf stop each after one sweep
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ConfigError("tolerance",
-                              f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -513,12 +503,11 @@ def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
     return values, np.array(thetas)
 
 
-def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np.ndarray,
-            tolerance: float):
+def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np.ndarray):
     """Alternate exact phase sweeps and eigen state updates on every row until stationary.
 
     Row b runs functional owners[b] from start_phases[b].  A row leaves the
-    batch once a sweep and state update gain at most tolerance, or after
+    batch once a sweep and state update gain at most TOLERANCE, or after
     MAX_ITERATIONS sweeps.  A fixed state never changes, so its value and
     rotation are the sweep's running pairing total and no state update runs.
     Phases change only inside _sweep, which keeps the phase factors u and
@@ -551,7 +540,7 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
             blocks, theta, new_value = objective.refreshed_states(factors, mask_weights, blocks,
                                                                   theta)
             products = objective.state_products(blocks)
-        done = new_value <= value + tolerance
+        done = new_value <= value + TOLERANCE
         value = np.where(done, np.maximum(value, new_value), new_value)
         if iteration == MAX_ITERATIONS:
             done[:] = True
@@ -690,7 +679,7 @@ def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
             starts[slot * restarts:(slot + 1) * restarts, :, :, 1:] = points.reshape(
                 restarts, n, k, d - 1)
         owners = np.repeat(np.arange(len(members)), restarts)
-        values, phases, states, iterations = _seesaw(objective, owners, starts, config.tolerance)
+        values, phases, states, iterations = _seesaw(objective, owners, starts)
         for slot, index in enumerate(members):
             rows = slice(slot * restarts, (slot + 1) * restarts)
             restart_values = tuple(values[rows].tolist())

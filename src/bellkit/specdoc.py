@@ -180,7 +180,7 @@ def parse_functional_document(doc: dict, location: str = "spec",
                 _parse_complex(_need(item, "weight", tloc), f"{tloc}.weight"),
             ))
         try:
-            return BellFunctional.from_terms(scenario, parsed, form, cached_bound=bound)
+            return BellFunctional(scenario, parsed, form, bound)
         except ValueError as exc:
             raise SpecParseError(loc, str(exc)) from exc
 
@@ -196,7 +196,7 @@ def parse_functional_document(doc: dict, location: str = "spec",
         loc = f"{location}.coefficients"
         coeff = _nested_to_array(doc["coefficients"], scenario, loc, _parse_complex)
         try:
-            return BellFunctional(scenario, coeff, form, mask, cached_bound=bound)
+            return BellFunctional.from_coefficients(scenario, coeff, form, mask, bound)
         except ValueError as exc:
             raise SpecParseError(loc, str(exc)) from exc
 

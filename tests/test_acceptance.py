@@ -97,7 +97,7 @@ def test_criterion_2_ww_family():
     bounds_ok = True
     for signs in sign_choices:
         q = ww_coefficients(np.array(signs).reshape(2, 2))
-        functional = BellFunctional(sc, q, FunctionalForm.REAL_PART)
+        functional = BellFunctional.from_coefficients(sc, q, FunctionalForm.REAL_PART)
         functionals.append(functional)
         bounds_ok &= abs(classical_bound(functional).bound - 1.0) < 1e-9
 
@@ -382,8 +382,9 @@ def test_criterion_8_simulator_integrity():
     product_ok = True
     checks = [
         (Scenario(2, 2, 2),
-         BellFunctional(Scenario(2, 2, 2), np.array([[1.0, 1.0], [1.0, -1.0]]),
-                        FunctionalForm.REAL_PART), 2.0),
+         BellFunctional.from_coefficients(Scenario(2, 2, 2),
+                                          np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                          FunctionalForm.REAL_PART), 2.0),
         (CGLMP_SCENARIO, cglmp_correlation_functional(), 3.0),
         (I323_SCENARIO, i323_functional(), 3.0),
     ]

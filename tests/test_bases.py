@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bellkit import (
     Pairing,
     Scenario,
     build_functional,
+    product_g_functional,
     evaluate_functional,
     fourier_party_basis,
     k2_conjugate_basis,
@@ -20,6 +22,7 @@ from bellkit import (
     ww_coefficients,
     wwzb_nonlinear,
 )
+from bellkit.cglmp import i323_functional
 from bellkit.core import ConjugationMask, CorrelationTensor
 
 
@@ -251,7 +254,7 @@ def test_gtable_refuses_non_integer_values(table):
 def test_functional_requires_nonzero_coefficients():
     sc = Scenario(2, 2, 2)
     with pytest.raises(ValueError):
-        BellFunctional(sc, np.zeros((2, 2)), FunctionalForm.REAL_PART)
+        BellFunctional.from_coefficients(sc, np.zeros((2, 2)), FunctionalForm.REAL_PART)
 
 
 def test_functional_refuses_non_integer_settings_and_masks():
@@ -260,10 +263,66 @@ def test_functional_refuses_non_integer_settings_and_masks():
     for x, r in [((0.9, 1.5), (1, 2)), ((0, 1), (1.99, 2)), ((True, 0), (1, 2)),
                  ((0, 1), (1, np.bool_(True)))]:
         with pytest.raises(ValueError, match="must be an integer"):
-            BellFunctional.from_terms(sc, [(x, r, 1.0)])
+            BellFunctional(sc, [(x, r, 1.0)])
     for mask in [(1.5, 2.2), (1.0, 2), (True, 2)]:
         with pytest.raises(ValueError, match="must be an integer"):
-            BellFunctional(sc, np.ones((2, 2)), FunctionalForm.REAL_PART, mask)
-    numpy_ints = BellFunctional.from_terms(sc, [((np.int64(0), 1), (1, np.int32(2)), 1.0)])
+            BellFunctional.from_coefficients(sc, np.ones((2, 2)), FunctionalForm.REAL_PART, mask)
+    numpy_ints = BellFunctional(sc, [((np.int64(0), 1), (1, np.int32(2)), 1.0)])
     assert numpy_ints.terms() == [((0, 1), (1, 2), 1.0)]
     assert type(numpy_ints.terms()[0][0][0]) is int
+
+
+def test_gtable_equality_and_hash():
+    sc = Scenario(2, 2, 3)
+    table = GTable(sc, np.array([[0, 1], [0, 2]]))
+    same = GTable(sc, np.array([[0, 1], [0, 2]], dtype=np.int32))
+    assert table == same and hash(table) == hash(same)
+    assert table != table.shifted(1)
+    assert table != GTable(Scenario(2, 2, 4), np.array([[0, 1], [0, 2]]))
+    assert len({table, same, table.shifted(1)}) == 2
+
+
+def test_functional_is_its_term_list():
+    assert [f.name for f in fields(BellFunctional)] == [
+        "scenario", "term_list", "form", "cached_bound"]
+    sc = Scenario(2, 2, 3)
+    dense = product_g_functional(2, 2, FunctionalForm.REAL_PART)
+    single = BellFunctional(sc, [((1, 1), (1, 2), 2.0), ((0, 0), (1, 2), 1.0)])
+    mixed = i323_functional()
+    for functional in (dense, single, mixed):
+        copy = BellFunctional(functional.scenario, list(functional.terms()), functional.form,
+                              functional.cached_bound)
+        assert functional == copy and hash(functional) == hash(copy)
+        bounded = replace(functional, cached_bound=5.5)
+        assert bounded.cached_bound == 5.5 and bounded.terms() == functional.terms()
+        assert bounded != functional
+        assert replace(bounded, cached_bound=functional.cached_bound) == functional
+        assert len({functional, copy, bounded}) == 2
+    assert dense.mask.entries == (1, 1)
+    assert not dense.coefficients.flags.writeable
+    assert single.mask.entries == (1, 2)
+    assert np.array_equal(single.coefficients, [[1.0, 0.0], [0.0, 2.0]])
+    assert mixed.mask is None and mixed.coefficients is None
+    assert dense != single != mixed
+
+
+def test_from_coefficients_lists_nonzero_entries_in_settings_order():
+    sc = Scenario(2, 2, 3)
+    coeff = np.array([[0.0, 2.0], [1j, 0.0]])
+    functional = BellFunctional.from_coefficients(sc, coeff, FunctionalForm.MODULUS, (1, 2), 3.0)
+    assert functional == BellFunctional(sc, [((0, 1), (1, 2), 2.0), ((1, 0), (1, 2), 1j)],
+                                        FunctionalForm.MODULUS, 3.0)
+    assert np.array_equal(functional.coefficients, coeff)
+    with pytest.raises(ValueError, match="expected shape"):
+        BellFunctional.from_coefficients(sc, np.ones(4), FunctionalForm.REAL_PART)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
+def test_functional_refuses_non_finite_weights(bad):
+    sc = Scenario(2, 2, 3)
+    with pytest.raises(ValueError, match=r"settings \(1, 0\), mask \(1, 2\).*not finite"):
+        BellFunctional(sc, [((0, 0), (1, 2), 1.0), ((1, 0), (1, 2), bad)])
+    coeff = np.ones((2, 2), dtype=complex)
+    coeff[1, 0] = bad
+    with pytest.raises(ValueError, match=r"settings \(1, 0\), mask \(1, 1\).*not finite"):
+        BellFunctional.from_coefficients(sc, coeff, FunctionalForm.REAL_PART)

@@ -12,12 +12,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellkit.cli import main
 from bellkit.multiport import QuantumSetup
+from bellkit.optimize import OptimizationConfig, scan_product_g
 from bellkit.specdoc import (
     MAX_STRATEGIES,
     SpecParseError,
+    document_digest,
     parse_functional_document,
     parse_setup_document,
+    round_floats,
     serialize_bound_result,
+    serialize_scan_rows,
     serialize_setup,
 )
 from bellkit import (BellFunctional, DeterministicStrategy, FunctionalForm, Scenario,
@@ -54,8 +58,8 @@ def test_bound_reports_witness_and_counts(capsys):
 
 def test_bound_document_lists_at_most_max_strategies():
     # a single-term modulus is 1 on every strategy: all 3^6 saturate
-    functional = BellFunctional.from_terms(Scenario(3, 2, 3), [((0, 1, 0), (1, 2, 1), 1.0)],
-                                           FunctionalForm.MODULUS)
+    functional = BellFunctional(Scenario(3, 2, 3), [((0, 1, 0), (1, 2, 1), 1.0)],
+                                FunctionalForm.MODULUS)
     doc = serialize_bound_result(classical_bound(functional))
     assert doc["saturating_count"] == 729
     assert doc["saturating_truncated"] is True
@@ -138,7 +142,8 @@ I323_SETUP = {
     ("missing-setup", ["optimize", "--spec", "chsh", "--setup", "{missing}"], "--setup: "),
     ("optimize-restarts", ["optimize", "--spec", "chsh", "--restarts", "0"], "--restarts: "),
     ("table-restarts", ["table", "--scenarios", "2,2,2", "--restarts", "0"], "--restarts: "),
-    ("tolerance", ["optimize", "--spec", "chsh", "--tolerance", "0"], "--tolerance: "),
+    # optimize takes a document's bound instead of enumerating, so it must be finite
+    ("optimize-bound-nan", ["optimize", "--spec", "{bound_nan}", "--budget", "1"], ".bound: "),
     ("seed", ["table", "--scenarios", "2,2,2", "--seed", "-1"], "--seed: "),
     ("coefficient-1e400", ["bound", "--spec", "{huge_coefficient}"],
      ".coefficients[0][0]: "),
@@ -150,7 +155,8 @@ I323_SETUP = {
                                "--ghz-family", "--optimize-phases"], "--ghz-family: "),
     ("optimize-phases-without-setup", ["optimize", "--spec", "chsh", "--optimize-phases"],
      "--optimize-phases: "),
-    ("tolerance-1e400", ["optimize", "--spec", "chsh", "--tolerance", "1e400"], "--tolerance: "),
+    ("optimize-bound-infinity", ["optimize", "--spec", "{bound_infinity}", "--budget", "1"],
+     ".bound: "),
     ("restarts-beyond-sobol", ["optimize", "--spec", "chsh", "--restarts", "2000000000"],
      "--restarts: "),
     ("parties-2.7", ["bound", "--spec", "{fractional_parties}"], ".scenario.parties: "),
@@ -163,6 +169,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "bound_text": dict(CHSH_DOC, bound="abc"),
              "bound_list": dict(CHSH_DOC, bound=[2.0]),
              "bound_object": dict(CHSH_DOC, bound={"value": 2.0}),
+             "bound_nan": dict(CHSH_DOC, bound=float("nan")),
+             "bound_infinity": dict(CHSH_DOC, bound=float("inf")),
              "huge_coefficient": HUGE_COEFFICIENT, "nan_weight": NAN_WEIGHT,
              "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE,
              "i323_setup": I323_SETUP, "fractional_parties": FRACTIONAL_PARTIES,
@@ -203,7 +211,6 @@ GOOD_VALUES = {
     "--scenarios": ["2,2,2", "2,2,3", "2,2,2;2,2,3", "", "2,3,3"],
     "--restarts": ["1", "2"],
     "--budget": [str(10**8)],
-    "--tolerance": ["1e-8"],
     "--seed": ["0"],
     "--pairing": ["bilinear", "sesquilinear"],
     "--format": ["json", "csv"],
@@ -214,7 +221,6 @@ BAD_VALUES = {
     "--scenarios": ["2,2", "a,b,c", "2;2;2"],
     "--restarts": ["-1", "0"],
     "--budget": ["-1", "0", "3"],
-    "--tolerance": ["0", "nan", "inf", "x"],
     "--seed": ["-1", "x"],
     "--pairing": ["x"],
     "--format": ["x"],
@@ -224,8 +230,8 @@ BAD_VALUES = {
 COMMAND_FLAGS = {
     "bound": ["--spec", "--budget", "--pairing"],
     "facet": ["--spec", "--budget"],
-    "optimize": ["--spec", "--restarts", "--budget", "--tolerance", "--seed", "mode"],
-    "table": ["--scenarios", "--restarts", "--budget", "--tolerance", "--seed", "--format"],
+    "optimize": ["--spec", "--restarts", "--budget", "--seed", "mode"],
+    "table": ["--scenarios", "--restarts", "--budget", "--seed", "--format"],
     "ww": ["--parties"],
 }
 # always given: the defaults of --restarts (200) and --scenarios (22 rows) are costly
@@ -267,6 +273,15 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "bound", "--spec", "chsh", "--budget", "3")
     assert code == 3
     assert "16" in err
+
+
+def test_optimize_uses_the_document_bound(capsys):
+    # chsh's document carries "bound": 2.0, so no enumeration runs
+    doc = run_json(capsys, "optimize", "--spec", "chsh", "--budget", "1", "--restarts", "1")
+    assert doc["result"]["classical_bound"] == 2.0
+    code, _, err = run_cli(capsys, "bound", "--spec", "chsh", "--budget", "1")
+    assert code == 3
+    assert "budget" in err
 
 
 def test_modulus_facet_exit_4(capsys, tmp_path):
@@ -399,6 +414,17 @@ def test_table_single_row_and_formats(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("parties,settings,outcomes")
     assert len(lines) == 2
+
+
+def test_table_rows_match_one_scan(capsys):
+    scenarios = [(2, 2, 2), (2, 2, 3), (3, 2, 2)]
+    doc = run_json(capsys, "table", "--scenarios", "2,2,2;2,2,3;3,2,2", "--restarts", "1",
+                   "--seed", "4")
+    rows = scan_product_g(scenarios, OptimizationConfig(restarts=1, seed=4))
+    assert doc["result"]["rows"] == round_floats(serialize_scan_rows(rows))
+    assert doc["manifest"]["result_digest"] == document_digest({"rows": serialize_scan_rows(rows)})
+    # each row draws its own child seed
+    assert len({row["seed"] for row in doc["result"]["rows"]}) == 3
 
 
 def test_table_523_row_single_thread_has_no_error():

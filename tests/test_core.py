@@ -197,6 +197,16 @@ def test_strategy_flat_index_roundtrip():
     assert DeterministicStrategy.from_flat_index(sc, 80).assignments.tolist() == [[2, 2], [2, 2]]
 
 
+def test_strategy_equality_and_hash():
+    sc = Scenario(2, 2, 3)
+    zeros = DeterministicStrategy(sc, np.zeros((2, 2), dtype=np.int64))
+    same = DeterministicStrategy(sc, np.zeros((2, 2), dtype=np.int32))
+    assert zeros == same and hash(zeros) == hash(same)
+    assert zeros != DeterministicStrategy.from_flat_index(sc, 1)
+    assert zeros != DeterministicStrategy(Scenario(2, 2, 4), np.zeros((2, 2), dtype=np.int64))
+    assert len({zeros, same, DeterministicStrategy.from_flat_index(sc, 1)}) == 2
+
+
 def test_fourier_consistency_zero_mask():
     rng = np.random.default_rng(3)
     for scenario in [Scenario(2, 2, 2), Scenario(2, 2, 3), Scenario(3, 2, 3)]:

@@ -34,7 +34,7 @@ from bellkit.lhv import (
 
 def chsh_functional():
     sc = Scenario(2, 2, 2)
-    return BellFunctional(
+    return BellFunctional.from_coefficients(
         sc, np.array([[1.0, 1.0], [1.0, -1.0]]), FunctionalForm.REAL_PART
     )
 
@@ -69,10 +69,22 @@ def test_chsh_bound_is_two():
         assert evaluate_functional(chsh_functional(), tensor) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_saturating_strategies_compare_by_contents():
+    result = classical_bound(chsh_functional())
+    assert result.witness in result.argmax
+    zeros = DeterministicStrategy(Scenario(2, 2, 2), np.zeros((2, 2), dtype=np.int64))
+    assert zeros in result.argmax
+    assert len(set(result.argmax)) == len(result.saturating) == 8
+    # results hold arrays, so they compare by identity
+    again = classical_bound(chsh_functional())
+    assert result == result and result != again
+    assert len({result, again}) == 2
+
+
 def test_cglmp_bound_is_three_for_both_mask_conventions():
     sc = Scenario(2, 2, 3)
     for mask in [(1, 2), (1, 1)]:
-        functional = BellFunctional(
+        functional = BellFunctional.from_coefficients(
             sc, cglmp_coefficients(), FunctionalForm.REAL_PART, ConjugationMask(mask, 3)
         )
         result = classical_bound(functional)
@@ -82,7 +94,7 @@ def test_cglmp_bound_is_three_for_both_mask_conventions():
 
 def test_strategy_functional_value_matches_tensor_path():
     sc = Scenario(2, 2, 3)
-    functional = BellFunctional(
+    functional = BellFunctional.from_coefficients(
         sc, cglmp_coefficients(), FunctionalForm.REAL_PART, ConjugationMask((1, 2), 3)
     )
     for s in enumerate_strategies(sc):
@@ -93,7 +105,7 @@ def test_strategy_functional_value_matches_tensor_path():
 
 def test_classical_bound_chunking_is_invisible():
     sc = Scenario(2, 2, 3)
-    functional = BellFunctional(
+    functional = BellFunctional.from_coefficients(
         sc, cglmp_coefficients(), FunctionalForm.MODULUS, ConjugationMask((1, 2), 3)
     )
     baseline = classical_bound(functional)
@@ -142,7 +154,7 @@ def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS):
     terms = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks), weights),
                           min_size=1, max_size=6))
     form = draw(st.sampled_from(list(FunctionalForm)))
-    return BellFunctional.from_terms(Scenario(n, k, d), terms, form)
+    return BellFunctional(Scenario(n, k, d), terms, form)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,7 +177,7 @@ def test_classical_bound_matches_brute_force(functional, chunk):
      FunctionalForm.REAL_PART, [3, 3]),
 ])
 def test_gauge_steps_and_exactness(scenario, terms, form, steps):
-    functional = BellFunctional.from_terms(scenario, terms, form)
+    functional = BellFunctional(scenario, terms, form)
     group, found = _gauge(functional, DEFAULT_CHUNK)
     assert found == steps
     assert len(group) == np.prod([scenario.outcomes // g for g in steps])
@@ -179,7 +191,7 @@ def test_strategy_value_does_not_depend_on_batch():
     scenario = Scenario(2, 1, 6)
     terms = [((0, 0), (2, 5), -2 + 1j), ((0, 0), (1, 0), 2.0), ((0, 0), (1, 0), 1j),
              ((0, 0), (1, 0), 1 - 2j), ((0, 0), (1, 0), -2.0)]
-    functional = BellFunctional.from_terms(scenario, terms, FunctionalForm.REAL_PART)
+    functional = BellFunctional(scenario, terms, FunctionalForm.REAL_PART)
     batch = _chunk_values(functional, np.arange(36))
     alone = [_chunk_values(functional, [i])[0] for i in range(36)]
     assert list(batch) == alone
@@ -229,7 +241,7 @@ def test_scale_covariance():
 
 def test_vertex_optimality_random_mixtures():
     sc = Scenario(2, 2, 3)
-    functional = BellFunctional(
+    functional = BellFunctional.from_coefficients(
         sc, cglmp_coefficients(), FunctionalForm.REAL_PART, ConjugationMask((1, 2), 3)
     )
     bound = classical_bound(functional).bound
@@ -285,8 +297,8 @@ def test_polytope_dimension_matches_row_unique_reference():
         for _ in range(4):
             coeff = rng.integers(-2, 3, size=scenario.settings_shape()).astype(complex)
             coeff.flat[0] = 1.0
-            functional = BellFunctional(scenario, coeff, FunctionalForm.REAL_PART,
-                                        ConjugationMask(mask, scenario.outcomes))
+            functional = BellFunctional.from_coefficients(
+                scenario, coeff, FunctionalForm.REAL_PART, ConjugationMask(mask, scenario.outcomes))
             values = (vertices @ coeff.ravel()).real
             saturating = vertices[values >= values.max() - SATURATION_TOL]
             report = facet_check(functional)
@@ -297,11 +309,11 @@ def test_polytope_dimension_matches_row_unique_reference():
 
 @pytest.mark.parametrize("functional", [
     chsh_functional(),
-    BellFunctional(Scenario(2, 2, 3), cglmp_coefficients(), FunctionalForm.REAL_PART,
-                   ConjugationMask((1, 2), 3)),
-    BellFunctional.from_terms(Scenario(3, 2, 4), [((0, 1, 0), (2, 0, 3), 1 - 1j),
-                                                  ((1, 1, 1), (2, 0, 3), 0.5),
-                                                  ((1, 0, 1), (2, 0, 3), -2j)]),
+    BellFunctional.from_coefficients(Scenario(2, 2, 3), cglmp_coefficients(),
+                                     FunctionalForm.REAL_PART, ConjugationMask((1, 2), 3)),
+    BellFunctional(Scenario(3, 2, 4), [((0, 1, 0), (2, 0, 3), 1 - 1j),
+                                       ((1, 1, 1), (2, 0, 3), 0.5),
+                                       ((1, 0, 1), (2, 0, 3), -2j)]),
     product_g_functional(3, 3, FunctionalForm.REAL_PART),
     product_g_functional(5, 3, FunctionalForm.REAL_PART),
 ], ids=["chsh", "cglmp", "mask-203", "product-g-323", "product-g-523"])
@@ -330,7 +342,8 @@ def test_single_coefficient_functional_is_not_a_facet_for_qutrits():
     sc = Scenario(2, 2, 3)
     coeff = np.zeros((2, 2), dtype=complex)
     coeff[0, 0] = 1.0
-    functional = BellFunctional(sc, coeff, FunctionalForm.REAL_PART, ConjugationMask((1, 1), 3))
+    functional = BellFunctional.from_coefficients(sc, coeff, FunctionalForm.REAL_PART,
+                                                  ConjugationMask((1, 1), 3))
     report = facet_check(functional)
     assert report.bound == pytest.approx(1.0, abs=1e-12)
     assert not report.is_facet
@@ -339,14 +352,16 @@ def test_single_coefficient_functional_is_not_a_facet_for_qutrits():
 
 def test_facet_check_refuses_modulus():
     sc = Scenario(2, 2, 2)
-    functional = BellFunctional(sc, np.array([[1.0, 1.0], [1.0, -1.0]]), FunctionalForm.MODULUS)
+    functional = BellFunctional.from_coefficients(sc, np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                                  FunctionalForm.MODULUS)
     with pytest.raises(UnsupportedFormError):
         facet_check(functional)
 
 
 def test_linearize_modulus():
     sc = Scenario(2, 2, 2)
-    modulus = BellFunctional(sc, np.array([[1.0, 1.0], [1.0, -1.0]]), FunctionalForm.MODULUS)
+    modulus = BellFunctional.from_coefficients(sc, np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                               FunctionalForm.MODULUS)
     flat = linearize_modulus(modulus, 0.0)
     assert flat.form is FunctionalForm.REAL_PART
 
@@ -357,7 +372,7 @@ def test_linearize_modulus():
     )
 
     sc3 = Scenario(2, 2, 3)
-    functional = BellFunctional(
+    functional = BellFunctional.from_coefficients(
         sc3, cglmp_coefficients(), FunctionalForm.MODULUS, ConjugationMask((1, 2), 3)
     )
     rng = np.random.default_rng(5)
