@@ -45,6 +45,7 @@ __all__ = [
     "k2_conjugate_basis",
     "build_functional",
     "ww_coefficients",
+    "walsh_matrix",
     "wwzb_nonlinear",
     "evaluate_functional",
     "apply_form",
@@ -352,11 +353,18 @@ def ww_coefficients(f) -> np.ndarray:
         raise ValueError(f"f must cover all of {{0,1}}^{n}")
     if not np.all(np.abs(arr) == 1):
         raise ValueError("f must take values +1 or -1")
-    sign = np.array([[1.0, 1.0], [1.0, -1.0]])
-    coeff = arr.copy()
+    return (arr.ravel() @ walsh_matrix(n)).reshape(arr.shape) / 2**n
+
+
+def walsh_matrix(n: int) -> np.ndarray:
+    """The 2^N x 2^N signs (-1)^(r.x), rows r and columns x in lexicographic order.
+
+    It is the N-fold Kronecker power of [[1, 1], [1, -1]].
+    """
+    walsh = np.ones((1, 1))
     for _ in range(n):
-        coeff = np.tensordot(coeff, sign, axes=([0], [0]))
-    return coeff / 2**n
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    return walsh
 
 
 def wwzb_nonlinear(

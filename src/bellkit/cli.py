@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import Scenario
-from .bases import Pairing
+from .bases import Pairing, walsh_matrix
 from .lhv import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -31,6 +31,7 @@ from .lhv import (
     vertex_exponents,
 )
 from .optimize import (
+    BETA_CUTOFF,
     ConfigError,
     OptimizationConfig,
     _resolve_bound,
@@ -181,8 +182,8 @@ def cmd_optimize(args, argv) -> int:
             doc = {
                 "quantum_value": round_floats(value),
                 "classical_bound": round_floats(bound),
-                "ratio": round_floats(value / bound) if abs(bound) > 1e-9 else None,
-                "ratio_defined": abs(bound) > 1e-9,
+                "ratio": round_floats(value / bound) if abs(bound) > BETA_CUTOFF else None,
+                "ratio_defined": abs(bound) > BETA_CUTOFF,
                 "setup": serialize_setup(setup),
                 "form": functional.form.value,
                 "evaluated_only": True,
@@ -250,8 +251,8 @@ def _ww_rows(parties: int) -> list[dict]:
     count = 2 ** len(r_tuples)
     # row i: the binary digits of i, first column most significant, as signs
     signs = 1.0 - 2.0 * (np.arange(count)[:, None] >> np.arange(len(r_tuples))[::-1] & 1)
-    walsh = np.array([[(-1.0) ** np.dot(r, x) for x in r_tuples] for r in r_tuples])
-    q = signs @ walsh / 2**n
+    # row i is ww_coefficients of row i's signs, flattened
+    q = signs @ walsh_matrix(n) / 2**n
 
     scenario = Scenario(n, 2, 2)
     # alpha = -1, so each vertex entry (-1)^e is exactly 1 - 2e
@@ -310,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bellkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = OptimizationConfig()
 
     def common(p, spec=True, optimizer=False, fmt=False):
         if spec:
@@ -321,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max deterministic strategies to enumerate")
         if optimizer:
-            p.add_argument("--restarts", type=int, default=200)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--restarts", type=int, default=defaults.restarts)
+            p.add_argument("--seed", type=int, default=defaults.seed)
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
 

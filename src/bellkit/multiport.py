@@ -4,8 +4,9 @@ Each party holds a symmetric d-port whose unitary is the discrete Fourier
 transform; a measurement setting is a list of input-port phases, and the
 outcome is the index of the output port that fires.  Born probabilities are
 the authoritative path; the shift-product form of the correlations is an
-algebraically equal fast path used by the optimizer and cross-checked against
-the Born path in the test suite.  Both paths are contracted party by party
+algebraically equal fast path, kept as the cross-check of the Born path
+(quantum_functional_value(path="fast")); the optimizer's seesaw runs on its own
+environment tensors.  Both paths are contracted party by party
 over all k^N joint settings at once, with no loop over settings tuples, and
 each evaluates all of a functional's masks in one call.
 """
@@ -111,7 +112,8 @@ class QuantumSetup:
         if norm == 0:
             raise ValueError("cannot normalize the zero state")
         phases = _finite("phases", np.asarray(phases, dtype=float))
-        phases = phases - phases[:, :, :1]
+        if phases.ndim == 3:  # any other shape is refused by __post_init__
+            phases = phases - phases[:, :, :1]
         return cls(scenario, amps / norm, phases)
 
 

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -754,24 +756,19 @@ def maximize_restricted_ghz(functional, config: OptimizationConfig | None = None
     return _search_one(functional, config, beta, _ghz_support(functional.scenario))
 
 
-def product_g_functional(parties: int, outcomes: int, form: FunctionalForm,
-                         pairing: Pairing = Pairing.SESQUILINEAR) -> BellFunctional:
+def product_g_functional(parties: int, outcomes: int, form: FunctionalForm) -> BellFunctional:
     """Two-setting functional with g(h) = prod_p (h_p + 1) over h in {0,1}^N.
 
     The exponent is the product of the basis labels counted from 1.  Uses the
     Fourier basis for d = 2 (where settings match outcomes) and the
-    deterministic/dual pair otherwise; the dual vectors probe through their
-    conjugates, which pins the two-party, four-outcome ratios.
+    deterministic/dual pair otherwise; the vectors probe through their
+    conjugates (sesquilinear pairing), which pins the two-party, four-outcome
+    ratios.
     """
     scenario = Scenario(parties, 2, outcomes)
-    table = np.ones((2,) * parties, dtype=np.int64)
-    for h in np.ndindex(*(2,) * parties):
-        product = 1
-        for value in h:
-            product *= value + 1
-        table[h] = product % outcomes
+    table = GTable.from_function(scenario, lambda *h: math.prod(v + 1 for v in h))
     basis = fourier_party_basis(2) if outcomes == 2 else k2_conjugate_basis(outcomes)
-    return build_functional(scenario, basis, GTable(scenario, table), form, pairing)
+    return build_functional(scenario, basis, table, form, Pairing.SESQUILINEAR)
 
 
 @dataclass(frozen=True)
@@ -832,26 +829,18 @@ def scan_product_g(
     return rows
 
 
-def symmetric_g_tables(settings: int = 3, outcomes: int = 3) -> list[np.ndarray]:
-    """All symmetric exponent tables g(h1, h2) = g(h2, h1) for two parties."""
-    pairs = [(i, j) for i in range(settings) for j in range(i, settings)]
+def symmetric_g_tables() -> list[np.ndarray]:
+    """The 729 symmetric tables g(h1, h2) = g(h2, h1) on (2, 3, 3), upper triangles in order."""
+    rows, cols = np.triu_indices(3)
     tables = []
-    values = np.zeros((settings, settings), dtype=np.int64)
-
-    def fill(slot: int):
-        if slot == len(pairs):
-            tables.append(values.copy())
-            return
-        i, j = pairs[slot]
-        for v in range(outcomes):
-            values[i, j] = values[j, i] = v
-            fill(slot + 1)
-
-    fill(0)
+    for values in itertools.product(range(3), repeat=len(rows)):
+        table = np.zeros((3, 3), dtype=np.int64)
+        table[rows, cols] = table[cols, rows] = values
+        tables.append(table)
     return tables
 
 
-def g_orbit(table: np.ndarray, form: FunctionalForm, outcomes: int = 3) -> set[tuple[int, ...]]:
+def g_orbit(table: np.ndarray, form: FunctionalForm) -> set[tuple[int, ...]]:
     """Exponent tables with provably identical bounds and optima.
 
     For the self-conjugate basis, uniform index translations and the joint
@@ -859,8 +848,9 @@ def g_orbit(table: np.ndarray, form: FunctionalForm, outcomes: int = 3) -> set[t
     absorbs into its phases; constant shifts of g rescale a modulus form by a
     phase.  (A pure index flip alone is not an equivalence: it corresponds to
     switching the pairing convention, which lands on the value-negated table.)
+    The Fourier basis has k = d, so d is the table's side.
     """
-    d = outcomes
+    d = len(table)
     table = np.asarray(table) % d
     axes = tuple(range(table.ndim))
     flipped = (-table[np.ix_(*[(-np.arange(s)) % s for s in table.shape])]) % d
@@ -894,7 +884,6 @@ class SymmetricSearchResult:
     """Outcome of the symmetric-g sweep on the two-party, k = d = 3 scenario."""
 
     form: FunctionalForm
-    pairing: Pairing
     best_g: GTable
     best: OptResult
     ranking: tuple[tuple[tuple[int, ...], float], ...]  # (flat g, ratio), best first
@@ -903,7 +892,6 @@ class SymmetricSearchResult:
 def symmetric_g_search(
     form: FunctionalForm,
     config: OptimizationConfig | None = None,
-    pairing: Pairing = Pairing.BILINEAR,
     coarse_restarts: int = 6,
     refine_top: int = 40,
 ) -> SymmetricSearchResult:
@@ -935,7 +923,7 @@ def symmetric_g_search(
     # every representative is built and bounded once; the refined pass reuses both
     functionals = {key: build_functional(
         scenario, basis, GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3)),
-        form, pairing) for key in reps}
+        form) for key in reps}
     bounds = {key: classical_bound(functional).bound for key, functional in functionals.items()}
 
     def search(keys: list[tuple[int, ...]], first_index: int, restarts: int) -> dict:
@@ -959,7 +947,6 @@ def symmetric_g_search(
     best_g = GTable(scenario, np.asarray(best_rep, dtype=np.int64).reshape(3, 3))
     return SymmetricSearchResult(
         form=form,
-        pairing=pairing,
         best_g=best_g,
         best=scored[best_rep][1],
         ranking=tuple(ranking),

@@ -10,6 +10,8 @@ optional finite "bound", and exactly one coefficient route:
 Every route yields one BellFunctional.  The terms route keeps its terms in
 the order listed; it has a dense coefficient tensor and a mask only when every
 term carries the same mask.  Any malformed document raises SpecParseError.
+functional_document writes a functional's terms document, which parses back
+to an equal functional.
 
 A setup document carries amplitudes as [re, im] pairs in canonical mode order
 (party 0 slowest) and phases as nested [party][setting][port] arrays.
@@ -25,7 +27,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Any
 
 import numpy as np
@@ -46,6 +48,7 @@ from .optimize import OptResult, ScanRow
 
 __all__ = [
     "SpecParseError",
+    "functional_document",
     "parse_functional_document",
     "parse_setup_document",
     "round_floats",
@@ -232,6 +235,19 @@ def parse_functional_document(doc: dict, location: str = "spec",
     return functional if bound is None else replace(functional, cached_bound=bound)
 
 
+def functional_document(functional: BellFunctional) -> dict:
+    """The terms document of a functional, unrounded: it parses back to an equal one."""
+    doc = {
+        "scenario": asdict(functional.scenario),
+        "form": functional.form.value,
+        "terms": [{"settings": list(x), "mask": list(r), "weight": [w.real, w.imag]}
+                  for x, r, w in functional.term_list],
+    }
+    if functional.cached_bound is not None:
+        doc["bound"] = functional.cached_bound
+    return doc
+
+
 def _parse_int_exponent(value: Any, location: str, outcomes: int) -> complex:
     if not 0 <= _parse_int(value, location) < outcomes:
         raise SpecParseError(location, f"g entry {value} outside [0, {outcomes})")
@@ -307,11 +323,7 @@ def document_digest(doc) -> str:
 
 def serialize_setup(setup: QuantumSetup) -> dict:
     return {
-        "scenario": {
-            "parties": setup.scenario.parties,
-            "settings": setup.scenario.settings,
-            "outcomes": setup.scenario.outcomes,
-        },
+        "scenario": asdict(setup.scenario),
         "amplitudes": [complex_pair(complex(v)) for v in setup.amplitudes.ravel()],
         "phases": round_floats(setup.phases),
     }

@@ -17,6 +17,7 @@ from bellkit.specdoc import (
     MAX_STRATEGIES,
     SpecParseError,
     document_digest,
+    functional_document,
     parse_functional_document,
     parse_setup_document,
     round_floats,
@@ -25,7 +26,11 @@ from bellkit.specdoc import (
     serialize_setup,
 )
 from bellkit import (BellFunctional, DeterministicStrategy, FunctionalForm, Scenario,
-                     classical_bound)
+                     classical_bound, ww_coefficients)
+from bellkit.cglmp import (PROBABILITY_TO_CORRELATION_SCALE, TIGHT_323_G_TABLES,
+                           cglmp_correlation_functional, i323_functional,
+                           three_party_tight_functional)
+from bellkit.presets import PRESETS, preset_names
 
 
 def run_cli(capsys, *argv):
@@ -501,6 +506,15 @@ def test_ww_counts(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("parties", [1, 2, 3])
+def test_ww_rows_are_ww_coefficients(capsys, parties):
+    rows = run_json(capsys, "ww", "--parties", str(parties))["result"]["functionals"]
+    assert len(rows) == 2 ** 2 ** parties
+    for row in rows:
+        signs = np.array(row["f"], dtype=float).reshape((2,) * parties)
+        assert row["coefficients"] == ww_coefficients(signs).ravel().tolist()
+
+
 def test_ww_csv(capsys):
     code, out, _ = run_cli(capsys, "ww", "--parties", "1", "--format", "csv")
     assert code == 0
@@ -540,6 +554,46 @@ def test_pairing_override():
     plain = parse_functional_document(doc)
     flipped = parse_functional_document(doc, pairing_override=Pairing.SESQUILINEAR)
     assert not np.allclose(plain.coefficients, flipped.coefficients)
+
+
+def test_presets_parse_to_their_constructors():
+    expected = {
+        "cglmp-223": cglmp_correlation_functional().rescaled(PROBABILITY_TO_CORRELATION_SCALE),
+        "cglmp-corr-223": cglmp_correlation_functional(),
+        "i323": i323_functional(),
+        **{f"tight-323-{name}": three_party_tight_functional(name)
+           for name in TIGHT_323_G_TABLES},
+    }
+    assert set(expected) == set(preset_names()) - {"chsh"}
+    for name, functional in expected.items():
+        assert parse_functional_document(PRESETS[name]) == functional, name
+    assert parse_functional_document(PRESETS["cglmp-223"]).cached_bound == 2.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def functionals(draw):
+    n, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    term = st.tuples(st.tuples(*[st.integers(0, k - 1)] * n),
+                     st.tuples(*[st.integers(0, d - 1)] * n),
+                     st.builds(complex, finite, finite))
+    terms = draw(st.lists(term, min_size=1, max_size=6))
+    terms.append(((0,) * n, (1,) * n, complex(draw(finite.filter(bool)), 0.0)))
+    form = draw(st.sampled_from(list(FunctionalForm)))
+    return BellFunctional(Scenario(n, k, d), draw(st.permutations(terms)), form,
+                          draw(st.none() | finite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(functional=functionals())
+def test_functional_document_round_trip(functional):
+    doc = functional_document(functional)
+    assert set(doc) == {"scenario", "form", "terms"} | (
+        set() if functional.cached_bound is None else {"bound"})
+    assert parse_functional_document(doc) == functional
+    assert parse_functional_document(json.loads(json.dumps(doc))) == functional
 
 
 def test_functional_document_route_exclusivity():

@@ -179,6 +179,14 @@ def test_setup_validation():
                 QuantumSetup.normalized(sc, good, phases)
 
 
+@pytest.mark.parametrize("phases", [np.zeros(3), np.zeros((2, 3)), np.array(0.0)],
+                         ids=["(3,)", "(2, 3)", "0-d"])
+def test_normalized_refuses_misshapen_phases(phases):
+    amplitudes = np.ones((3, 3))
+    with pytest.raises(ValueError, match=r"expected phase shape \(2, 2, 3\)"):
+        QuantumSetup.normalized(Scenario(2, 2, 3), amplitudes, phases)
+
+
 @pytest.mark.parametrize("x", [(-1, 0), (0.5, 0), (2, 0), (0, 3), (True, 0), ("0", 0)])
 def test_born_probabilities_rejects_bad_settings(x):
     setup = random_setup(Scenario(2, 2, 3), np.random.default_rng(5))
