@@ -28,7 +28,6 @@ from .bases import (
     BellFunctional,
     FunctionalForm,
     GTable,
-    Pairing,
     apply_form,
     build_functional,
     evaluate_functional,
@@ -255,20 +254,19 @@ TIGHT_323_G_TABLES: dict[str, np.ndarray] = {
 }
 
 
-def three_party_tight_functional(g, pairing: Pairing = Pairing.BILINEAR) -> BellFunctional:
+def three_party_tight_functional(g) -> BellFunctional:
     """Conjugate-basis functional on three qutrits with two settings each."""
     if isinstance(g, str):
         g = TIGHT_323_G_TABLES[g]
     table = GTable(I323_SCENARIO, np.asarray(g, dtype=np.int64))
     return build_functional(
-        I323_SCENARIO, k2_conjugate_basis(3), table, FunctionalForm.REAL_PART, pairing
+        I323_SCENARIO, k2_conjugate_basis(3), table, FunctionalForm.REAL_PART
     )
 
 
-def three_party_tight_family(g, config: OptimizationConfig | None = None,
-                             pairing: Pairing = Pairing.BILINEAR):
+def three_party_tight_family(g, config: OptimizationConfig | None = None):
     """Build one family member, certify tightness, and maximize its violation."""
-    functional = three_party_tight_functional(g, pairing)
+    functional = three_party_tight_functional(g)
     bound = classical_bound(functional)
     certified = replace(functional, cached_bound=bound.bound)
     report = facet_check(certified)

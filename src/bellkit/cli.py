@@ -10,7 +10,6 @@ it can be replayed; replays produce byte-identical result documents.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import Scenario
-from .bases import Pairing, walsh_matrix
+from .bases import walsh_matrix
 from .lhv import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -95,7 +94,7 @@ def _read_document(path: str, location: str):
         raise SpecParseError(location, f"cannot read {path!r}: {exc}") from exc
 
 
-def _load_spec(value: str, pairing_override: Pairing | None):
+def _load_spec(value: str):
     path = Path(value)
     if path.is_file():
         doc = _read_document(value, "spec")
@@ -107,7 +106,7 @@ def _load_spec(value: str, pairing_override: Pairing | None):
         raise SpecParseError(
             "spec", f"{value!r} is neither a file nor a preset ({', '.join(preset_names())})"
         )
-    functional = parse_functional_document(doc, source, pairing_override)
+    functional = parse_functional_document(doc, source)
     return functional, {"source": source, "digest": document_digest(doc)}
 
 
@@ -140,15 +139,9 @@ def _config_from_args(args) -> OptimizationConfig:
         raise SpecParseError(f"--{exc.field}", str(exc)) from exc
 
 
-def _pairing_from_args(args) -> Pairing | None:
-    if getattr(args, "pairing", None) is None:
-        return None
-    return Pairing(args.pairing)
-
-
 def cmd_bound(args, argv) -> int:
     started = time.time()
-    functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
+    functional, spec_info = _load_spec(args.spec)
     result = classical_bound(functional, budget=args.budget)
     doc = serialize_bound_result(result)
     doc["form"] = functional.form.value
@@ -162,7 +155,7 @@ def cmd_optimize(args, argv) -> int:
         raise SpecParseError("--ghz-family", "cannot be combined with --setup")
     if args.optimize_phases and args.setup is None:
         raise SpecParseError("--optimize-phases", "needs --setup")
-    functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
+    functional, spec_info = _load_spec(args.spec)
     config = _config_from_args(args)
     inputs = {"spec": spec_info}
     bound = _resolve_bound(functional, args.budget)
@@ -238,7 +231,7 @@ def cmd_table(args, argv) -> int:
 
 def cmd_facet(args, argv) -> int:
     started = time.time()
-    functional, spec_info = _load_spec(args.spec, _pairing_from_args(args))
+    functional, spec_info = _load_spec(args.spec)
     report = facet_check(functional, budget=args.budget)
     doc = serialize_facet_report(report)
     return _emit(doc, argv, {"spec": spec_info}, None, {"budget": args.budget}, started)
@@ -247,28 +240,21 @@ def cmd_facet(args, argv) -> int:
 def _ww_rows(parties: int) -> list[dict]:
     """All sign choices f on {0,1}^N with their normalized coefficient families."""
     n = parties
-    r_tuples = list(itertools.product(range(2), repeat=n))
-    count = 2 ** len(r_tuples)
+    count = 2 ** 2**n
     # row i: the binary digits of i, first column most significant, as signs
-    signs = 1.0 - 2.0 * (np.arange(count)[:, None] >> np.arange(len(r_tuples))[::-1] & 1)
+    signs = 1.0 - 2.0 * (np.arange(count)[:, None] >> np.arange(2**n)[::-1] & 1)
     # row i is ww_coefficients of row i's signs, flattened
     q = signs @ walsh_matrix(n) / 2**n
 
     scenario = Scenario(n, 2, 2)
     # alpha = -1, so each vertex entry (-1)^e is exactly 1 - 2e
-    vertices = 1.0 - 2.0 * vertex_exponents(scenario, (1,) * n)
+    vertices = 1.0 - 2.0 * vertex_exponents(scenario, [(1,) * n])
     values = q @ vertices.T
     bounds = values.max(axis=1)
 
-    # f factorizes (trivial inequality) iff f(r) = f(0) prod_p (f(0) f(e_p))^(r_p)
-    # r_tuples is lexicographic: column 0 is r = 0, column 2^(n-1-p) is e_p
-    f0 = signs[:, 0]
-    predicted = np.tile(f0[:, None], (1, len(r_tuples)))
-    for col, r in enumerate(r_tuples):
-        for p in range(n):
-            if r[p]:
-                predicted[:, col] *= f0 * signs[:, 2 ** (n - 1 - p)]
-    factorizes = np.all(predicted == signs, axis=1)
+    # f factorizes (trivial inequality) iff f(r) = s (-1)^(r.y), whose Walsh
+    # coefficients are s at y and zero elsewhere: one nonzero coefficient
+    nontrivial = np.count_nonzero(q, axis=1) > 1
 
     return [
         {
@@ -276,7 +262,7 @@ def _ww_rows(parties: int) -> list[dict]:
             "coefficients": round_floats(q[i].tolist()),
             "bound": round_floats(float(bounds[i])),
             "bound_is_one": bool(abs(bounds[i] - 1.0) < 1e-9),
-            "nontrivial": bool(not factorizes[i]),
+            "nontrivial": bool(nontrivial[i]),
         }
         for i in range(count)
     ]
@@ -318,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", required=True,
                            help="functional document path or preset name "
                                 f"({', '.join(preset_names())})")
-            p.add_argument("--pairing", choices=[x.value for x in Pairing], default=None,
-                           help="override the construction pairing")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max deterministic strategies to enumerate")
         if optimizer:

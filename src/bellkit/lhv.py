@@ -18,11 +18,13 @@ the strategies without visiting each one:
   count of strategies covered are those of exhaustive enumeration, bit for
   bit, and do not depend on the chunk size.
 
-Facet certification embeds the deterministic correlation tensors in the real
-space of dimension 2*k^N (real and imaginary parts) and compares the affine
-rank of the saturating set against the polytope's affine dimension.  Every
-entry of a vertex is a root of unity, so distinct vertices are found exactly
-by their integer exponents rather than by rounding floats.
+Facet certification embeds each strategy's correlation tensors E^(r), one
+block per mask r the functional uses, in the real space of dimension 2*M*k^N
+for M masks, and compares the affine rank of the saturating set against the
+polytope's affine dimension.  With mixed masks this certifies a facet of the
+local polytope's projection onto the (mask, settings) coordinates used.
+Every entry of a vertex is a root of unity, so distinct vertices are found
+exactly by their integer exponents rather than by rounding floats.
 """
 
 from __future__ import annotations
@@ -314,19 +316,23 @@ def classical_bound(
     return ClassicalBoundResult(float(bound), saturating, total, scenario)
 
 
-def vertex_exponents(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy i, one column per x.
+def vertex_exponents(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy i, one column per (r, x).
 
-    Row i of the correlation vertex matrix is alpha to these exponents, so two
-    strategies give the same vertex exactly when their exponent rows agree.
+    There is one block of columns per mask r in `masks`, in the order given,
+    and one column per settings tuple x within a block.  Row i of the
+    correlation vertex matrix is alpha to these exponents, so two strategies
+    give the same vertex exactly when their exponent rows agree.
     """
     total = _check_budget(scenario, budget)
-    mask = as_mask(scenario, mask)
+    masks = [as_mask(scenario, mask) for mask in masks]
+    if not masks:
+        raise ValueError("vertex exponents need at least one mask")
     n, d = scenario.parties, scenario.outcomes
     xs = settings_tuples(scenario)
     exponents = _party_exponents(scenario)
-    matrix = np.empty((total, len(xs)), dtype=np.min_scalar_type(d - 1))
-    for col, x in enumerate(xs):
+    matrix = np.empty((total, len(masks) * len(xs)), dtype=np.min_scalar_type(d - 1))
+    for col, (mask, x) in enumerate(itertools.product(masks, xs)):
         columns = [exponents[x[p], mask.entries[p]] for p in range(n)]
         matrix[:, col] = reduce(np.add.outer, columns).ravel() % d
     return matrix
@@ -354,37 +360,34 @@ def _affine_dimension(exponents: np.ndarray, d: int) -> int:
     return _affine_rank(_embed_real(unit_roots(d)[exponents[np.sort(first)]]))
 
 
-def polytope_dimension(scenario: Scenario, mask, budget: int = DEFAULT_BUDGET) -> int:
-    """Affine dimension of the deterministic correlation tensors, real-embedded."""
-    return _affine_dimension(vertex_exponents(scenario, mask, budget), scenario.outcomes)
+def polytope_dimension(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> int:
+    """Affine dimension of the deterministic vertices over these masks, real-embedded."""
+    return _affine_dimension(vertex_exponents(scenario, masks, budget), scenario.outcomes)
 
 
 def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> FacetReport:
     """Certify whether a real-part inequality supports a facet of the polytope.
 
-    The saturating vertices are those within 1e-9 of the bound; the inequality
-    is a facet precisely when their affine rank is one less than the polytope's
-    affine dimension.  Both ranks are taken over distinct vertices, found by
-    their integer exponents (`vertex_exponents`).  The values are
-    `_chunk_values` over the term list, so without a cached bound the bound
-    reported is `classical_bound`'s, bit for bit.
+    The vertices are the exponent rows over every mask the terms use, so with
+    mixed masks this is a facet of the local polytope's projection onto the
+    (mask, settings) coordinates used.  The reported bound is the cached one,
+    else `classical_bound`'s.  With tol = 1e-9 * max(1, |computed bound|) it is
+    valid when computed <= reported + tol, and the saturating set is
+    `classical_bound`'s when reported <= computed + tol, else empty.  A facet
+    is valid, has a saturating vertex, and the saturating vertices' affine rank
+    is one less than the polytope's; both ranks count distinct exponent rows.
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
             "facet certification applies to real-part functionals; linearize the modulus first"
         )
-    if functional.mask is None:
-        raise UnsupportedFormError(
-            "facet certification needs a single-mask functional; "
-            "per-term masks do not embed in one correlation polytope"
-        )
     scenario = functional.scenario
-    exponents = vertex_exponents(scenario, functional.mask, budget)
-    values = _strategy_values(functional, np.arange(len(exponents)), DEFAULT_CHUNK)
-    computed = float(values.max())
-    reference = functional.cached_bound if functional.cached_bound is not None else computed
-    is_valid = bool(computed <= reference + SATURATION_TOL)
-    saturating = exponents[values >= reference - SATURATION_TOL]
+    exponents = vertex_exponents(scenario, functional.masks(), budget)
+    result = classical_bound(functional, budget)
+    reference = functional.cached_bound if functional.cached_bound is not None else result.bound
+    tol = SATURATION_TOL * max(1.0, abs(result.bound))
+    is_valid = bool(result.bound <= reference + tol)
+    saturating = exponents[result.saturating if reference <= result.bound + tol else []]
     rank = _affine_dimension(saturating, scenario.outcomes)
     dim = _affine_dimension(exponents, scenario.outcomes)
     return FacetReport(
@@ -392,7 +395,7 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
         polytope_dimension=dim,
         saturating_count=len(saturating),
         saturating_rank=rank,
-        is_facet=bool(rank == dim - 1),
+        is_facet=bool(is_valid and len(saturating) and rank == dim - 1),
         is_valid=is_valid,
     )
 

@@ -3,8 +3,8 @@
 Each preset is a complete functional document (see specdoc), so the CLI and
 the test suite need no external files.  The CGLMP and three-party presets are
 the terms documents of the cglmp constructors, with their exact cached
-bounds; the tight three-party presets keep the construction route, so a
---pairing override applies to them.  chsh carries the textbook bound.
+bounds; the tight three-party presets keep the construction route, whose
+"pairing" field sets the pairing.  chsh carries the textbook bound.
 """
 
 from __future__ import annotations

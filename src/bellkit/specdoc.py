@@ -27,7 +27,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Any
 
 import numpy as np
@@ -145,8 +145,7 @@ def _nested_to_array(data: Any, scenario: Scenario, location: str, parse_leaf):
     return np.array(leaves, dtype=complex).reshape(scenario.settings_shape())
 
 
-def parse_functional_document(doc: dict, location: str = "spec",
-                              pairing_override: Pairing | None = None) -> BellFunctional:
+def parse_functional_document(doc: dict, location: str = "spec") -> BellFunctional:
     """Build the BellFunctional a parsed JSON object describes."""
     if not isinstance(doc, dict):
         raise SpecParseError(location, "document must be a JSON object")
@@ -209,8 +208,6 @@ def parse_functional_document(doc: dict, location: str = "spec",
         raise SpecParseError(loc, "construction must be an object")
     basis_name = _need(spec, "basis", loc)
     pairing = _parse_choice(Pairing, spec.get("pairing", "bilinear"), f"{loc}.pairing")
-    if pairing_override is not None:
-        pairing = pairing_override
     g_raw = _nested_to_array(_need(spec, "g", loc), scenario, f"{loc}.g",
                              lambda v, l: _parse_int_exponent(v, l, scenario.outcomes))
     g = GTable(scenario, g_raw.real.astype(np.int64))
@@ -374,12 +371,7 @@ def serialize_opt_result(result: OptResult) -> dict:
     }
 
 
-SCAN_COLUMNS = [
-    "parties", "settings", "outcomes",
-    "beta_re", "quantum_re", "ratio_re",
-    "beta_abs", "quantum_abs", "ratio_abs",
-    "seed", "error",
-]
+SCAN_COLUMNS = [field.name for field in fields(ScanRow)]
 
 
 def serialize_scan_rows(rows: list[ScanRow]) -> list[dict]:

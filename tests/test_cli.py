@@ -194,17 +194,19 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    ["bound", "--spec", "chsh"],
-    ["optimize", "--spec", "chsh", "--restarts", "1"],
-    ["table", "--scenarios", "2,2,2", "--restarts", "1"],
-    ["facet", "--spec", "chsh"],
+    ["bound", "--spec", "chsh", "--threads", "2"],
+    ["optimize", "--spec", "chsh", "--restarts", "1", "--threads", "2"],
+    ["table", "--scenarios", "2,2,2", "--restarts", "1", "--threads", "2"],
+    ["facet", "--spec", "chsh", "--threads", "2"],
+    # a construction document's "pairing" field is the one place to set it
+    ["bound", "--spec", "tight-323-g1", "--pairing", "sesquilinear"],
 ])
 def test_threads_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        main(argv + ["--threads", "2"])
+        main(argv)
     err = capsys.readouterr().err
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --threads 2" in err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
     assert "Traceback" not in err
 
 
@@ -217,7 +219,6 @@ GOOD_VALUES = {
     "--restarts": ["1", "2"],
     "--budget": [str(10**8)],
     "--seed": ["0"],
-    "--pairing": ["bilinear", "sesquilinear"],
     "--format": ["json", "csv"],
     "--parties": ["2"],
 }
@@ -227,13 +228,12 @@ BAD_VALUES = {
     "--restarts": ["-1", "0"],
     "--budget": ["-1", "0", "3"],
     "--seed": ["-1", "x"],
-    "--pairing": ["x"],
     "--format": ["x"],
     "--parties": ["-1", "0", "5", "x"],
     "mode": [["--ghz-family"], ["--optimize-phases"], ["--setup", "no-such-setup.json"]],
 }
 COMMAND_FLAGS = {
-    "bound": ["--spec", "--budget", "--pairing"],
+    "bound": ["--spec", "--budget"],
     "facet": ["--spec", "--budget"],
     "optimize": ["--spec", "--restarts", "--budget", "--seed", "mode"],
     "table": ["--scenarios", "--restarts", "--budget", "--seed", "--format"],
@@ -301,10 +301,13 @@ def test_modulus_facet_exit_4(capsys, tmp_path):
     assert code == 4
     assert "linearize" in err
 
-    # i323 mixes conjugation masks, so it has no single correlation polytope
-    code, _, err = run_cli(capsys, "facet", "--spec", "i323")
-    assert code == 4
-    assert "single-mask" in err
+
+def test_facet_i323_mixed_masks(capsys):
+    # i323 mixes conjugation masks: a facet of the projection onto its coordinates
+    result = run_json(capsys, "facet", "--spec", "i323")["result"]
+    found = (result["polytope_dimension"], result["saturating_count"], result["saturating_rank"])
+    assert found == (32, 270, 31)
+    assert result["is_facet"] is True and result["is_valid"] is True
 
 
 def test_facet_chsh_and_trivial(capsys, tmp_path):
@@ -539,7 +542,7 @@ def test_setup_document_roundtrip():
     assert np.allclose(back.phases, setup.phases, atol=1e-11)
 
 
-def test_pairing_override():
+def test_construction_pairing_field():
     doc = {
         "scenario": {"parties": 2, "settings": 2, "outcomes": 3},
         "form": "real-part",
@@ -549,10 +552,9 @@ def test_pairing_override():
             "g": [[0, 1], [0, 2]],
         },
     }
-    from bellkit.bases import Pairing
-
     plain = parse_functional_document(doc)
-    flipped = parse_functional_document(doc, pairing_override=Pairing.SESQUILINEAR)
+    doc["construction"]["pairing"] = "sesquilinear"
+    flipped = parse_functional_document(doc)
     assert not np.allclose(plain.coefficients, flipped.coefficients)
 
 

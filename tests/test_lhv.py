@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from bellkit import (
     strategy_correlation_tensor,
 )
 from bellkit.bases import evaluate_functional
-from bellkit.core import ConjugationMask, CorrelationTensor
+from bellkit.cglmp import i323_functional
+from bellkit.core import ConjugationMask, CorrelationTensor, settings_tuples
 from bellkit.lhv import (
     DEFAULT_CHUNK,
     SATURATION_TOL,
@@ -266,10 +269,10 @@ def test_enumeration_completeness_reconstructs_uniform():
 
 
 def test_polytope_dimensions():
-    assert polytope_dimension(Scenario(2, 2, 2), (1, 1)) == 4
-    assert polytope_dimension(Scenario(1, 1, 2), (1,)) == 1
+    assert polytope_dimension(Scenario(2, 2, 2), [(1, 1)]) == 4
+    assert polytope_dimension(Scenario(1, 1, 2), [(1,)]) == 1
     # recorded, not asserted a priori: the two-setting qutrit polytope dimension
-    d223 = polytope_dimension(Scenario(2, 2, 3), (1, 1))
+    d223 = polytope_dimension(Scenario(2, 2, 3), [(1, 1)])
     assert 4 <= d223 <= 8
 
 
@@ -293,7 +296,7 @@ def test_polytope_dimension_matches_row_unique_reference():
         vertices = np.stack([strategy_correlation_tensor(strategy, mask).values.ravel()
                              for strategy in enumerate_strategies(scenario)])
         dimension = _row_unique_rank(vertices)
-        assert polytope_dimension(scenario, mask) == dimension
+        assert polytope_dimension(scenario, [mask]) == dimension
         for _ in range(4):
             coeff = rng.integers(-2, 3, size=scenario.settings_shape()).astype(complex)
             coeff.flat[0] = 1.0
@@ -307,6 +310,62 @@ def test_polytope_dimension_matches_row_unique_reference():
             assert report.saturating_rank == _row_unique_rank(saturating)
 
 
+@pytest.mark.parametrize("scenario, masks", [
+    (Scenario(3, 2, 3), [(1, 2, 1), (2, 2, 2), (1, 1, 1)]),  # i323's masks
+    (Scenario(3, 2, 3), [(1, 1, 1), (2, 2, 2)]),             # a conjugate pair
+    (Scenario(2, 2, 4), [(2, 1), (0, 3)]),                   # a shared factor, a zero entry
+    (Scenario(2, 2, 3), [(1, 0), (0, 1), (1, 1)]),
+    (Scenario(2, 2, 2), [(0, 0), (1, 1)]),
+], ids=["i323", "conjugate-pair", "shared-and-zero", "marginals", "constant-block"])
+def test_mixed_mask_facet_check_matches_row_unique_reference(scenario, masks):
+    """The embedding concatenates one block per mask; both ranks against rounded floats."""
+    vertices = np.stack([
+        np.concatenate([strategy_correlation_tensor(strategy, mask).values.ravel()
+                        for mask in masks])
+        for strategy in enumerate_strategies(scenario)])
+    dimension = _row_unique_rank(vertices)
+    assert polytope_dimension(scenario, masks) == dimension
+    rng = np.random.default_rng(11)
+    coordinates = [(x, r) for r in masks for x in settings_tuples(scenario)]
+    for _ in range(4):
+        size = len(coordinates)
+        weights = rng.integers(-2, 3, size=size) + 1j * rng.integers(-1, 2, size=size)
+        weights[0] = 1.0
+        terms = [(x, r, w) for (x, r), w in zip(coordinates, weights) if w != 0]
+        functional = BellFunctional(scenario, terms, FunctionalForm.REAL_PART)
+        values = (vertices @ weights).real
+        saturating = vertices[values >= values.max() - SATURATION_TOL]
+        report = facet_check(functional)
+        assert report.polytope_dimension == dimension
+        assert report.saturating_count == len(saturating)
+        assert report.saturating_rank == _row_unique_rank(saturating)
+        assert report.is_facet == (report.saturating_rank == dimension - 1)
+
+
+def test_i323_is_a_facet_of_its_projection():
+    report = facet_check(i323_functional())
+    found = (report.polytope_dimension, report.saturating_count, report.saturating_rank)
+    assert found == (32, 270, 31)
+    assert report.bound == 3.0
+    assert report.is_valid and report.is_facet
+
+
+def test_facet_needs_a_saturating_vertex():
+    # the cached bound 5 is valid but loose: no vertex reaches it
+    functional = BellFunctional(Scenario(1, 1, 2), [((0,), (1,), 1.0)],
+                                FunctionalForm.REAL_PART, cached_bound=5.0)
+    report = facet_check(functional)
+    assert (report.polytope_dimension, report.saturating_count, report.saturating_rank) == (1, 0, 0)
+    assert report.is_valid and not report.is_facet
+
+
+def test_invalid_bound_is_not_a_facet():
+    functional = replace(chsh_functional(), cached_bound=1.0)
+    report = facet_check(functional)
+    assert report.bound == 1.0
+    assert not report.is_valid and not report.is_facet
+
+
 @pytest.mark.parametrize("functional", [
     chsh_functional(),
     BellFunctional.from_coefficients(Scenario(2, 2, 3), cglmp_coefficients(),
@@ -316,7 +375,8 @@ def test_polytope_dimension_matches_row_unique_reference():
                                        ((1, 0, 1), (2, 0, 3), -2j)]),
     product_g_functional(3, 3, FunctionalForm.REAL_PART),
     product_g_functional(5, 3, FunctionalForm.REAL_PART),
-], ids=["chsh", "cglmp", "mask-203", "product-g-323", "product-g-523"])
+    replace(i323_functional(), cached_bound=None),
+], ids=["chsh", "cglmp", "mask-203", "product-g-323", "product-g-523", "i323"])
 def test_facet_bound_is_the_classical_bound(functional):
     assert functional.cached_bound is None
     assert facet_check(functional).bound == classical_bound(functional).bound
