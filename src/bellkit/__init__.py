@@ -5,14 +5,12 @@ from .core import (
     CorrelationTensor,
     DeterministicStrategy,
     ProbabilityTable,
-    RootOfUnity,
     Scenario,
     correlation_from_probabilities,
     point_mass_table,
     root_of_unity,
     settings_tuples,
     strategy_correlation_tensor,
-    strategy_value,
 )
 from .bases import (
     BasisKind,

@@ -18,7 +18,6 @@ import cmath
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -171,9 +170,6 @@ class GTable:
             arr[h] = fn(*h) % scenario.outcomes
         return cls(scenario, arr)
 
-    def shifted(self, constant: int) -> "GTable":
-        return GTable(self.scenario, (self.table + constant) % self.scenario.outcomes)
-
 
 Term = tuple[tuple[int, ...], tuple[int, ...], complex]
 
@@ -276,42 +272,36 @@ def apply_form(form: FunctionalForm, total: complex) -> float:
     return float(abs(total))
 
 
-def _probe_matrices(
-    scenario: Scenario, bases, pairing: Pairing
-) -> tuple[list[np.ndarray], float]:
-    """Probe matrices per party plus a deferred common scale.
+def _probe_matrix(
+    scenario: Scenario, basis: PartyBasis, pairing: Pairing
+) -> tuple[np.ndarray, float]:
+    """The probe matrix every party shares, plus a deferred common scale.
 
     For the self-conjugate basis the d^(-1/2) normalization is factored out so
     the contraction runs on exact roots of unity (two-outcome coefficients
     then come out exact); the scale is reapplied once by the caller.
     """
-    if isinstance(bases, PartyBasis):
-        bases = [bases] * scenario.parties
-    bases = list(bases)
-    if len(bases) != scenario.parties:
-        raise ValueError(f"got {len(bases)} bases for {scenario.parties} parties")
-    mats = []
+    if basis.size != scenario.settings:
+        raise ValueError(f"basis size {basis.size} does not match k={scenario.settings}")
+    if basis.order != scenario.outcomes:
+        raise ValueError(f"basis order {basis.order} does not match d={scenario.outcomes}")
+    u = basis.vectors
     norm_radicand = 1
-    for basis in bases:
-        if basis.size != scenario.settings:
-            raise ValueError(f"basis size {basis.size} does not match k={scenario.settings}")
-        if basis.order != scenario.outcomes:
-            raise ValueError(f"basis order {basis.order} does not match d={scenario.outcomes}")
-        u = basis.vectors
-        if basis.kind is BasisKind.SELF_CONJUGATE:
-            exact = unit_roots(basis.order)[
-                np.outer(np.arange(basis.size), np.arange(basis.size)) % basis.order
-            ]
-            if np.allclose(u * np.sqrt(basis.order), exact, atol=1e-12):
-                u = exact
-                norm_radicand *= basis.order
-        mats.append(u.conj() if pairing is Pairing.SESQUILINEAR else u)
-    return mats, 1.0 / np.sqrt(norm_radicand)
+    if basis.kind is BasisKind.SELF_CONJUGATE:
+        exact = unit_roots(basis.order)[
+            np.outer(np.arange(basis.size), np.arange(basis.size)) % basis.order
+        ]
+        if np.allclose(u * np.sqrt(basis.order), exact, atol=1e-12):
+            u = exact
+            norm_radicand = basis.order**scenario.parties
+    if pairing is Pairing.SESQUILINEAR:
+        u = u.conj()
+    return u, 1.0 / np.sqrt(norm_radicand)
 
 
 def build_functional(
     scenario: Scenario,
-    bases: PartyBasis | Sequence[PartyBasis],
+    basis: PartyBasis,
     g: GTable,
     form: FunctionalForm,
     pairing: Pairing = Pairing.BILINEAR,
@@ -325,9 +315,9 @@ def build_functional(
     """
     if g.scenario != scenario:
         raise ValueError("g table was built for a different scenario")
-    mats, scale = _probe_matrices(scenario, bases, pairing)
+    u, scale = _probe_matrix(scenario, basis, pairing)
     coeff = unit_roots(scenario.outcomes)[g.table]
-    for u in mats:
+    for _ in range(scenario.parties):
         # consume the leading h-axis, appending the matching x-axis at the end
         coeff = np.tensordot(coeff, u, axes=([0], [0]))
     if scale != 1.0:
@@ -369,7 +359,7 @@ def walsh_matrix(n: int) -> np.ndarray:
 
 def wwzb_nonlinear(
     tensor: CorrelationTensor,
-    bases: PartyBasis | Sequence[PartyBasis],
+    basis: PartyBasis,
     pairing: Pairing = Pairing.BILINEAR,
 ) -> float:
     """sum_h |(E, v_h1 x ... x v_hN)|, the nonlinear envelope of the linear family.
@@ -377,9 +367,9 @@ def wwzb_nonlinear(
     It dominates |sum_h alpha^g(h) (E, V_h)| for every exponent table g.
     """
     scenario = tensor.scenario
-    mats, scale = _probe_matrices(scenario, bases, pairing)
+    u, scale = _probe_matrix(scenario, basis, pairing)
     probe = tensor.values
-    for u in mats:
+    for _ in range(scenario.parties):
         # contract the leading x-axis against the vector components
         probe = np.tensordot(probe, u, axes=([0], [1]))
     return float(np.abs(probe).sum() * scale)

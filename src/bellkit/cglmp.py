@@ -11,48 +11,28 @@ deterministic correlations fix the fourth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import (
-    ConjugationMask,
-    CorrelationTensor,
-    DeterministicStrategy,
-    ProbabilityTable,
-    Scenario,
-    correlation_stack,
-    root_of_unity,
-)
-from .bases import (
-    BellFunctional,
-    FunctionalForm,
-    GTable,
-    apply_form,
-    build_functional,
-    evaluate_functional,
-    k2_conjugate_basis,
-)
-from .lhv import classical_bound, facet_check, strategy_functional_value
-from .multiport import QuantumSetup
-from .optimize import OptimizationConfig, maximize_violation, quantum_functional_value
+from .core import ConjugationMask, DeterministicStrategy, ProbabilityTable, Scenario, root_of_unity
+from .bases import BellFunctional, FunctionalForm, GTable, build_functional, k2_conjugate_basis
+from .lhv import facet_check
+from .optimize import OptimizationConfig, maximize_violation
 
 __all__ = [
     "CGLMP_SCENARIO",
     "I323_SCENARIO",
     "PROBABILITY_TO_CORRELATION_SCALE",
-    "CglmpTerms",
     "cglmp_probability_value",
     "equality_probability",
     "correlation_from_equality_probs",
     "equality_probs_from_correlation",
     "cglmp_correlation_functional",
     "cglmp_conjugate_expansion_g",
-    "cglmp_correlation_value",
     "cglmp_starred_functional",
     "bell_numbers_identity_check",
     "i323_functional",
-    "i323_value",
     "TIGHT_323_G_TABLES",
     "three_party_tight_functional",
     "three_party_tight_family",
@@ -69,42 +49,11 @@ ALPHA = root_of_unity(3, 1)
 PROBABILITY_TO_CORRELATION_SCALE = 2.0 / 3.0
 
 
-@dataclass(frozen=True)
-class CglmpTerms:
-    """The eight coincidence aggregates entering the probability form.
-
-    Names follow the settings pair (1-based) and the outcome offset: e.g.
-    p_equal_21 is P(a = b | x=2, y=1) and p_minus_11 is P(a = b - 1 | 11).
-    """
-
-    p_equal_11: float
-    p_minus_21: float
-    p_equal_22: float
-    p_equal_12: float
-    p_minus_11: float
-    p_equal_21: float
-    p_minus_22: float
-    p_plus_12: float
-
-    @classmethod
-    def from_table(cls, table: ProbabilityTable) -> "CglmpTerms":
-        if table.scenario != CGLMP_SCENARIO:
-            raise ValueError("CGLMP aggregates need the two-setting qutrit scenario")
-        return cls(
-            p_equal_11=equality_probability(table, 0, 0, 0),
-            p_minus_21=equality_probability(table, 1, 0, -1),
-            p_equal_22=equality_probability(table, 1, 1, 0),
-            p_equal_12=equality_probability(table, 0, 1, 0),
-            p_minus_11=equality_probability(table, 0, 0, -1),
-            p_equal_21=equality_probability(table, 1, 0, 0),
-            p_minus_22=equality_probability(table, 1, 1, -1),
-            p_plus_12=equality_probability(table, 0, 1, 1),
-        )
-
-    def value(self) -> float:
-        plus = self.p_equal_11 + self.p_minus_21 + self.p_equal_22 + self.p_equal_12
-        minus = self.p_minus_11 + self.p_equal_21 + self.p_minus_22 + self.p_plus_12
-        return plus - minus
+# The coincidence aggregates of the probability form as (x, y, offset) keys
+# of equality_probability, 0-based: the value is the plus group minus the
+# minus group, each summed in this order.
+CGLMP_PLUS = ((0, 0, 0), (1, 0, -1), (1, 1, 0), (0, 1, 0))
+CGLMP_MINUS = ((0, 0, -1), (1, 0, 0), (1, 1, -1), (0, 1, 1))
 
 
 def equality_probability(table: ProbabilityTable, x: int, y: int, offset: int) -> float:
@@ -118,7 +67,11 @@ def equality_probability(table: ProbabilityTable, x: int, y: int, offset: int) -
 
 def cglmp_probability_value(table: ProbabilityTable) -> float:
     """The probability-form combination; at most 2 for every LHV model."""
-    return CglmpTerms.from_table(table).value()
+    if table.scenario != CGLMP_SCENARIO:
+        raise ValueError("CGLMP aggregates need the two-setting qutrit scenario")
+    plus, minus = (sum(equality_probability(table, *key) for key in group)
+                   for group in (CGLMP_PLUS, CGLMP_MINUS))
+    return plus - minus
 
 
 def correlation_from_equality_probs(p_equal: float, p_plus: float, p_minus: float) -> complex:
@@ -159,11 +112,6 @@ def cglmp_conjugate_expansion_g() -> GTable:
     three times the expansion reproduces the coefficients exactly.
     """
     return GTable(CGLMP_SCENARIO, np.array([[0, 1], [0, 2]], dtype=np.int64))
-
-
-def cglmp_correlation_value(tensor: CorrelationTensor) -> float:
-    """Evaluate the correlation form on an <alpha^(a-b)> tensor."""
-    return evaluate_functional(cglmp_correlation_functional(), tensor)
 
 
 def cglmp_starred_functional() -> BellFunctional:
@@ -226,19 +174,6 @@ def i323_functional() -> BellFunctional:
     )
 
 
-def i323_value(target) -> float:
-    """Evaluate the three-party functional on a strategy, setup, or table."""
-    functional = i323_functional()
-    if isinstance(target, DeterministicStrategy):
-        return strategy_functional_value(functional, target)
-    if isinstance(target, QuantumSetup):
-        return quantum_functional_value(functional, target, path="born")
-    if isinstance(target, ProbabilityTable):
-        total = functional.contract(lambda masks: correlation_stack(target, masks))
-        return apply_form(functional.form, total)
-    raise TypeError(f"cannot evaluate on {type(target).__name__}")
-
-
 # Exponent tables for the tight three-party conjugate-basis family, 0-based,
 # exposed in listing order as g1, g2, g3.
 TIGHT_323_G_TABLES: dict[str, np.ndarray] = {
@@ -267,8 +202,7 @@ def three_party_tight_functional(g) -> BellFunctional:
 def three_party_tight_family(g, config: OptimizationConfig | None = None):
     """Build one family member, certify tightness, and maximize its violation."""
     functional = three_party_tight_functional(g)
-    bound = classical_bound(functional)
-    certified = replace(functional, cached_bound=bound.bound)
-    report = facet_check(certified)
-    result = maximize_violation(certified, config, beta=bound.bound)
+    report = facet_check(functional)
+    certified = replace(functional, cached_bound=report.bound)
+    result = maximize_violation(certified, config, beta=report.bound)
     return certified, report, result

@@ -205,6 +205,8 @@ def _parse_scenarios(text: str) -> list[tuple[int, int, int]]:
     if text is None:
         return TABLE_SCENARIOS
     entries = [chunk for chunk in text.replace(" ", "").split(";") if chunk]
+    if not entries:
+        raise SpecParseError("scenarios", f"expected at least one N,k,d triple, got {text!r}")
     out = []
     for i, chunk in enumerate(entries):
         parts = chunk.split(",")

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Scenario",
-    "RootOfUnity",
     "unit_roots",
     "ConjugationMask",
     "ProbabilityTable",
@@ -29,7 +28,6 @@ __all__ = [
     "settings_tuples",
     "correlation_from_probabilities",
     "correlation_stack",
-    "strategy_value",
     "strategy_correlation_tensor",
     "point_mass_table",
 ]
@@ -59,21 +57,12 @@ class Scenario:
             raise ValueError(f"need at least two outcomes, got {self.outcomes}")
 
     @property
-    def n_setting_tuples(self) -> int:
-        return self.settings**self.parties
-
-    @property
     def n_outcome_tuples(self) -> int:
         return self.outcomes**self.parties
 
     @property
     def n_strategies(self) -> int:
         return self.outcomes ** (self.parties * self.settings)
-
-    @property
-    def alpha(self) -> complex:
-        """Primitive d-th root of unity."""
-        return np.exp(2j * np.pi / self.outcomes)
 
     def settings_shape(self) -> tuple[int, ...]:
         return (self.settings,) * self.parties
@@ -102,23 +91,6 @@ def unit_roots(order: int) -> np.ndarray:
 def root_of_unity(order: int, exponent: int) -> complex:
     """alpha_order^exponent, reduced mod order."""
     return complex(unit_roots(order)[exponent % order])
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """A d-th root of unity alpha_d^h."""
-
-    order: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    @property
-    def value(self) -> complex:
-        return root_of_unity(self.order, self.exponent)
 
 
 def as_index(value, name: str) -> int:
@@ -338,15 +310,6 @@ def correlation_from_probabilities(table: ProbabilityTable, mask) -> Correlation
     """E_x = sum_a alpha^(mask . a) p(a|x) for every settings tuple x."""
     mask = as_mask(table.scenario, mask)
     return CorrelationTensor(table.scenario, mask, correlation_stack(table, [mask])[0])
-
-
-def strategy_value(strategy: DeterministicStrategy, x: tuple[int, ...], mask) -> complex:
-    """The d-th root of unity alpha^(sum_p r_p a_p(x_p)) this strategy assigns to settings x."""
-    scenario = strategy.scenario
-    mask = as_mask(scenario, mask)
-    d = scenario.outcomes
-    exponent = sum(r * strategy.outcome(p, xp) for p, (r, xp) in enumerate(zip(mask.entries, x)))
-    return root_of_unity(d, exponent)
 
 
 def strategy_correlation_tensor(strategy: DeterministicStrategy, mask) -> CorrelationTensor:

@@ -16,7 +16,7 @@ the strategies without visiting each one:
 - Certificate.  The near-optimal candidates are expanded by their orbits and
   re-evaluated strategy by strategy, so the bound, the saturating set and the
   count of strategies covered are those of exhaustive enumeration, bit for
-  bit, and do not depend on the chunk size.
+  bit, and do not depend on the block size DEFAULT_CHUNK.
 
 Facet certification embeds each strategy's correlation tensors E^(r), one
 block per mask r the functional uses, in the real space of dimension 2*M*k^N
@@ -195,15 +195,16 @@ def _form_values(form: FunctionalForm, totals: np.ndarray) -> np.ndarray:
     return totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
 
 
-def _strategy_values(functional, indices, chunk: int) -> np.ndarray:
-    """Real part or modulus of the strategies at these flat indices, `chunk` at a time."""
+def _strategy_values(functional, indices) -> np.ndarray:
+    """Real part or modulus of the strategies at these flat indices, DEFAULT_CHUNK at a time."""
     return np.concatenate([
-        _form_values(functional.form, _chunk_values(functional, indices[start:start + chunk]))
-        for start in range(0, len(indices), chunk)
+        _form_values(functional.form,
+                     _chunk_values(functional, indices[start:start + DEFAULT_CHUNK]))
+        for start in range(0, len(indices), DEFAULT_CHUNK)
     ])
 
 
-def _gauge(functional, chunk: int) -> tuple[np.ndarray, list[int]]:
+def _gauge(functional) -> tuple[np.ndarray, list[int]]:
     """The outcome shifts c in Z_d^N that fix every strategy's value, and the gauge steps.
 
     Shifting party p's outcomes by c_p multiplies term t by alpha^(r_t.c).
@@ -215,7 +216,7 @@ def _gauge(functional, chunk: int) -> tuple[np.ndarray, list[int]]:
     scenario = functional.scenario
     n, d = scenario.parties, scenario.outcomes
     masks = np.array([r for _, r, _ in functional.terms()], dtype=np.int64)
-    block = max(1, chunk // masks.size)
+    block = max(1, DEFAULT_CHUNK // masks.size)
     found = []
     for start in range(0, d**n, block):
         flat = np.arange(start, min(start + block, d**n), dtype=np.int64)
@@ -232,21 +233,18 @@ def _gauge(functional, chunk: int) -> tuple[np.ndarray, list[int]]:
     return group, steps
 
 
-def classical_bound(
-    functional,
-    budget: int = DEFAULT_BUDGET,
-    chunk: int = DEFAULT_CHUNK,
-) -> ClassicalBoundResult:
+def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundResult:
     """Maximize the functional over every deterministic strategy, exactly.
 
     The search runs over one strategy per gauge orbit (a_p(0) < g_p, see
     `_gauge`).  Parties 1..N-1 are enumerated in blocks that hold about
-    `chunk` numbers at a time; for each prefix the terms are summed per last-party setting y
-    and outcome b into S[y, b], and every allowed last-party row is scored as
-    sum_y S[y, b_y].  The candidates within twice the saturation tolerance of
-    the top score (measured against the larger of |top| and sum |w|, so the
-    marginal's own rounding cannot drop a tie) are expanded by their orbits
-    and re-evaluated one strategy at a time by `_chunk_values`.
+    DEFAULT_CHUNK numbers at a time; for each prefix the terms are summed per
+    last-party setting y and outcome b into S[y, b], and every allowed
+    last-party row is scored as sum_y S[y, b_y].  The candidates within twice
+    the saturation tolerance of the top score (measured against the larger of
+    |top| and sum |w|, so the marginal's own rounding cannot drop a tie) are
+    expanded by their orbits and re-evaluated one strategy at a time by
+    `_chunk_values`.
 
     The saturation tolerance is 1e-9 * max(1, |bound|); the flat indices of
     all strategies within it are returned as `saturating`, ascending, and no
@@ -261,7 +259,7 @@ def classical_bound(
     form = functional.form
     assignments = _party_assignments(scenario)
     per_party = len(assignments)
-    group, steps = _gauge(functional, chunk)
+    group, steps = _gauge(functional)
     # setting 0 is the leading digit, so a_p(0) < g_p keeps a leading block of rows
     allowed = [g * d ** (k - 1) for g in steps]
 
@@ -282,7 +280,7 @@ def classical_bound(
     # |top| <= sum |w|, so this is at least twice the saturation tolerance
     window = 2 * SATURATION_TOL * max(1.0, float(np.abs(table[:, 0]).sum()))
     prefixes = math.prod(allowed[:-1])
-    block = max(1, chunk // max(len(terms), k * allowed[-1]))
+    block = max(1, DEFAULT_CHUNK // max(len(terms), k * allowed[-1]))
     top = -np.inf
     kept_index, kept_value = [], []
     for start in range(0, prefixes, block):
@@ -308,7 +306,7 @@ def classical_bound(
     for p, party_rows in enumerate(_digits(representatives, [per_party] * n)):
         orbits = orbits * per_party + shifted[group[:, p]][:, party_rows].T
     orbits = orbits.ravel()
-    values = _strategy_values(functional, orbits, chunk)
+    values = _strategy_values(functional, orbits)
     bound = values.max()
     tol = SATURATION_TOL * max(1.0, abs(bound))
     saturating = np.sort(orbits[values >= bound - tol])

@@ -4,10 +4,12 @@ A functional document is a JSON object with a scenario, a form tag, an
 optional finite "bound", and exactly one coefficient route:
 
   construction: {"basis": "fourier"|"k2-conjugate", "pairing": ..., "g": nested ints}
-  coefficients: nested [re, im] over settings tuples (optional "mask")
+  coefficients: nested [re, im] over settings tuples
   terms:        [{"settings": [...], "mask": [...], "weight": [re, im]}, ...]
 
-Every route yields one BellFunctional.  The terms route keeps its terms in
+The construction and coefficients routes take an optional top-level "mask";
+a terms document refuses one, since each term carries its own.  Every
+route yields one BellFunctional.  The terms route keeps its terms in
 the order listed; it has a dense coefficient tensor and a mask only when every
 term carries the same mask.  Any malformed document raises SpecParseError.
 functional_document writes a functional's terms document, which parses back
@@ -16,6 +18,10 @@ to an equal functional.
 A setup document carries amplitudes as [re, im] pairs in canonical mode order
 (party 0 slowest) and phases as nested [party][setting][port] arrays.
 
+Every number in a document is a finite JSON number: strings such as "3" and
+the literals true and false are refused.  A complex number is a number or an
+[re, im] pair of numbers.
+
 All numbers in result documents are rounded to 12 significant digits and
 complex values serialize as [re, im]; serialization is canonical so identical
 results produce byte-identical documents.
@@ -23,7 +29,6 @@ results produce byte-identical documents.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
@@ -106,20 +111,25 @@ def _parse_scenario(doc: Any, location: str) -> Scenario:
         raise SpecParseError(location, str(exc)) from exc
 
 
-def _parse_complex(value: Any, location: str) -> complex:
-    number = None
-    try:
-        if isinstance(value, (int, float)):
-            number = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2:
-            number = complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecParseError(location, f"bad number {value!r}") from exc
-    if number is None:
-        raise SpecParseError(location, f"expected a number or [re, im] pair, got {value!r}")
-    if not cmath.isfinite(number):
+def _parse_real(value: Any, location: str) -> float:
+    # float() would read "3" and true as numbers
+    number = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
         raise SpecParseError(location, f"expected a finite number, got {value!r}")
     return number
+
+
+def _parse_complex(value: Any, location: str) -> complex:
+    if not isinstance(value, list):
+        return complex(_parse_real(value, location))
+    if len(value) != 2:
+        raise SpecParseError(location, f"expected a number or [re, im] pair, got {value!r}")
+    return complex(_parse_real(value[0], location), _parse_real(value[1], location))
 
 
 def _parse_choice(kind, value: Any, location: str):
@@ -130,19 +140,19 @@ def _parse_choice(kind, value: Any, location: str):
         raise SpecParseError(location, f"must be one of {options}") from exc
 
 
-def _nested_to_array(data: Any, scenario: Scenario, location: str, parse_leaf):
+def _nested_to_array(data: Any, shape: tuple[int, ...], location: str, parse_leaf, dtype):
     # the leaves are collected first, so a malformed document allocates nothing large
     leaves = []
     def fill(node, depth, loc):
-        if depth == scenario.parties:
+        if depth == len(shape):
             leaves.append(parse_leaf(node, loc))
             return
-        if not isinstance(node, list) or len(node) != scenario.settings:
-            raise SpecParseError(loc, f"expected a list of length {scenario.settings}")
+        if not isinstance(node, list) or len(node) != shape[depth]:
+            raise SpecParseError(loc, f"expected a list of length {shape[depth]}")
         for i, child in enumerate(node):
             fill(child, depth + 1, f"{loc}[{i}]")
     fill(data, 0, location)
-    return np.array(leaves, dtype=complex).reshape(scenario.settings_shape())
+    return np.array(leaves, dtype=dtype).reshape(shape)
 
 
 def parse_functional_document(doc: dict, location: str = "spec") -> BellFunctional:
@@ -158,15 +168,12 @@ def parse_functional_document(doc: dict, location: str = "spec") -> BellFunction
         )
     bound = doc.get("bound")
     if bound is not None:
-        try:
-            bound = float(bound)
-        except (TypeError, ValueError, OverflowError):
-            bound = math.nan
-        if not math.isfinite(bound):
-            raise SpecParseError(f"{location}.bound",
-                                 f"expected a finite number, got {doc['bound']!r}")
+        bound = _parse_real(bound, f"{location}.bound")
 
     if routes[0] == "terms":
+        if doc.get("mask") is not None:
+            raise SpecParseError(f"{location}.mask",
+                                 "a terms document gives each term its own mask")
         loc = f"{location}.terms"
         raw = doc["terms"]
         if not isinstance(raw, list) or not raw:
@@ -196,7 +203,8 @@ def parse_functional_document(doc: dict, location: str = "spec") -> BellFunction
 
     if routes[0] == "coefficients":
         loc = f"{location}.coefficients"
-        coeff = _nested_to_array(doc["coefficients"], scenario, loc, _parse_complex)
+        coeff = _nested_to_array(doc["coefficients"], scenario.settings_shape(), loc,
+                                 _parse_complex, complex)
         try:
             return BellFunctional.from_coefficients(scenario, coeff, form, mask, bound)
         except ValueError as exc:
@@ -208,9 +216,9 @@ def parse_functional_document(doc: dict, location: str = "spec") -> BellFunction
         raise SpecParseError(loc, "construction must be an object")
     basis_name = _need(spec, "basis", loc)
     pairing = _parse_choice(Pairing, spec.get("pairing", "bilinear"), f"{loc}.pairing")
-    g_raw = _nested_to_array(_need(spec, "g", loc), scenario, f"{loc}.g",
-                             lambda v, l: _parse_int_exponent(v, l, scenario.outcomes))
-    g = GTable(scenario, g_raw.real.astype(np.int64))
+    g = GTable(scenario, _nested_to_array(
+        _need(spec, "g", loc), scenario.settings_shape(), f"{loc}.g",
+        lambda v, l: _parse_int_exponent(v, l, scenario.outcomes), np.int64))
     if basis_name == "fourier":
         if scenario.settings != scenario.outcomes:
             raise SpecParseError(
@@ -245,10 +253,10 @@ def functional_document(functional: BellFunctional) -> dict:
     return doc
 
 
-def _parse_int_exponent(value: Any, location: str, outcomes: int) -> complex:
+def _parse_int_exponent(value: Any, location: str, outcomes: int) -> int:
     if not 0 <= _parse_int(value, location) < outcomes:
         raise SpecParseError(location, f"g entry {value} outside [0, {outcomes})")
-    return complex(value)
+    return value
 
 
 def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
@@ -267,16 +275,13 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
     amps = np.array(
         [_parse_complex(v, f"{location}.amplitudes[{i}]") for i, v in enumerate(raw_amps)]
     ).reshape((d,) * n)
+    loc = f"{location}.phases"
     try:
-        phases = np.asarray(_need(doc, "phases", location), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecParseError(f"{location}.phases", f"expected nested numbers: {exc}") from exc
-    if phases.shape != (n, k, d):
-        raise SpecParseError(
-            f"{location}.phases", f"expected shape {(n, k, d)}, got {phases.shape}"
-        )
-    if not np.isfinite(phases).all():
-        raise SpecParseError(f"{location}.phases", "expected finite numbers")
+        phases = _nested_to_array(_need(doc, "phases", location), (n, k, d), loc, _parse_real,
+                                  float)
+    except SpecParseError as exc:
+        # one location for the whole array; the message names the entry
+        raise SpecParseError(loc, f"expected shape {(n, k, d)} of finite numbers; {exc}") from exc
     try:
         return QuantumSetup.normalized(scenario, amps, phases)
     except ValueError as exc:
@@ -347,14 +352,7 @@ def serialize_bound_result(result: ClassicalBoundResult) -> dict:
 
 
 def serialize_facet_report(report: FacetReport) -> dict:
-    return {
-        "bound": round_floats(report.bound),
-        "polytope_dimension": report.polytope_dimension,
-        "saturating_count": report.saturating_count,
-        "saturating_rank": report.saturating_rank,
-        "is_facet": report.is_facet,
-        "is_valid": report.is_valid,
-    }
+    return round_floats(asdict(report))
 
 
 def serialize_opt_result(result: OptResult) -> dict:

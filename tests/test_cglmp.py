@@ -12,28 +12,30 @@ from bellkit import (
     build_functional,
     classical_bound,
     enumerate_strategies,
+    evaluate_functional,
     k2_conjugate_basis,
     point_mass_table,
     root_of_unity,
     strategy_correlation_tensor,
 )
-from bellkit.core import ProbabilityTable
+from bellkit.bases import apply_form
+from bellkit.core import ProbabilityTable, correlation_stack
 from bellkit.lhv import strategy_functional_value
 from bellkit.cglmp import (
     CGLMP_SCENARIO,
+    CGLMP_MINUS,
+    CGLMP_PLUS,
     I323_SCENARIO,
     PROBABILITY_TO_CORRELATION_SCALE,
-    CglmpTerms,
     bell_numbers_identity_check,
     cglmp_conjugate_expansion_g,
     cglmp_correlation_functional,
-    cglmp_correlation_value,
     cglmp_probability_value,
     cglmp_starred_functional,
     correlation_from_equality_probs,
+    equality_probability,
     equality_probs_from_correlation,
     i323_functional,
-    i323_value,
     three_party_tight_functional,
 )
 from bellkit.multiport import QuantumSetup
@@ -85,8 +87,8 @@ def test_correlation_conversion_roundtrip():
 
 def test_correlation_form_examples():
     tensor = strategy_correlation_tensor(zero_strategy(CGLMP_SCENARIO), (1, 2))
-    assert cglmp_correlation_value(tensor) == pytest.approx(3.0, abs=1e-12)
     functional = cglmp_correlation_functional()
+    assert evaluate_functional(functional, tensor) == pytest.approx(3.0, abs=1e-12)
     assert classical_bound(functional).bound == pytest.approx(3.0, abs=1e-10)
 
 
@@ -104,9 +106,10 @@ def test_conjugate_basis_expansion_matches_correlation_form():
 
 
 def test_probability_correlation_affine_relation_exhaustive():
+    functional = cglmp_correlation_functional()
     for s in enumerate_strategies(CGLMP_SCENARIO):
         prob = cglmp_probability_value(point_mass_table(s))
-        corr = cglmp_correlation_value(strategy_correlation_tensor(s, (1, 2)))
+        corr = evaluate_functional(functional, strategy_correlation_tensor(s, (1, 2)))
         assert prob == pytest.approx(PROBABILITY_TO_CORRELATION_SCALE * corr, abs=1e-12)
 
 
@@ -148,14 +151,15 @@ def test_i323_bound_and_dispatch():
     assert result.examined == 729
 
     strategy = zero_strategy(I323_SCENARIO)
-    assert i323_value(strategy) == pytest.approx(3.0, abs=1e-12)
-    assert i323_value(point_mass_table(strategy)) == pytest.approx(3.0, abs=1e-12)
+    assert strategy_functional_value(functional, strategy) == pytest.approx(3.0, abs=1e-12)
+    table = point_mass_table(strategy)
+    total = functional.contract(lambda masks: correlation_stack(table, masks))
+    assert apply_form(functional.form, total) == pytest.approx(3.0, abs=1e-12)
     rng = np.random.default_rng(5)
     setup = random_setup(I323_SCENARIO, rng)
-    born = i323_value(setup)
-    assert born == pytest.approx(quantum_functional_value(functional, setup), abs=1e-12)
-    with pytest.raises(TypeError):
-        i323_value(42)
+    born = quantum_functional_value(functional, setup, path="born")
+    assert born == pytest.approx(quantum_functional_value(functional, setup, path="fast"),
+                                 abs=1e-12)
 
 
 def test_masked_functional_validation():
@@ -198,11 +202,10 @@ def test_replace_keeps_the_terms():
 
 
 def test_cglmp_terms_fields():
-    terms = CglmpTerms.from_table(point_mass_table(zero_strategy(CGLMP_SCENARIO)))
-    assert terms.p_equal_11 == 1.0
-    assert terms.p_minus_21 == 0.0
-    assert terms.p_equal_21 == 1.0
-    assert terms.value() == 2.0
+    table = point_mass_table(zero_strategy(CGLMP_SCENARIO))
+    assert [equality_probability(table, *key) for key in CGLMP_PLUS] == [1.0, 0.0, 1.0, 1.0]
+    assert [equality_probability(table, *key) for key in CGLMP_MINUS] == [0.0, 1.0, 0.0, 0.0]
+    assert cglmp_probability_value(table) == 2.0
 
 
 def test_tight_family_functionals_build():

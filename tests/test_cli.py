@@ -131,6 +131,17 @@ FRACTIONAL_SETTINGS = dict(TERMS_DOC, terms=[{"settings": [0.9, 1.5], "mask": [1
                                               "weight": 1.0}])
 FRACTIONAL_MASK = dict(TERMS_DOC, terms=[{"settings": [0, 1], "mask": [1, 1.99], "weight": 1.0}])
 BOOLEAN_MASK = dict(CHSH_DOC, mask=[1, True])
+# float() and a float array would read "3", "1.5" and true as numbers
+BOOLEAN_WEIGHT = dict(TERMS_DOC, terms=[{"settings": [0, 1], "mask": [1, 1], "weight": True}])
+SETUP_DOC = {
+    "scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+    "amplitudes": [1, 0, 0, 1],
+    "phases": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+}
+TEXT_PHASE = dict(SETUP_DOC, phases=[[[0, "1.5"], [0, 1]], [[0, 1], [0, 1]]])
+BOOLEAN_AMPLITUDE = dict(SETUP_DOC, amplitudes=[True, 0, 0, 1])
+# each term carries its own mask, so a top-level one would be ignored
+TERMS_WITH_MASK = dict(TERMS_DOC, mask="garbage")
 
 I323_SETUP = {
     "scenario": {"parties": 3, "settings": 3, "outcomes": 3},
@@ -168,6 +179,15 @@ I323_SETUP = {
     ("settings-0.9", ["bound", "--spec", "{fractional_settings}"], ".terms[0].settings: "),
     ("mask-1.99", ["bound", "--spec", "{fractional_mask}"], ".terms[0].mask: "),
     ("mask-true", ["bound", "--spec", "{boolean_mask}"], ".mask: "),
+    ("bound-text-3", ["bound", "--spec", "{bound_text_3}"], ".bound: "),
+    ("bound-true", ["bound", "--spec", "{bound_true}"], ".bound: "),
+    ("weight-true", ["bound", "--spec", "{boolean_weight}"], ".terms[0].weight: "),
+    ("phase-text", ["optimize", "--spec", "chsh", "--setup", "{text_phase}"], ".phases: "),
+    ("amplitude-true", ["optimize", "--spec", "chsh", "--setup", "{boolean_amplitude}"],
+     ".amplitudes[0]: "),
+    ("terms-with-mask", ["bound", "--spec", "{terms_with_mask}"], ".mask: "),
+    ("scenarios-semicolon", ["table", "--scenarios", ";"], "scenarios: "),
+    ("scenarios-empty", ["table", "--scenarios", ""], "scenarios: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -180,7 +200,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "infinite_amplitude": INFINITE_AMPLITUDE, "huge_phase": HUGE_PHASE,
              "i323_setup": I323_SETUP, "fractional_parties": FRACTIONAL_PARTIES,
              "fractional_settings": FRACTIONAL_SETTINGS, "fractional_mask": FRACTIONAL_MASK,
-             "boolean_mask": BOOLEAN_MASK}
+             "boolean_mask": BOOLEAN_MASK, "bound_text_3": dict(CHSH_DOC, bound="3"),
+             "bound_true": dict(CHSH_DOC, bound=True), "boolean_weight": BOOLEAN_WEIGHT,
+             "text_phase": TEXT_PHASE, "boolean_amplitude": BOOLEAN_AMPLITUDE,
+             "terms_with_mask": TERMS_WITH_MASK}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:
@@ -420,7 +443,8 @@ def test_table_single_row_and_formats(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("parties,settings,outcomes")
+    assert lines[0] == ("parties,settings,outcomes,beta_re,quantum_re,ratio_re,"
+                        "beta_abs,quantum_abs,ratio_abs,seed,error")
     assert len(lines) == 2
 
 
@@ -478,15 +502,6 @@ def test_cold_start_does_not_import_scipy_stats_optimize_or_linalg(argv):
         imported = [line.rsplit("|", 1)[-1].strip() for line in completed.stderr.splitlines()]
         assert "bellkit.optimize" in imported
         assert not [name for name in imported if name.startswith(HEAVY_SCIPY)]
-
-
-def test_table_empty_scenarios_header_only(capsys):
-    code, out, _ = run_cli(capsys, "table", "--scenarios", "", "--format", "csv")
-    assert code == 0
-    assert out.strip().splitlines() == [
-        "parties,settings,outcomes,beta_re,quantum_re,ratio_re,"
-        "beta_abs,quantum_abs,ratio_abs,seed,error"
-    ]
 
 
 def test_table_bad_scenario_string(capsys):

@@ -8,14 +8,12 @@ from bellkit import (
     CorrelationTensor,
     DeterministicStrategy,
     ProbabilityTable,
-    RootOfUnity,
     Scenario,
     correlation_from_probabilities,
     point_mass_table,
     root_of_unity,
     settings_tuples,
     strategy_correlation_tensor,
-    strategy_value,
 )
 
 
@@ -39,7 +37,6 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(2, 2, 1)
     s = Scenario(3, 2, 3)
-    assert s.n_setting_tuples == 8
     assert s.n_outcome_tuples == 27
     assert s.n_strategies == 3**6
 
@@ -69,9 +66,7 @@ def test_strategy_refuses_non_integer_outcomes(assignments):
 
 
 def test_root_of_unity():
-    r = RootOfUnity(3, 5)
-    assert r.exponent == 2
-    assert abs(r.value - np.exp(4j * np.pi / 3)) < 1e-15
+    assert abs(root_of_unity(3, 5) - np.exp(4j * np.pi / 3)) < 1e-15
     assert abs(root_of_unity(7, 7) - 1) < 1e-15
 
 
@@ -138,16 +133,16 @@ def test_point_mass_correlation_examples():
 def test_strategy_value_examples():
     sc = Scenario(2, 1, 2)
     s = DeterministicStrategy(sc, np.array([[0], [1]]))
-    assert abs(strategy_value(s, (0, 0), (1, 1)) + 1) < 1e-15
+    assert abs(strategy_correlation_tensor(s, (1, 1))[(0, 0)] + 1) < 1e-15
 
     sc3 = Scenario(2, 2, 3)
     zero = DeterministicStrategy(sc3, np.zeros((2, 2), dtype=int))
     for x in settings_tuples(sc3):
-        assert abs(strategy_value(zero, x, (1, 2)) - 1) < 1e-15
+        assert abs(strategy_correlation_tensor(zero, (1, 2))[x] - 1) < 1e-15
 
     sc33 = Scenario(3, 1, 3)
     s = DeterministicStrategy(sc33, np.array([[1], [2], [2]]))
-    got = strategy_value(s, (0, 0, 0), (1, 2, 1))
+    got = strategy_correlation_tensor(s, (1, 2, 1))[(0, 0, 0)]
     assert abs(got - root_of_unity(3, 1)) < 1e-15
 
 

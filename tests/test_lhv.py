@@ -14,6 +14,7 @@ from bellkit import (
     root_of_unity,
     strategy_correlation_tensor,
 )
+from bellkit import lhv
 from bellkit.bases import evaluate_functional
 from bellkit.cglmp import i323_functional
 from bellkit.core import ConjugationMask, CorrelationTensor, settings_tuples
@@ -112,12 +113,19 @@ def test_classical_bound_chunking_is_invisible():
         sc, cglmp_coefficients(), FunctionalForm.MODULUS, ConjugationMask((1, 2), 3)
     )
     baseline = classical_bound(functional)
-    for kwargs in [dict(chunk=7), dict(chunk=13)]:
-        other = classical_bound(functional, **kwargs)
+    for chunk in (7, 13):
+        other = bound_in_blocks(functional, chunk)
         assert other.bound == baseline.bound
         assert [s.flat_index() for s in other.argmax] == [
             s.flat_index() for s in baseline.argmax
         ]
+
+
+def bound_in_blocks(functional, chunk):
+    """classical_bound with its block size set to `chunk` numbers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lhv, "DEFAULT_CHUNK", chunk)
+        return classical_bound(functional)
 
 
 def brute_force_bound(functional):
@@ -133,7 +141,7 @@ def brute_force_bound(functional):
 
 def assert_matches_brute_force(functional, chunk=DEFAULT_CHUNK):
     bound, argmax = brute_force_bound(functional)
-    result = classical_bound(functional, chunk=chunk)
+    result = bound_in_blocks(functional, chunk)
     assert result.bound == bound
     assert result.saturating.dtype == np.int64 and not result.saturating.flags.writeable
     assert result.saturating.tolist() == argmax
@@ -181,7 +189,7 @@ def test_classical_bound_matches_brute_force(functional, chunk):
 ])
 def test_gauge_steps_and_exactness(scenario, terms, form, steps):
     functional = BellFunctional(scenario, terms, form)
-    group, found = _gauge(functional, DEFAULT_CHUNK)
+    group, found = _gauge(functional)
     assert found == steps
     assert len(group) == np.prod([scenario.outcomes // g for g in steps])
     for chunk in (7, 13, DEFAULT_CHUNK):
