@@ -212,10 +212,15 @@ def _parse_scenarios(text: str) -> list[tuple[int, int, int]]:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise SpecParseError(f"scenarios[{i}]", f"expected N,k,d, got {chunk!r}")
+        # int() would also read "1_0" as 10 and "٣" as 3
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise SpecParseError(f"scenarios[{i}]", f"expected N,k,d in ASCII digits, got {chunk!r}")
+        triple = tuple(int(v) for v in parts)
         try:
-            out.append(tuple(int(v) for v in parts))
+            Scenario(*triple)
         except ValueError as exc:
             raise SpecParseError(f"scenarios[{i}]", str(exc)) from exc
+        out.append(triple)
     return out
 
 

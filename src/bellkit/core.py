@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class Scenario:
 
     def settings_shape(self) -> tuple[int, ...]:
         return (self.settings,) * self.parties
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -170,16 +167,18 @@ class ProbabilityTable:
 
     def __post_init__(self):
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         expected = (d,) * n + (k,) * n
         if arr.shape != expected:
             raise ValueError(f"expected shape {expected}, got {arr.shape}")
-        if arr.min() < -NEGATIVITY_ERROR:
-            raise ValueError(f"probability {arr.min():.3e} is too negative to be round-off")
-        arr = np.where(arr < 0, 0.0, arr)
-        totals = arr.sum(axis=tuple(range(n)))
-        if not np.allclose(totals, 1.0, atol=1e-12, rtol=0.0):
-            worst = np.abs(totals - 1.0).max()
+        lowest = arr.min()
+        if lowest < -NEGATIVITY_ERROR:
+            raise ValueError(f"probability {lowest:.3e} is too negative to be round-off")
+        if lowest < 0:
+            arr = np.where(arr < 0, 0.0, arr)
+        worst = np.abs(arr.sum(axis=tuple(range(n))) - 1.0).max()
+        # NaN fails every comparison, so test the bound itself
+        if not worst <= 1e-12:
             raise ValueError(f"settings slices must sum to 1 (worst deviation {worst:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -288,17 +287,27 @@ def _mask_weight_tensor(scenario: Scenario, mask: ConjugationMask) -> np.ndarray
     return reduce(np.multiply.outer, factors)
 
 
+@lru_cache(maxsize=256)
+def _mask_weights(scenario: Scenario, entries: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only W: row m is the weight tensor of mask entries[m], flattened."""
+    weights = np.stack([
+        _mask_weight_tensor(scenario, ConjugationMask(r, scenario.outcomes)).ravel()
+        for r in entries])
+    weights.setflags(write=False)
+    return weights
+
+
 def correlation_stack(table: ProbabilityTable, masks) -> np.ndarray:
     """E^(r)_x = sum_a alpha^(r . a) p(a|x) for every mask r and settings tuple x.
 
     The result has shape (M,) + settings shape, one slice per mask in order.
     Row m of the weight matrix W is mask m's weight tensor, and each row is
     multiplied into the table on its own, so a mask's slice does not depend
-    on the other masks in the stack.
+    on the other masks in the stack.  W is built once per scenario and masks.
     """
     scenario = table.scenario
     masks = [as_mask(scenario, mask) for mask in masks]
-    weights = np.stack([_mask_weight_tensor(scenario, mask).ravel() for mask in masks])
+    weights = _mask_weights(scenario, tuple(mask.entries for mask in masks))
     probabilities = table.values.reshape(scenario.n_outcome_tuples, -1).astype(complex)
     values = np.concatenate([weights[m:m + 1] @ probabilities for m in range(len(masks))])
     values = values.reshape((len(masks),) + scenario.settings_shape())

@@ -13,10 +13,12 @@ the strategies without visiting each one:
 - Marginal.  For each strategy of parties 1..N-1 the terms are summed per
   setting and outcome of party N, and every row of party N is scored from
   those sums.
-- Certificate.  The near-optimal candidates are expanded by their orbits and
-  re-evaluated strategy by strategy, so the bound, the saturating set and the
-  count of strategies covered are those of exhaustive enumeration, bit for
-  bit, and do not depend on the block size DEFAULT_CHUNK.
+- Certificate.  The near-optimal candidates are re-evaluated exactly at
+  each exponent offset r_0.c an orbit member can have (d for moduli, one for
+  real parts), and each orbit member takes its representative's total at its
+  own offset.  So the bound, the saturating set and the count of strategies
+  covered are those of exhaustive enumeration, bit for bit, and do not depend
+  on the block size DEFAULT_CHUNK.
 
 Facet certification embeds each strategy's correlation tensors E^(r), one
 block per mask r the functional uses, in the real space of dimension 2*M*k^N
@@ -24,7 +26,11 @@ for M masks, and compares the affine rank of the saturating set against the
 polytope's affine dimension.  With mixed masks this certifies a facet of the
 local polytope's projection onto the (mask, settings) coordinates used.
 Every entry of a vertex is a root of unity, so distinct vertices are found
-exactly by their integer exponents rather than by rounding floats.
+exactly by their integer exponents rather than by rounding floats.  All
+strategies of one real-part gauge orbit of the masks share one exponent row,
+and the representative a_p(0) < g_p is the orbit's first strategy in
+flat-index order, so both ranks are taken over the representatives alone
+(every strategy, only when the gauge is trivial).
 """
 
 from __future__ import annotations
@@ -33,13 +39,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
-from .core import (DeterministicStrategy, Scenario, as_mask, settings_tuples,
-                   strategy_correlation_tensor, unit_roots)
+from .core import (DeterministicStrategy, Scenario, as_mask, strategy_correlation_tensor,
+                   unit_roots)
 from .bases import BellFunctional, FunctionalForm, apply_form
 
 __all__ = [
@@ -162,11 +167,14 @@ def _term_table(terms, d: int) -> np.ndarray:
     return np.array([[w * root for root in roots] for _, _, w in terms], dtype=complex)
 
 
-def _chunk_values(functional, indices) -> np.ndarray:
+def _chunk_values(functional, indices, offsets=0) -> np.ndarray:
     """Complex totals of the strategies at these flat indices, one batch evaluator for all.
 
-    Term t is `_term_table` at the term's exponent sum, added in term order, so
-    each total is bit for bit `strategy_functional_value`'s `contract`.
+    Term t is `_term_table` at the term's exponent sum plus an offset, added in
+    term order, so each total is bit for bit `strategy_functional_value`'s
+    `contract` (at offset 0; see `classical_bound` for the others).  An array
+    of offsets broadcasts against the indices, so offsets of shape (O, 1)
+    give totals of shape (O, len(indices)).
     """
     scenario = functional.scenario
     d = scenario.outcomes
@@ -175,9 +183,9 @@ def _chunk_values(functional, indices) -> np.ndarray:
     party_idx = _digits(indices, [exponents.shape[2]] * scenario.parties)
     terms = functional.terms()
     table = _term_table(terms, d)
-    totals = np.zeros(len(indices), dtype=complex)
+    totals = np.zeros(np.broadcast_shapes(np.shape(offsets), indices.shape), dtype=complex)
     for t, (x, r, _) in enumerate(terms):
-        exponent = sum(exponents[x[p], r[p]][idx] for p, idx in enumerate(party_idx))
+        exponent = sum((exponents[x[p], r[p]][idx] for p, idx in enumerate(party_idx)), offsets)
         totals += table[t][exponent % d]
     return totals
 
@@ -195,34 +203,36 @@ def _form_values(form: FunctionalForm, totals: np.ndarray) -> np.ndarray:
     return totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
 
 
-def _strategy_values(functional, indices) -> np.ndarray:
+def _strategy_values(functional, indices, offsets=0) -> np.ndarray:
     """Real part or modulus of the strategies at these flat indices, DEFAULT_CHUNK at a time."""
     return np.concatenate([
         _form_values(functional.form,
-                     _chunk_values(functional, indices[start:start + DEFAULT_CHUNK]))
+                     _chunk_values(functional, indices[start:start + DEFAULT_CHUNK], offsets))
         for start in range(0, len(indices), DEFAULT_CHUNK)
-    ])
+    ], axis=-1)
 
 
-def _gauge(functional) -> tuple[np.ndarray, list[int]]:
+def _gauge(scenario: Scenario, masks, form: FunctionalForm) -> tuple[np.ndarray, list[int]]:
     """The outcome shifts c in Z_d^N that fix every strategy's value, and the gauge steps.
 
+    masks holds the mask entries r_t, one row per distinct mask, the first
+    term's first.
     Shifting party p's outcomes by c_p multiplies term t by alpha^(r_t.c).
     Real parts are unchanged when r_t.c = 0 for every t, moduli when
     r_t.c = r_0.c.  Step g_p is the least positive c_p over the invariant
     shifts with c_1..c_(p-1) = 0, or d if there is none; every orbit then has
-    exactly one strategy with a_p(0) < g_p for all p.
+    exactly one strategy with a_p(0) < g_p for all p, its lexicographically
+    smallest (`_representatives`).
     """
-    scenario = functional.scenario
     n, d = scenario.parties, scenario.outcomes
-    masks = np.array([r for _, r, _ in functional.terms()], dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, n)
     block = max(1, DEFAULT_CHUNK // masks.size)
     found = []
     for start in range(0, d**n, block):
         flat = np.arange(start, min(start + block, d**n), dtype=np.int64)
         shifts = np.stack(_digits(flat, [d] * n), axis=1)
-        phases = (shifts[:, None, :] * masks).sum(axis=2) % d
-        reference = 0 if functional.form is FunctionalForm.REAL_PART else phases[:, :1]
+        phases = shifts @ masks.T % d
+        reference = 0 if form is FunctionalForm.REAL_PART else phases[:, :1]
         found.append(shifts[(phases == reference).all(axis=1)])
     group = np.concatenate(found)
     steps = []
@@ -231,6 +241,20 @@ def _gauge(functional) -> tuple[np.ndarray, list[int]]:
         positive = lead[lead > 0]
         steps.append(int(positive.min()) if positive.size else d)
     return group, steps
+
+
+def _leading_rows(scenario: Scenario, steps) -> list[int]:
+    """Per party, the number of rows with a_p(0) < g_p: setting 0 is the leading digit."""
+    return [g * scenario.outcomes ** (scenario.settings - 1) for g in steps]
+
+
+def _representatives(scenario: Scenario, steps) -> np.ndarray:
+    """Flat indices, ascending, of the strategies with a_p(0) < g_p: one per gauge orbit."""
+    per_party = scenario.outcomes ** scenario.settings
+    flat = np.zeros(1, dtype=np.int64)
+    for rows in _leading_rows(scenario, steps):
+        flat = (flat[:, None] * per_party + np.arange(rows)).ravel()
+    return flat
 
 
 def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundResult:
@@ -243,8 +267,9 @@ def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundR
     last-party row is scored as sum_y S[y, b_y].  The candidates within twice
     the saturation tolerance of the top score (measured against the larger of
     |top| and sum |w|, so the marginal's own rounding cannot drop a tie) are
-    expanded by their orbits and re-evaluated one strategy at a time by
-    `_chunk_values`.
+    re-evaluated exactly by `_chunk_values` at every exponent offset r_0.c an
+    orbit member can have (d of them for moduli, one for real parts), and each
+    member takes its representative's total at its offset.
 
     The saturation tolerance is 1e-9 * max(1, |bound|); the flat indices of
     all strategies within it are returned as `saturating`, ascending, and no
@@ -259,13 +284,11 @@ def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundR
     form = functional.form
     assignments = _party_assignments(scenario)
     per_party = len(assignments)
-    group, steps = _gauge(functional)
-    # setting 0 is the leading digit, so a_p(0) < g_p keeps a leading block of rows
-    allowed = [g * d ** (k - 1) for g in steps]
-
     terms = functional.terms()
     xs = np.array([x for x, _, _ in terms], dtype=np.int64)
     rs = np.array([r for _, r, _ in terms], dtype=np.int64)
+    group, steps = _gauge(scenario, functional.masks(), form)
+    allowed = _leading_rows(scenario, steps)
     roots = unit_roots(d)
     # a prefix's term t is table[t, e], e its exponent summed over parties 1..N-1
     table = _term_table(terms, d)
@@ -299,41 +322,56 @@ def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundR
         kept_value.append(values[prefix, row])
 
     representatives = np.concatenate(kept_index)[np.concatenate(kept_value) >= top - window]
+    # a member shifted by c from its representative has every term's exponent
+    # moved by r_t.c = r_0.c (0 for real parts), so its total is, bit for bit,
+    # its representative's at the exponent offset r_0.c
+    offsets = np.arange(d if form is FunctionalForm.MODULUS else 1)
+    by_offset = _strategy_values(functional, representatives, offsets[:, None])
+    values = by_offset[group @ rs[0] % d].T  # [representative, member]
+    bound = values.max()
+    tol = SATURATION_TOL * max(1.0, abs(bound))
+    rep, member = np.nonzero(values >= bound - tol)
     # shifted[c, i]: the row index of party row i with every outcome shifted by c
     moved = (assignments + outcomes[:, None, None]) % d
     shifted = (moved * d ** np.arange(k - 1, -1, -1)).sum(axis=2)
-    orbits = np.zeros((len(representatives), len(group)), dtype=np.int64)
-    for p, party_rows in enumerate(_digits(representatives, [per_party] * n)):
-        orbits = orbits * per_party + shifted[group[:, p]][:, party_rows].T
-    orbits = orbits.ravel()
-    values = _strategy_values(functional, orbits)
-    bound = values.max()
-    tol = SATURATION_TOL * max(1.0, abs(bound))
-    saturating = np.sort(orbits[values >= bound - tol])
+    saturating = np.zeros(len(rep), dtype=np.int64)
+    for p, party_rows in enumerate(_digits(representatives[rep], [per_party] * n)):
+        saturating = saturating * per_party + shifted[group[member, p], party_rows]
+    saturating.sort()
     saturating.setflags(write=False)
     return ClassicalBoundResult(float(bound), saturating, total, scenario)
 
 
-def vertex_exponents(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy i, one column per (r, x).
+def _exponent_rows(scenario: Scenario, masks, indices) -> np.ndarray:
+    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy indices[i], one column per (r, x).
 
     There is one block of columns per mask r in `masks`, in the order given,
     and one column per settings tuple x within a block.  Row i of the
     correlation vertex matrix is alpha to these exponents, so two strategies
     give the same vertex exactly when their exponent rows agree.
     """
-    total = _check_budget(scenario, budget)
     masks = [as_mask(scenario, mask) for mask in masks]
     if not masks:
         raise ValueError("vertex exponents need at least one mask")
-    n, d = scenario.parties, scenario.outcomes
-    xs = settings_tuples(scenario)
+    k, d = scenario.settings, scenario.outcomes
     exponents = _party_exponents(scenario)
-    matrix = np.empty((total, len(masks) * len(xs)), dtype=np.min_scalar_type(d - 1))
-    for col, (mask, x) in enumerate(itertools.product(masks, xs)):
-        columns = [exponents[x[p], mask.entries[p]] for p in range(n)]
-        matrix[:, col] = reduce(np.add.outer, columns).ravel() % d
-    return matrix
+    indices = np.asarray(indices, dtype=np.int64)
+    party_rows = _digits(indices, [exponents.shape[2]] * scenario.parties)
+    blocks = []
+    for mask in masks:
+        # party 0's setting is the slowest column digit, as in settings_tuples
+        block = np.zeros((len(indices), 1), dtype=np.int64)
+        for rows, r in zip(party_rows, mask.entries):
+            columns = block.shape[1] * k
+            block = (block[:, :, None] + exponents[:, r, rows].T[:, None, :]).reshape(
+                len(indices), columns)
+        blocks.append(block % d)
+    return np.hstack(blocks).astype(np.min_scalar_type(d - 1))
+
+
+def vertex_exponents(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """`_exponent_rows` of every strategy, row i for flat index i."""
+    return _exponent_rows(scenario, masks, np.arange(_check_budget(scenario, budget)))
 
 
 def _embed_real(rows: np.ndarray) -> np.ndarray:
@@ -358,9 +396,23 @@ def _affine_dimension(exponents: np.ndarray, d: int) -> int:
     return _affine_rank(_embed_real(unit_roots(d)[exponents[np.sort(first)]]))
 
 
+def _orbit_representatives(scenario: Scenario, masks) -> np.ndarray:
+    """One strategy per real-part gauge orbit of the masks (`_representatives`).
+
+    Every strategy of such an orbit has one exponent row, and the
+    representative is the orbit's first strategy in flat-index order, so the
+    distinct rows of the representatives, in order of first occurrence, are
+    those of all d^(N*k) strategies.
+    """
+    entries = [as_mask(scenario, mask).entries for mask in masks]
+    return _representatives(scenario, _gauge(scenario, entries, FunctionalForm.REAL_PART)[1])
+
+
 def polytope_dimension(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> int:
     """Affine dimension of the deterministic vertices over these masks, real-embedded."""
-    return _affine_dimension(vertex_exponents(scenario, masks, budget), scenario.outcomes)
+    _check_budget(scenario, budget)
+    rows = _exponent_rows(scenario, masks, _orbit_representatives(scenario, masks))
+    return _affine_dimension(rows, scenario.outcomes)
 
 
 def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> FacetReport:
@@ -374,20 +426,24 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     `classical_bound`'s when reported <= computed + tol, else empty.  A facet
     is valid, has a saturating vertex, and the saturating vertices' affine rank
     is one less than the polytope's; both ranks count distinct exponent rows.
+    The saturating set is a union of gauge orbits, so its rank, like the
+    polytope's, is taken over the orbit representatives alone.
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
             "facet certification applies to real-part functionals; linearize the modulus first"
         )
     scenario = functional.scenario
-    exponents = vertex_exponents(scenario, functional.masks(), budget)
+    masks = functional.masks()
     result = classical_bound(functional, budget)
     reference = functional.cached_bound if functional.cached_bound is not None else result.bound
     tol = SATURATION_TOL * max(1.0, abs(result.bound))
     is_valid = bool(result.bound <= reference + tol)
-    saturating = exponents[result.saturating if reference <= result.bound + tol else []]
-    rank = _affine_dimension(saturating, scenario.outcomes)
-    dim = _affine_dimension(exponents, scenario.outcomes)
+    saturating = result.saturating if reference <= result.bound + tol else result.saturating[:0]
+    representatives = _orbit_representatives(scenario, masks)
+    first = np.intersect1d(saturating, representatives, assume_unique=True)
+    rank = _affine_dimension(_exponent_rows(scenario, masks, first), scenario.outcomes)
+    dim = _affine_dimension(_exponent_rows(scenario, masks, representatives), scenario.outcomes)
     return FacetReport(
         bound=reference,
         polytope_dimension=dim,

@@ -126,10 +126,18 @@ def _final_amplitudes(setup: QuantumSetup, phases: np.ndarray) -> np.ndarray:
     has shape (d,)*N + (k',)*N, the ProbabilityTable layout.
     """
     fourier = fourier_multiport(setup.scenario.outcomes).matrix
+    d = len(fourier)
     psi = setup.amplitudes
     for p, shifters in enumerate(np.exp(1j * phases)):
         transfer = fourier[None] * shifters[:, None, :]  # (k', d out, d in)
-        psi = np.moveaxis(np.tensordot(psi, transfer, axes=([p], [2])), -1, p)
+        # np.tensordot(psi, transfer, axes=([p], [2])), the same dot without its argument handling
+        others = [axis for axis in range(psi.ndim) if axis != p]
+        flat = np.dot(psi.transpose(others + [p]).reshape(-1, d),
+                      transfer.transpose(2, 0, 1).reshape(d, -1))
+        out = flat.reshape([psi.shape[axis] for axis in others] + list(transfer.shape[:2]))
+        # the output port axis moves back to p, the settings axis stays last
+        last = out.ndim - 1
+        psi = out.transpose(list(range(p)) + [last] + list(range(p, last)))
     return psi
 
 

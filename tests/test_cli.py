@@ -188,6 +188,11 @@ I323_SETUP = {
     ("terms-with-mask", ["bound", "--spec", "{terms_with_mask}"], ".mask: "),
     ("scenarios-semicolon", ["table", "--scenarios", ";"], "scenarios: "),
     ("scenarios-empty", ["table", "--scenarios", ""], "scenarios: "),
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    ("scenarios-underscore", ["table", "--scenarios", "2,2,1_0"], "scenarios[0]: "),
+    ("scenarios-non-ascii-digit", ["table", "--scenarios", "2,2,\u0663"], "scenarios[0]: "),
+    ("scenarios-no-party", ["table", "--scenarios", "2,2,2;0,2,2"], "scenarios[1]: "),
+    ("scenarios-one-outcome", ["table", "--scenarios", "2,2,1"], "scenarios[0]: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -507,6 +512,14 @@ def test_cold_start_does_not_import_scipy_stats_optimize_or_linalg(argv):
 def test_table_bad_scenario_string(capsys):
     code, _, err = run_cli(capsys, "table", "--scenarios", "2,2")
     assert code == 2
+
+
+def test_table_three_settings_is_a_row_error(capsys):
+    # a well-formed scenario the product-g scan does not cover is a row
+    # failure of a successful run, not a parse error
+    doc = run_json(capsys, "table", "--scenarios", "2,3,3", "--restarts", "1")
+    [row] = doc["result"]["rows"]
+    assert row["error"] == "the product-g scan needs k = 2"
 
 
 def test_ww_counts(capsys):

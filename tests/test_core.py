@@ -15,6 +15,7 @@ from bellkit import (
     settings_tuples,
     strategy_correlation_tensor,
 )
+from bellkit.core import _mask_weights, correlation_stack
 
 
 def uniform_table(scenario):
@@ -102,6 +103,30 @@ def test_probability_table_normalization_and_clamp():
         ProbabilityTable(sc, np.array([[1.1], [-0.1]]))
     table = ProbabilityTable(sc, np.array([[1.0 + 5e-16], [-5e-16]]))
     assert table.values.min() == 0.0
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[np.nan], [1.0]], "settings slices must sum to 1"),
+    ([[1.0 + 2e-12], [-2e-12]], "too negative to be round-off"),
+    ([[0.5 + 2e-12], [0.5]], "settings slices must sum to 1"),
+    ([[0.5], [0.5 - 2e-12]], "settings slices must sum to 1"),
+])
+def test_probability_table_refusals(values, message):
+    with pytest.raises(ValueError, match=message):
+        ProbabilityTable(Scenario(1, 1, 2), np.array(values))
+
+
+def test_probability_table_clamps_round_off_and_copies():
+    raw = np.array([[1.0], [-1e-16]])
+    table = ProbabilityTable(Scenario(1, 1, 2), raw)
+    assert table.values[1, 0] == 0.0 and not np.signbit(table.values[1, 0])
+    # slices within 1e-12 of one are kept as given
+    kept = np.array([[0.5 + 5e-13], [0.5]])
+    assert ProbabilityTable(Scenario(1, 1, 2), kept).values[0, 0] == 0.5 + 5e-13
+    # the table freezes its own copy, never the caller's array
+    assert not table.values.flags.writeable
+    assert raw.flags.writeable and raw[1, 0] == -1e-16
+    assert not np.shares_memory(ProbabilityTable(Scenario(1, 1, 2), kept).values, kept)
 
 
 def test_uniform_probabilities_have_vanishing_correlation():
@@ -240,6 +265,20 @@ def test_mixture_linearity(weight, seed):
         + (1 - weight) * correlation_from_probabilities(t2, mask).values
     )
     assert np.allclose(e_mixed, e_combo, atol=1e-12)
+
+
+def test_mask_weights_are_cached_read_only():
+    scenario = Scenario(2, 2, 3)
+    masks = ((1, 2), (0, 1))
+    weights = _mask_weights(scenario, masks)
+    assert weights is _mask_weights(scenario, masks)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 0.0
+    table = random_table(scenario, np.random.default_rng(3))
+    for m, mask in enumerate(masks):
+        expected = correlation_from_probabilities(table, mask).values
+        assert np.array_equal(correlation_stack(table, masks)[m], expected)
 
 
 def test_correlation_tensor_validation():

@@ -17,7 +17,7 @@ from bellkit import (
 from bellkit import lhv
 from bellkit.bases import evaluate_functional
 from bellkit.cglmp import i323_functional
-from bellkit.core import ConjugationMask, CorrelationTensor, settings_tuples
+from bellkit.core import ConjugationMask, CorrelationTensor, settings_tuples, unit_roots
 from bellkit.lhv import (
     DEFAULT_CHUNK,
     SATURATION_TOL,
@@ -26,13 +26,17 @@ from bellkit.lhv import (
     _affine_rank,
     _chunk_values,
     _embed_real,
+    _exponent_rows,
     _gauge,
+    _orbit_representatives,
+    _representatives,
     classical_bound,
     enumerate_strategies,
     facet_check,
     linearize_modulus,
     polytope_dimension,
     strategy_functional_value,
+    vertex_exponents,
 )
 
 
@@ -155,7 +159,7 @@ SMALL_SCENARIOS = [(n, k, d) for n in (1, 2, 3) for k in (1, 2, 3) for d in (2, 
 
 
 @st.composite
-def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS):
+def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS, forms=tuple(FunctionalForm)):
     n, k, d = draw(st.sampled_from(scenarios))
     entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
     masks = draw(st.lists(entries, min_size=1, max_size=3))
@@ -164,7 +168,7 @@ def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS):
     weights = st.builds(complex, parts, parts).filter(lambda w: w != 0)
     terms = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks), weights),
                           min_size=1, max_size=6))
-    form = draw(st.sampled_from(list(FunctionalForm)))
+    form = draw(st.sampled_from(forms))
     return BellFunctional(Scenario(n, k, d), terms, form)
 
 
@@ -172,6 +176,50 @@ def mixed_mask_functionals(draw, scenarios=SMALL_SCENARIOS):
 @given(functional=mixed_mask_functionals(), chunk=st.sampled_from([7, 13, DEFAULT_CHUNK]))
 def test_classical_bound_matches_brute_force(functional, chunk):
     assert_matches_brute_force(functional, chunk)
+
+
+GAUGE_CASES = {
+    # N = 1: the prefix is empty; 2c = 0 (mod 4) leaves the shift by 2
+    "single-party": (Scenario(1, 2, 4), [((0,), (2,), 1.0), ((1,), (2,), 1j)]),
+    # k = 1, masks sharing factors with 6
+    "shared-factors-of-6": (Scenario(2, 1, 6), [((0, 0), (2, 3), 1 + 1j),
+                                                ((0, 0), (0, 3), -1.0)]),
+    # a zero entry, and 2 shares a factor with 4
+    "zero-and-shared": (Scenario(3, 2, 4), [((0, 1, 0), (2, 0, 2), 1.0),
+                                            ((1, 1, 1), (2, 0, 2), 2 - 1j),
+                                            ((1, 0, 1), (0, 0, 2), -0.5)]),
+    # the plain mask: every shift with sum c = 0 (mod d)
+    "plain-mask": (Scenario(3, 2, 3), [((0, 0, 0), (1, 1, 1), 1.0), ((1, 1, 0), (1, 1, 1), 1j),
+                                       ((0, 1, 1), (1, 1, 1), -1 + 1j)]),
+    # a mask and its conjugate share the real-part gauge
+    "conjugate-pair": (Scenario(2, 2, 5), [((0, 0), (1, 4), 1.0), ((1, 1), (4, 1), 0.5),
+                                           ((0, 1), (1, 4), -1j)]),
+    # float weights: a modulus member's total rounds like its representative's
+    # only at the member's own exponent offset r_0.c; at offset 0 the bound
+    # moves by an ulp
+    "float-weights": (Scenario(2, 2, 6), [((1, 1), (5, 2), -1.01 - 0.209j),
+                                          ((1, 0), (5, 2), 0.541 + 0.215j),
+                                          ((0, 0), (5, 2), -0.654 - 0.13j),
+                                          ((0, 1), (5, 2), 1.493 - 1.259j)]),
+}
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+@pytest.mark.parametrize("name", list(GAUGE_CASES))
+def test_gauge_orbits_match_brute_force_in_both_forms(name, form):
+    scenario, terms = GAUGE_CASES[name]
+    functional = BellFunctional(scenario, terms, form)
+    group, steps = _gauge(scenario, functional.masks(), form)
+    assert len(group) > 1  # a non-trivial gauge group
+    assert len(_representatives(scenario, steps)) * len(group) == scenario.n_strategies
+    for chunk in (7, 13, DEFAULT_CHUNK):
+        assert_matches_brute_force(functional, chunk)
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+def test_product_g_orbits_match_brute_force(form):
+    # (4,2,3): 81 shifts fix the real part; values are shared by whole orbits
+    assert_matches_brute_force(product_g_functional(4, 3, form))
 
 
 @pytest.mark.parametrize("scenario, terms, form, steps", [
@@ -189,7 +237,7 @@ def test_classical_bound_matches_brute_force(functional, chunk):
 ])
 def test_gauge_steps_and_exactness(scenario, terms, form, steps):
     functional = BellFunctional(scenario, terms, form)
-    group, found = _gauge(functional)
+    group, found = _gauge(scenario, [r for _, r, _ in terms], form)
     assert found == steps
     assert len(group) == np.prod([scenario.outcomes // g for g in steps])
     for chunk in (7, 13, DEFAULT_CHUNK):
@@ -348,6 +396,40 @@ def test_mixed_mask_facet_check_matches_row_unique_reference(scenario, masks):
         assert report.saturating_count == len(saturating)
         assert report.saturating_rank == _row_unique_rank(saturating)
         assert report.is_facet == (report.saturating_rank == dimension - 1)
+
+
+def first_unique_rows(rows):
+    """The distinct rows in order of first occurrence, found by a row-wise unique."""
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def full_enumeration_rank(rows, d):
+    """Affine rank of the distinct vertices with these exponent rows, real-embedded."""
+    return _affine_rank(_embed_real(unit_roots(d)[first_unique_rows(rows)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(functional=mixed_mask_functionals(forms=(FunctionalForm.REAL_PART,)))
+def test_facet_check_matches_full_enumeration(functional):
+    """Orbit representatives give the rows, dimension and rank of all d^(N*k) strategies."""
+    scenario, masks = functional.scenario, functional.masks()
+    d = scenario.outcomes
+    everything = vertex_exponents(scenario, masks)
+    assert len(everything) == scenario.n_strategies
+    representatives = _orbit_representatives(scenario, masks)
+    assert np.array_equal(first_unique_rows(_exponent_rows(scenario, masks, representatives)),
+                          first_unique_rows(everything))
+    dimension = full_enumeration_rank(everything, d)
+    assert polytope_dimension(scenario, masks) == dimension
+    bound, saturating = brute_force_bound(functional)
+    report = facet_check(functional)
+    assert report.bound == bound
+    assert report.polytope_dimension == dimension
+    assert report.saturating_count == len(saturating)
+    rank = full_enumeration_rank(everything[saturating], d) if saturating else 0
+    assert report.saturating_rank == rank
+    assert report.is_facet == (rank == dimension - 1)
 
 
 def test_i323_is_a_facet_of_its_projection():
