@@ -34,7 +34,6 @@ from .lhv import (
     classical_bound,
     enumerate_strategies,
     facet_check,
-    linearize_modulus,
     polytope_dimension,
 )
 from .multiport import (

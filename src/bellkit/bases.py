@@ -221,8 +221,8 @@ class BellFunctional:
     @functools.cached_property
     def mask(self) -> ConjugationMask | None:
         """The terms' one mask, or None when the masks are mixed."""
-        masks = self.masks()
-        return ConjugationMask(masks[0], self.scenario.outcomes) if len(masks) == 1 else None
+        masks = self._plan[0]
+        return masks[0] if len(masks) == 1 else None
 
     @functools.cached_property
     def coefficients(self) -> np.ndarray | None:
@@ -243,18 +243,41 @@ class BellFunctional:
         """The distinct mask entries of the terms, in order of first use."""
         return tuple(dict.fromkeys(r for _, r, _ in self.term_list))
 
+    @functools.cached_property
+    def _plan(self) -> tuple[tuple[ConjugationMask, ...], tuple[tuple[int, complex], ...]]:
+        """The distinct masks, validated, and each term's flat offset into their stack.
+
+        The stack has shape (M,) + settings shape; term t reads offset
+        m_t * k^N + (x_t read in base k), with its weight, in term order.
+        """
+        entries = self.masks()
+        masks = tuple(ConjugationMask(r, self.scenario.outcomes) for r in entries)
+        row = {r: m for m, r in enumerate(entries)}
+        k = self.scenario.settings
+        gather = []
+        for x, r, w in self.term_list:
+            offset = row[r]
+            for v in x:
+                offset = offset * k + v
+            gather.append((offset, w))
+        return masks, tuple(gather)
+
     def contract(self, correlations) -> complex:
         """sum_t w_t E^(r_t)[x_t], summed in term order.
 
-        `correlations(masks)` is called once with `self.masks()` and returns
-        their correlation tensors stacked, shape (M,) + settings shape.
+        `correlations(masks)` is called once with the distinct masks, as
+        validated `ConjugationMask`s in order of first use, and returns their
+        correlation tensors stacked, shape (M,) + settings shape.
         """
-        masks = self.masks()
-        stack = correlations(masks)
-        row = {r: m for m, r in enumerate(masks)}
+        masks, gather = self._plan
+        stack = np.asarray(correlations(masks), dtype=complex)
+        expected = (len(masks),) + self.scenario.settings_shape()
+        if stack.shape != expected:
+            raise ValueError(f"correlation stack has shape {stack.shape}, expected {expected}")
+        flat = stack.ravel().tolist()
         total = 0j
-        for x, r, w in self.term_list:
-            total += w * complex(stack[(row[r],) + x])
+        for offset, w in gather:
+            total += w * flat[offset]
         return total
 
     def rescaled(self, factor: complex) -> "BellFunctional":

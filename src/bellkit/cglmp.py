@@ -26,8 +26,6 @@ __all__ = [
     "PROBABILITY_TO_CORRELATION_SCALE",
     "cglmp_probability_value",
     "equality_probability",
-    "correlation_from_equality_probs",
-    "equality_probs_from_correlation",
     "cglmp_correlation_functional",
     "cglmp_conjugate_expansion_g",
     "cglmp_starred_functional",
@@ -72,22 +70,6 @@ def cglmp_probability_value(table: ProbabilityTable) -> float:
     plus, minus = (sum(equality_probability(table, *key) for key in group)
                    for group in (CGLMP_PLUS, CGLMP_MINUS))
     return plus - minus
-
-
-def correlation_from_equality_probs(p_equal: float, p_plus: float, p_minus: float) -> complex:
-    """E = P(a=b) + alpha P(a=b+1) + alpha^2 P(a=b-1), i.e. <alpha^(a-b)>."""
-    return p_equal + ALPHA * p_plus + ALPHA**2 * p_minus
-
-
-def equality_probs_from_correlation(value: complex) -> tuple[float, float, float]:
-    """Invert the qutrit Fourier component back to the three aggregates.
-
-    Uses sum-to-one of the aggregates; the round trip is exact.
-    """
-    probs = tuple(
-        float((1 + 2 * np.real(ALPHA ** (-c) * value)) / 3.0) for c in range(3)
-    )
-    return probs  # (P(a=b), P(a=b+1), P(a=b-1))
 
 
 CGLMP_MASK = (1, 2)  # a enters plainly, b conjugated: <alpha^(a-b)>

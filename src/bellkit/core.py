@@ -167,7 +167,9 @@ class ProbabilityTable:
 
     def __post_init__(self):
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        arr = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
+        # a C-ordered copy: the caller's array stays writable, and the sums
+        # and products below see one layout whatever the caller's was
+        arr = np.array(self.values, dtype=float, order="C")
         expected = (d,) * n + (k,) * n
         if arr.shape != expected:
             raise ValueError(f"expected shape {expected}, got {arr.shape}")

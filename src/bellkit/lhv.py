@@ -58,7 +58,6 @@ __all__ = [
     "strategy_functional_value",
     "polytope_dimension",
     "facet_check",
-    "linearize_modulus",
 ]
 
 DEFAULT_BUDGET = 10**8
@@ -451,19 +450,4 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
         saturating_rank=rank,
         is_facet=bool(is_valid and len(saturating) and rank == dim - 1),
         is_valid=is_valid,
-    )
-
-
-def linearize_modulus(functional: BellFunctional, phase: float) -> BellFunctional:
-    """Re[e^(i*phase) sum c_x E_x]: one linear slice of a modulus functional.
-
-    The supremum over the phase recovers the modulus value pointwise.
-    """
-    if functional.form is not FunctionalForm.MODULUS:
-        raise UnsupportedFormError("only modulus functionals can be linearized")
-    rotation = np.exp(1j * phase)
-    return BellFunctional(
-        functional.scenario,
-        [(x, r, w * rotation) for x, r, w in functional.terms()],
-        FunctionalForm.REAL_PART,
     )

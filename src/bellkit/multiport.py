@@ -121,24 +121,21 @@ def _final_amplitudes(setup: QuantumSetup, phases: np.ndarray) -> np.ndarray:
     """Output amplitudes for every joint setting of phases at once.
 
     phases has shape (N, k', d): k' settings per party.  Party by party, the
-    stack of k' transfer matrices F diag(e^(i phi)) is contracted with that
-    party's port axis, and the party's settings axis is appended; the result
-    has shape (d,)*N + (k',)*N, the ProbabilityTable layout.
+    leading axis of the amplitudes is that party's input port; one matmul
+    with the stack of k' transfer matrices F diag(e^(i phi)) consumes it and
+    appends the party's (setting, output port) axes at the end.  One
+    transposed view then gives shape (d,)*N + (k',)*N, the ProbabilityTable
+    layout.
     """
     fourier = fourier_multiport(setup.scenario.outcomes).matrix
     d = len(fourier)
+    n, settings = phases.shape[:2]
     psi = setup.amplitudes
-    for p, shifters in enumerate(np.exp(1j * phases)):
+    for shifters in np.exp(1j * phases):
         transfer = fourier[None] * shifters[:, None, :]  # (k', d out, d in)
-        # np.tensordot(psi, transfer, axes=([p], [2])), the same dot without its argument handling
-        others = [axis for axis in range(psi.ndim) if axis != p]
-        flat = np.dot(psi.transpose(others + [p]).reshape(-1, d),
-                      transfer.transpose(2, 0, 1).reshape(d, -1))
-        out = flat.reshape([psi.shape[axis] for axis in others] + list(transfer.shape[:2]))
-        # the output port axis moves back to p, the settings axis stays last
-        last = out.ndim - 1
-        psi = out.transpose(list(range(p)) + [last] + list(range(p, last)))
-    return psi
+        psi = np.dot(psi.reshape(d, -1).T, transfer.reshape(settings * d, d).T)
+    return psi.reshape((settings, d) * n).transpose(
+        list(range(1, 2 * n, 2)) + list(range(0, 2 * n, 2)))
 
 
 def born_probabilities(setup: QuantumSetup, x: tuple[int, ...]) -> np.ndarray:
@@ -159,6 +156,26 @@ def probability_table(setup: QuantumSetup) -> ProbabilityTable:
     return ProbabilityTable(setup.scenario, np.abs(psi) ** 2)
 
 
+@lru_cache(maxsize=256)
+def _shift_plan(scenario: Scenario, entries: tuple[tuple[int, ...], ...]):
+    """The read-only flat gathers that displace ports by each mask in a list.
+
+    With j + r the ports j displaced by mask entries[m] (mod d), shifted[m, j]
+    is the flat index of j + r into the amplitudes, shape (M,) + (d,)*N, and
+    displaced[p, m, x, j] = x * d + (j_p + r_p) indexes party p's (k, d)
+    phase factors.
+    """
+    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
+    count = len(entries)
+    ports = (np.arange(d) + np.array(entries, dtype=np.int64).reshape(count, n, 1)) % d
+    shifted = sum(ports[:, p].reshape((count,) + (1,) * p + (d,) + (1,) * (n - 1 - p))
+                  * d ** (n - 1 - p) for p in range(n))
+    displaced = np.arange(k)[:, None] * d + ports.transpose(1, 0, 2)[:, :, None, :]
+    shifted.setflags(write=False)
+    displaced.setflags(write=False)
+    return shifted, displaced
+
+
 def quantum_correlation_stack(setup: QuantumSetup, masks) -> np.ndarray:
     """E^(r)_x via the shift-product form, for every mask r at once.
 
@@ -168,20 +185,18 @@ def quantum_correlation_stack(setup: QuantumSetup, masks) -> np.ndarray:
     f_p[x_p, j_p], contracted one party at a time with one matmul over the
     mask axis.  The result has shape (M,) + settings shape, one slice per mask
     in order; a mask's slice does not depend on the other masks in the stack.
+    The displaced ports are built once per scenario and masks.
     """
     scenario = setup.scenario
     n, k, d = scenario.parties, scenario.settings, scenario.outcomes
     masks = [as_mask(scenario, mask) for mask in masks]
     count = len(masks)
-    # ports[m, p, j] = j + r_p (mod d) under mask m
-    ports = (np.arange(d) + np.array([mask.entries for mask in masks]).reshape(count, n, 1)) % d
+    shifted, displaced = _shift_plan(scenario, tuple(mask.entries for mask in masks))
     amps = setup.amplitudes
-    shifted = amps[tuple(ports[:, p].reshape((count,) + (1,) * p + (d,) + (1,) * (n - 1 - p))
-                         for p in range(n))]
-    values = amps * shifted.conj()  # (M,) + (d,)*N
+    values = amps * amps.take(shifted).conj()  # (M,) + (d,)*N
     e = np.exp(1j * setup.phases)  # (N, k, d)
     for p in range(n):
-        factor = e[p] * e[p][np.arange(k)[:, None], ports[:, p, None, :]].conj()  # (M, k, d)
+        factor = e[p] * e[p].take(displaced[p]).conj()  # (M, k, d)
         rest = values.shape[2:]
         # party p's ports lead the remaining axes; its settings axis goes last
         flat = values.reshape(count, d, -1).transpose(0, 2, 1)

@@ -183,8 +183,10 @@ def coset_support(functional) -> np.ndarray:
     elements = np.zeros((n, 1), dtype=np.int64)
     for mask in {r for _, r, _ in functional.terms()}:
         spread = elements[:, :, None] + np.outer(mask, np.arange(d))[:, None, :]
-        flat = np.unique(np.ravel_multi_index(spread.reshape(n, -1) % d, shape))
-        elements = np.array(np.unravel_index(flat, shape))
+        # marking, not np.unique, which imports numpy.ma on its first call
+        member = np.zeros(d**n, dtype=bool)
+        member[np.ravel_multi_index(spread.reshape(n, -1) % d, shape)] = True
+        elements = np.array(np.unravel_index(np.flatnonzero(member), shape))
     return np.ravel_multi_index(elements, shape)
 
 

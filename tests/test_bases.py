@@ -1,8 +1,10 @@
 import itertools
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellkit import (
     BellFunctional,
@@ -22,8 +24,9 @@ from bellkit import (
     ww_coefficients,
     wwzb_nonlinear,
 )
-from bellkit.cglmp import i323_functional
-from bellkit.core import ConjugationMask, CorrelationTensor
+from bellkit.cglmp import cglmp_correlation_functional, i323_functional
+from bellkit.core import ConjugationMask, CorrelationTensor, correlation_stack
+from bellkit.multiport import QuantumSetup, probability_table, quantum_correlation_stack
 
 
 def all_strategies(scenario):
@@ -327,3 +330,108 @@ def test_functional_refuses_non_finite_weights(bad):
     coeff[1, 0] = bad
     with pytest.raises(ValueError, match=r"settings \(1, 0\), mask \(1, 1\).*not finite"):
         BellFunctional.from_coefficients(sc, coeff, FunctionalForm.REAL_PART)
+
+
+# The term-by-term sum `contract` made before it planned its gather, kept as the oracle.
+
+def reference_total(functional, correlations):
+    masks = functional.masks()
+    stack = correlations(masks)
+    row = {r: m for m, r in enumerate(masks)}
+    total = 0j
+    for x, r, w in functional.terms():
+        total += w * complex(stack[(row[r],) + x])
+    return total
+
+
+def random_setup(scenario, rng):
+    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
+    amps = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+    return QuantumSetup.normalized(scenario, amps, rng.uniform(0, 2 * np.pi, size=(n, k, d)))
+
+
+def kernels(scenario, rng):
+    """Born, fast and deterministic-strategy correlations of one random model each."""
+    setup = random_setup(scenario, rng)
+    table = probability_table(setup)
+    strategy = DeterministicStrategy.from_flat_index(
+        scenario, int(rng.integers(scenario.n_strategies)))
+    return {
+        "born": lambda masks: correlation_stack(table, masks),
+        "fast": lambda masks: quantum_correlation_stack(setup, masks),
+        "strategy": lambda masks: np.stack(
+            [strategy_correlation_tensor(strategy, mask).values for mask in masks]),
+    }
+
+
+def assert_plan_matches_reference(functional, rng):
+    for name, correlations in kernels(functional.scenario, rng).items():
+        assert functional.contract(correlations) == reference_total(functional, correlations), name
+
+
+@st.composite
+def mixed_mask_functionals(draw):
+    n, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    masks = draw(st.lists(entries, min_size=1, max_size=4))
+    settings_tuple = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    parts = st.one_of(st.integers(-2, 2), st.floats(-2, 2, allow_nan=False))
+    weights = st.builds(complex, parts, parts).filter(lambda w: w != 0)
+    terms = draw(st.lists(st.tuples(settings_tuple, st.sampled_from(masks), weights),
+                          min_size=1, max_size=8))
+    return BellFunctional(Scenario(n, k, d), terms, draw(st.sampled_from(list(FunctionalForm))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(functional=mixed_mask_functionals(), order=st.randoms(use_true_random=False),
+       seed=st.integers(0, 2**32 - 1))
+def test_contract_plan_matches_term_by_term_sum(functional, order, seed):
+    rng = np.random.default_rng(seed)
+    assert_plan_matches_reference(functional, rng)
+    # the same masks first used in another order: a plan of its own
+    terms = functional.terms()
+    order.shuffle(terms)
+    assert_plan_matches_reference(BellFunctional(functional.scenario, terms, functional.form), rng)
+
+
+@pytest.mark.parametrize("scenario, terms", [
+    # repeated masks across terms, and a zero entry
+    (Scenario(3, 2, 3), [((0, 1, 0), (1, 0, 2), 1.0), ((1, 1, 1), (1, 1, 1), 2 - 1j),
+                         ((1, 0, 1), (1, 0, 2), -0.5), ((0, 0, 0), (1, 1, 1), 1j)]),
+    # one setting per party
+    (Scenario(2, 1, 4), [((0, 0), (2, 3), 1 + 1j), ((0, 0), (0, 3), -1.0)]),
+    # two outcomes under the plain mask
+    (Scenario(2, 2, 2), [((0, 0), (1, 1), 1.0), ((1, 1), (1, 1), -1.0), ((0, 1), (1, 1), 0.5)]),
+])
+def test_contract_plan_cases(scenario, terms):
+    rng = np.random.default_rng(13)
+    for order in (terms, terms[::-1]):
+        functional = BellFunctional(scenario, order)
+        for _ in range(3):
+            assert_plan_matches_reference(functional, rng)
+
+
+def test_plan_masks_are_validated_once_in_order_of_first_use():
+    functional = i323_functional()
+    masks, gather = functional._plan
+    assert functional._plan[0] is masks
+    assert all(isinstance(mask, ConjugationMask) for mask in masks)
+    assert tuple(mask.entries for mask in masks) == functional.masks()
+    assert len(gather) == len(functional.terms())
+    seen = []
+    functional.contract(lambda given: seen.append(given) or np.zeros((3, 2, 2, 2)))
+    assert seen == [masks] and seen[0] is masks
+
+
+@pytest.mark.parametrize("functional, stack, found", [
+    # one row too many: the gather would read the first rows and return 0j
+    (i323_functional(), np.zeros((4, 2, 2, 2)), r"\(4, 2, 2, 2\)"),
+    # the mask axis last instead of first
+    (cglmp_correlation_functional(), np.ones((2, 2, 1)), r"\(2, 2, 1\)"),
+    # fewer masks than the functional uses
+    (i323_functional(), np.zeros((2, 2, 2, 2)), r"\(2, 2, 2, 2\)"),
+])
+def test_contract_refuses_a_stack_of_the_wrong_shape(functional, stack, found):
+    expected = (len(functional.masks()),) + functional.scenario.settings_shape()
+    with pytest.raises(ValueError, match=found + r", expected " + re.escape(str(expected))):
+        functional.contract(lambda masks: stack)

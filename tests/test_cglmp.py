@@ -32,9 +32,7 @@ from bellkit.cglmp import (
     cglmp_correlation_functional,
     cglmp_probability_value,
     cglmp_starred_functional,
-    correlation_from_equality_probs,
     equality_probability,
-    equality_probs_from_correlation,
     i323_functional,
     three_party_tight_functional,
 )
@@ -72,17 +70,6 @@ def test_probability_form_wrong_scenario():
     table = ProbabilityTable(Scenario(2, 2, 2), np.full((2, 2, 2, 2), 1 / 4))
     with pytest.raises(ValueError):
         cglmp_probability_value(table)
-
-
-def test_correlation_conversion_roundtrip():
-    assert correlation_from_equality_probs(1.0, 0.0, 0.0) == pytest.approx(1.0)
-    assert correlation_from_equality_probs(0.0, 1.0, 0.0) == pytest.approx(ALPHA)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        probs = rng.dirichlet(np.ones(3))
-        value = correlation_from_equality_probs(*probs)
-        back = equality_probs_from_correlation(value)
-        assert np.allclose(back, probs, atol=1e-12)
 
 
 def test_correlation_form_examples():

@@ -281,6 +281,19 @@ def test_mask_weights_are_cached_read_only():
         assert np.array_equal(correlation_stack(table, masks)[m], expected)
 
 
+def test_probability_table_layout_does_not_change_correlations():
+    # equal tables give the same bits: a Fortran-ordered one-party table used
+    # to take another BLAS path through the weight matrix product
+    rng = np.random.default_rng(1)
+    for scenario in (Scenario(1, 2, 3), Scenario(1, 3, 4), Scenario(1, 2, 5), Scenario(2, 2, 3)):
+        for _ in range(10):
+            table = random_table(scenario, rng)
+            fortran = ProbabilityTable(scenario, np.asfortranarray(table.values))
+            assert fortran.values.flags.c_contiguous
+            masks = [(1,) * scenario.parties, (scenario.outcomes - 1,) * scenario.parties]
+            assert np.array_equal(correlation_stack(fortran, masks), correlation_stack(table, masks))
+
+
 def test_correlation_tensor_validation():
     sc = Scenario(1, 1, 2)
     with pytest.raises(ValueError):

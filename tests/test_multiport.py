@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellkit import FunctionalForm, Scenario, product_g_functional, root_of_unity
+from bellkit import FunctionalForm, Scenario, core, product_g_functional, root_of_unity
 from bellkit.bases import apply_form
 from bellkit.cglmp import i323_functional
 from bellkit.core import (ConjugationMask, _mask_weight_tensor, check_correlations,
                           correlation_stack, settings_tuples)
 from bellkit.multiport import (
     QuantumSetup,
+    _final_amplitudes,
+    _shift_plan,
     born_correlation_tensor,
     born_probabilities,
     fourier_multiport,
@@ -395,3 +397,69 @@ def test_functional_value_refuses_foreign_setups_and_unknown_paths():
         quantum_functional_value(functional, random_setup(Scenario(3, 2, 4), rng))
     with pytest.raises(ValueError, match="unknown path"):
         quantum_functional_value(functional, random_setup(functional.scenario, rng), path="slow")
+
+
+def tensordot_final_amplitudes(setup, phases):
+    """The per-party tensordot the one-matmul contraction replaced, kept as the oracle."""
+    fourier = fourier_multiport(setup.scenario.outcomes).matrix
+    psi = setup.amplitudes
+    for p, shifters in enumerate(np.exp(1j * phases)):
+        transfer = fourier[None] * shifters[:, None, :]  # (k', d out, d in)
+        # the output port axis moves back to p, the settings axis stays last
+        psi = np.moveaxis(np.tensordot(psi, transfer, axes=([p], [2])), -1, p)
+    return psi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_final_amplitudes_match_per_party_tensordot(n):
+    rng = np.random.default_rng(100 + n)
+    for k in (1, 2, 3):
+        for d in range(2, 6):
+            setup = random_setup(Scenario(n, k, d), rng)
+            found = _final_amplitudes(setup, setup.phases)
+            assert found.shape == (d,) * n + (k,) * n
+            assert np.abs(found - tensordot_final_amplitudes(setup, setup.phases)).max() <= 1e-15
+            # one setting per party, as born_probabilities passes them
+            x = tuple(int(v) for v in rng.integers(0, k, n))
+            single = setup.phases[np.arange(n), np.asarray(x)][:, None, :]
+            found = _final_amplitudes(setup, single)
+            assert found.shape == (d,) * n + (1,) * n
+            assert np.abs(found - tensordot_final_amplitudes(setup, single)).max() <= 1e-15
+
+
+def test_shift_plan_is_cached_read_only():
+    scenario = Scenario(3, 2, 3)
+    entries = ((1, 0, 2), (0, 0, 0))
+    shifted, displaced = _shift_plan(scenario, entries)
+    assert _shift_plan(scenario, entries)[0] is shifted
+    assert shifted.shape == (2, 3, 3, 3) and displaced.shape == (3, 2, 2, 3)
+    for m, mask in enumerate(entries):
+        for j in np.ndindex(3, 3, 3):
+            moved = tuple((jp + r) % 3 for jp, r in zip(j, mask))
+            assert shifted[(m,) + j] == np.ravel_multi_index(moved, (3, 3, 3))
+        for p, r in enumerate(mask):
+            assert displaced[p, m].tolist() == [[x * 3 + (j + r) % 3 for j in range(3)]
+                                                for x in range(2)]
+    for arr in (shifted, displaced):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+def test_evaluation_builds_no_mask_after_the_first_call(monkeypatch):
+    functional = i323_functional()
+    setup = random_setup(functional.scenario, np.random.default_rng(8))
+    for path in ("born", "fast"):
+        quantum_functional_value(functional, setup, path=path)
+    built = []
+    validate = core.ConjugationMask.__post_init__
+    monkeypatch.setattr(core.ConjugationMask, "__post_init__",
+                        lambda mask: built.append(mask.entries) or validate(mask))
+    for path in ("born", "fast"):
+        quantum_functional_value(functional, setup, path=path)
+    assert built == []
+    # a new functional of the same terms validates each of its masks once
+    again = i323_functional()
+    for path in ("born", "fast", "born"):
+        quantum_functional_value(again, setup, path=path)
+    assert built == list(functional.masks())
