@@ -351,14 +351,17 @@ def build_functional(
 def ww_coefficients(f) -> np.ndarray:
     """Two-outcome coefficient family q(x) = 2^-N sum_r f(r) (-1)^(r.x), f = +/-1.
 
-    `f` is a dict keyed by r-tuples or an ndarray of shape (2,)*N.  The
-    resulting functionals satisfy sum_x q(x) E_x <= 1 for every LHV model.
+    `f` is a dict keyed by exactly the 2^N tuples of {0,1}^N, or an ndarray
+    of shape (2,)*N; any other dict raises ValueError.  The resulting
+    functionals satisfy sum_x q(x) E_x <= 1 for every LHV model.
     """
     if isinstance(f, dict):
-        n = len(next(iter(f)))
-        arr = np.empty((2,) * n)
-        for r, value in f.items():
-            arr[tuple(r)] = value
+        first = next(iter(f), None)
+        n = len(first) if isinstance(first, tuple) else 0
+        cube = list(np.ndindex((2,) * n))
+        if not isinstance(first, tuple) or set(f) != set(cube):
+            raise ValueError("f must be keyed by exactly the 2^N tuples of {0,1}^N")
+        arr = np.array([f[r] for r in cube], dtype=float).reshape((2,) * n)
     else:
         arr = np.asarray(f, dtype=float)
         n = arr.ndim

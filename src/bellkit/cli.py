@@ -25,9 +25,9 @@ from .lhv import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnsupportedFormError,
+    _exponent_rows,
     classical_bound,
     facet_check,
-    vertex_exponents,
 )
 from .optimize import (
     BETA_CUTOFF,
@@ -173,9 +173,9 @@ def cmd_optimize(args, argv) -> int:
         else:
             value = quantum_functional_value(functional, setup, path="born")
             doc = {
-                "quantum_value": round_floats(value),
-                "classical_bound": round_floats(bound),
-                "ratio": round_floats(value / bound) if abs(bound) > BETA_CUTOFF else None,
+                "quantum_value": value,
+                "classical_bound": bound,
+                "ratio": value / bound if abs(bound) > BETA_CUTOFF else None,
                 "ratio_defined": abs(bound) > BETA_CUTOFF,
                 "setup": serialize_setup(setup),
                 "form": functional.form.value,
@@ -255,7 +255,7 @@ def _ww_rows(parties: int) -> list[dict]:
 
     scenario = Scenario(n, 2, 2)
     # alpha = -1, so each vertex entry (-1)^e is exactly 1 - 2e
-    vertices = 1.0 - 2.0 * vertex_exponents(scenario, [(1,) * n])
+    vertices = 1.0 - 2.0 * _exponent_rows(scenario, [(1,) * n], np.arange(scenario.n_strategies))
     values = q @ vertices.T
     bounds = values.max(axis=1)
 
@@ -266,8 +266,8 @@ def _ww_rows(parties: int) -> list[dict]:
     return [
         {
             "f": [int(v) for v in signs[i]],
-            "coefficients": round_floats(q[i].tolist()),
-            "bound": round_floats(float(bounds[i])),
+            "coefficients": q[i].tolist(),
+            "bound": float(bounds[i]),
             "bound_is_one": bool(abs(bounds[i] - 1.0) < 1e-9),
             "nontrivial": bool(nontrivial[i]),
         }
@@ -290,7 +290,8 @@ def cmd_ww(args, argv) -> int:
     csv_lines = ["f,bound,nontrivial"]
     for row in rows:
         csv_lines.append(
-            ";".join(str(v) for v in row["f"]) + f",{row['bound']},{int(row['nontrivial'])}"
+            ";".join(str(v) for v in row["f"])
+            + f",{round_floats(row['bound'])},{int(row['nontrivial'])}"
         )
     return _emit(result, argv, {"parties": args.parties}, None, {}, started,
                  fmt=args.format, csv_text="\n".join(csv_lines) + "\n")

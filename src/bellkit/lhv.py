@@ -341,6 +341,14 @@ def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundR
     return ClassicalBoundResult(float(bound), saturating, total, scenario)
 
 
+def _mask_list(scenario: Scenario, masks) -> list:
+    """The masks as ConjugationMasks, refusing an empty list."""
+    masks = [as_mask(scenario, mask) for mask in masks]
+    if not masks:
+        raise ValueError("vertex exponents need at least one mask")
+    return masks
+
+
 def _exponent_rows(scenario: Scenario, masks, indices) -> np.ndarray:
     """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy indices[i], one column per (r, x).
 
@@ -349,9 +357,7 @@ def _exponent_rows(scenario: Scenario, masks, indices) -> np.ndarray:
     correlation vertex matrix is alpha to these exponents, so two strategies
     give the same vertex exactly when their exponent rows agree.
     """
-    masks = [as_mask(scenario, mask) for mask in masks]
-    if not masks:
-        raise ValueError("vertex exponents need at least one mask")
+    masks = _mask_list(scenario, masks)
     k, d = scenario.settings, scenario.outcomes
     exponents = _party_exponents(scenario)
     indices = np.asarray(indices, dtype=np.int64)
@@ -366,11 +372,6 @@ def _exponent_rows(scenario: Scenario, masks, indices) -> np.ndarray:
                 len(indices), columns)
         blocks.append(block % d)
     return np.hstack(blocks).astype(np.min_scalar_type(d - 1))
-
-
-def vertex_exponents(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """`_exponent_rows` of every strategy, row i for flat index i."""
-    return _exponent_rows(scenario, masks, np.arange(_check_budget(scenario, budget)))
 
 
 def _embed_real(rows: np.ndarray) -> np.ndarray:
@@ -403,7 +404,7 @@ def _orbit_representatives(scenario: Scenario, masks) -> np.ndarray:
     distinct rows of the representatives, in order of first occurrence, are
     those of all d^(N*k) strategies.
     """
-    entries = [as_mask(scenario, mask).entries for mask in masks]
+    entries = [mask.entries for mask in _mask_list(scenario, masks)]
     return _representatives(scenario, _gauge(scenario, entries, FunctionalForm.REAL_PART)[1])
 
 

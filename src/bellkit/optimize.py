@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -86,8 +85,6 @@ __all__ = [
     "product_g_functional",
     "scan_product_g",
     "symmetric_g_search",
-    "symmetric_g_tables",
-    "g_orbit",
 ]
 
 BETA_CUTOFF = 1e-9  # below this the ratio R is reported as absent
@@ -831,41 +828,41 @@ def scan_product_g(
     return rows
 
 
-def symmetric_g_tables() -> list[np.ndarray]:
-    """The 729 symmetric tables g(h1, h2) = g(h2, h1) on (2, 3, 3), upper triangles in order."""
-    rows, cols = np.triu_indices(3)
-    tables = []
-    for values in itertools.product(range(3), repeat=len(rows)):
-        table = np.zeros((3, 3), dtype=np.int64)
-        table[rows, cols] = table[cols, rows] = values
-        tables.append(table)
-    return tables
+def _symmetric_orbits(form: FunctionalForm) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each symmetric table g(h1, h2) = g(h2, h1) on (2, 3, 3) to the least member of its orbit.
 
-
-def g_orbit(table: np.ndarray, form: FunctionalForm) -> set[tuple[int, ...]]:
-    """Exponent tables with provably identical bounds and optima.
-
-    For the self-conjugate basis, uniform index translations and the joint
-    (h -> -h, g -> -g) flip are local outcome relabelings the multiport family
-    absorbs into its phases; constant shifts of g rescale a modulus form by a
-    phase.  (A pure index flip alone is not an equivalence: it corresponds to
-    switching the pairing convention, which lands on the value-negated table.)
-    The Fourier basis has k = d, so d is the table's side.
+    Tables are flat row-major tuples.  An orbit holds the exponent tables with
+    provably identical bounds and optima.  For the self-conjugate basis,
+    uniform index translations and the joint (h -> -h, g -> -g) flip are local
+    outcome relabelings the multiport family absorbs into its phases; constant
+    shifts of g rescale a modulus form by a phase.  (A pure index flip alone is
+    not an equivalence: it corresponds to switching the pairing convention,
+    which lands on the value-negated table.)  The flip conjugates a roll by c
+    into a roll by -c and a value shift by s into one by -s, and rolls commute
+    with shifts, so every group element is a shift of a roll of the table or of
+    its flip: the images +-g(+-(h1 - c), +-(h2 - c)) + s mod d of every table,
+    one sign throughout and taken in one array pass, are its whole orbit.
     """
-    d = len(table)
-    table = np.asarray(table) % d
-    axes = tuple(range(table.ndim))
-    flipped = (-table[np.ix_(*[(-np.arange(s)) % s for s in table.shape])]) % d
-    # the flip conjugates a roll by c into a roll by -c and a value shift by s
-    # into one by -s, and rolls commute with shifts, so every group element is
-    # a shift of a roll of the table or of its flip: no closure is needed
+    d = 3
+    rows, cols = np.triu_indices(d)
+    # every upper triangle, in lexicographic order
+    upper = np.stack(np.unravel_index(np.arange(d ** len(rows)), (d,) * len(rows)), axis=1)
+    tables = np.zeros((len(upper), d, d), dtype=np.int64)
+    tables[:, rows, cols] = tables[:, cols, rows] = upper
+    h = np.arange(d)
     shifts = range(d) if form is FunctionalForm.MODULUS else (0,)
-    return {
-        tuple(((np.roll(t, c, axis=axes) + s) % d).ravel().tolist())
-        for t in (table, flipped)
-        for c in range(table.shape[0])
+    # row-major codes over (d,)*d^2, so integer order is the flat tuples' order
+    codes = np.stack([
+        np.ravel_multi_index(
+            ((sign * tables[:, index[:, None], index] + s) % d).reshape(len(tables), -1).T,
+            (d,) * d**2)
+        for sign in (1, -1)
+        for index in (sign * (h - c) % d for c in range(d))
         for s in shifts
-    }
+    ])
+    least = np.stack(np.unravel_index(codes.min(axis=0), (d,) * d**2), axis=1)
+    return dict(zip(map(tuple, tables.reshape(len(tables), -1).tolist()),
+                    map(tuple, least.tolist())))
 
 
 RANK_DECIMALS = 6  # coarse ratios equal to this many decimals rank by table key
@@ -885,8 +882,6 @@ def _refine_leaders(ratios: dict[tuple[int, ...], float], count: int) -> list[tu
 class SymmetricSearchResult:
     """Outcome of the symmetric-g sweep on the two-party, k = d = 3 scenario."""
 
-    form: FunctionalForm
-    best_g: GTable
     best: OptResult
     ranking: tuple[tuple[tuple[int, ...], float], ...]  # (flat g, ratio), best first
 
@@ -899,7 +894,7 @@ def symmetric_g_search(
 ) -> SymmetricSearchResult:
     """Sweep all 3^6 symmetric exponent tables on (2, 3, 3) and rank by ratio.
 
-    Tables are grouped into relabeling orbits (see g_orbit) and one
+    Tables are grouped into relabeling orbits (see _symmetric_orbits) and one
     representative per orbit is optimized: a coarse pass over every orbit, then
     a refined pass with the full restart budget on the leading candidates.
     coarse_restarts (at least 1) caps the coarse pass's restarts and
@@ -914,13 +909,7 @@ def symmetric_g_search(
     scenario = Scenario(2, 3, 3)
     basis = fourier_party_basis(3)
 
-    # orbits are closed and disjoint, so each is met once and named by its least member
-    assigned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for table in symmetric_g_tables():
-        if tuple(table.ravel().tolist()) not in assigned:
-            orbit = g_orbit(table, form)
-            assigned.update(dict.fromkeys(orbit, min(orbit)))
-
+    assigned = _symmetric_orbits(form)
     reps = sorted(set(assigned.values()))
     # every representative is built and bounded once; the refined pass reuses both
     functionals = {key: build_functional(
@@ -946,10 +935,4 @@ def symmetric_g_search(
         key=lambda item: (-round(item[1], RANK_DECIMALS), item[0]),
     )
     (best_rep,) = _refine_leaders({key: ratio for key, (ratio, _) in scored.items()}, 1)
-    best_g = GTable(scenario, np.asarray(best_rep, dtype=np.int64).reshape(3, 3))
-    return SymmetricSearchResult(
-        form=form,
-        best_g=best_g,
-        best=scored[best_rep][1],
-        ranking=tuple(ranking),
-    )
+    return SymmetricSearchResult(best=scored[best_rep][1], ranking=tuple(ranking))

@@ -142,6 +142,17 @@ def test_ww_requires_sign_values():
         ww_coefficients({(0,): 1, (1,): 0})
 
 
+@pytest.mark.parametrize("f", [
+    {(0, 1): 1, (1, 0): 1, (1, 1): 1},  # (0, 0) missing
+    {(0, 0): 1, (0, 1): 1, (1,): -1},  # a short key
+    {},
+    {(0, 0): 1, (0, 1): 1, (1, 0): 1, (2, 0): 1},  # an entry outside {0, 1}
+], ids=["missing-key", "short-key", "empty", "entry-outside-0-1"])
+def test_ww_dict_must_cover_the_cube_exactly(f):
+    with pytest.raises(ValueError, match="keyed by exactly"):
+        ww_coefficients(f)
+
+
 def test_ww_reconstruction_from_fourier_basis():
     # f(r) = (-1)^g(r) turns the basis construction into the q family, up to
     # the positive scale 2^(N/2), for every choice of g and N <= 3.

@@ -35,7 +35,6 @@ from bellkit.lhv import (
     facet_check,
     polytope_dimension,
     strategy_functional_value,
-    vertex_exponents,
 )
 
 
@@ -331,6 +330,11 @@ def test_polytope_dimensions():
     assert 4 <= d223 <= 8
 
 
+def test_polytope_dimension_refuses_no_masks():
+    with pytest.raises(ValueError, match="at least one mask"):
+        polytope_dimension(Scenario(2, 2, 2), [])
+
+
 def _row_unique_rank(rows):
     """Affine rank of the distinct real-embedded rows, found by rounding floats."""
     return _affine_rank(np.unique(np.round(_embed_real(rows), 12), axis=0))
@@ -414,7 +418,7 @@ def test_facet_check_matches_full_enumeration(functional):
     """Orbit representatives give the rows, dimension and rank of all d^(N*k) strategies."""
     scenario, masks = functional.scenario, functional.masks()
     d = scenario.outcomes
-    everything = vertex_exponents(scenario, masks)
+    everything = _exponent_rows(scenario, masks, np.arange(scenario.n_strategies))
     assert len(everything) == scenario.n_strategies
     representatives = _orbit_representatives(scenario, masks)
     assert np.array_equal(first_unique_rows(_exponent_rows(scenario, masks, representatives)),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,13 +34,12 @@ from bellkit.optimize import (
     _sobol_points,
     _state_column,
     _sweep,
+    _symmetric_orbits,
     _top_eigenvector,
     _top_eigenvectors,
     coset_support,
-    g_orbit,
     scan_product_g,
     symmetric_g_search,
-    symmetric_g_tables,
 )
 
 
@@ -259,21 +260,69 @@ def test_symmetric_g_single_target():
     assert result.ratio == pytest.approx(1.167, abs=0.006)
 
 
+def symmetric_g_tables() -> list[np.ndarray]:
+    """The 729 symmetric tables on (2, 3, 3), upper triangles in itertools.product order."""
+    rows, cols = np.triu_indices(3)
+    tables = []
+    for values in itertools.product(range(3), repeat=len(rows)):
+        table = np.zeros((3, 3), dtype=np.int64)
+        table[rows, cols] = table[cols, rows] = values
+        tables.append(table)
+    return tables
+
+
+def g_orbit(table: np.ndarray, form: FunctionalForm) -> set[tuple[int, ...]]:
+    """The oracle: one table's orbit, from np.roll images of the table and its flip."""
+    d = len(table)
+    table = np.asarray(table) % d
+    axes = tuple(range(table.ndim))
+    flipped = (-table[np.ix_(*[(-np.arange(s)) % s for s in table.shape])]) % d
+    shifts = range(d) if form is FunctionalForm.MODULUS else (0,)
+    return {
+        tuple(((np.roll(t, c, axis=axes) + s) % d).ravel().tolist())
+        for t in (table, flipped)
+        for c in range(table.shape[0])
+        for s in shifts
+    }
+
+
+def orbits_of(form: FunctionalForm) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """Each representative of _symmetric_orbits to its members."""
+    orbits: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for member, representative in _symmetric_orbits(form).items():
+        orbits.setdefault(representative, set()).add(member)
+    return orbits
+
+
+@pytest.mark.parametrize("form, count", [(FunctionalForm.REAL_PART, 129),
+                                         (FunctionalForm.MODULUS, 48)])
+def test_symmetric_orbits_match_the_per_table_oracle(form, count):
+    assigned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for table in symmetric_g_tables():
+        if tuple(table.ravel().tolist()) not in assigned:
+            orbit = g_orbit(table, form)
+            assigned.update(dict.fromkeys(orbit, min(orbit)))
+    mapping = _symmetric_orbits(form)
+    assert mapping == assigned
+    assert len(set(mapping.values())) == count
+
+
 def test_g_orbit_members_share_classical_bounds():
     sc = Scenario(2, 3, 3)
     basis = fourier_party_basis(3)
     rng = np.random.default_rng(3)
     tables = symmetric_g_tables()
     for _ in range(6):
-        table = tables[rng.integers(0, len(tables))]
+        table = tuple(tables[rng.integers(0, len(tables))].ravel().tolist())
         for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
-            orbit = g_orbit(table, form)
+            mapping = _symmetric_orbits(form)
+            orbit = {member for member, least in mapping.items() if least == mapping[table]}
             bounds = set()
-            for member in list(orbit)[:8]:
+            for member in sorted(orbit)[:8]:
                 g = GTable(sc, np.asarray(member).reshape(3, 3))
                 functional = build_functional(sc, basis, g, form)
                 bounds.add(round(classical_bound(functional).bound, 9))
-            assert len(bounds) == 1, f"orbit of {table.ravel().tolist()} mixes bounds {bounds}"
+            assert len(bounds) == 1, f"orbit of {table} mixes bounds {bounds}"
 
 
 def test_g_orbit_is_the_closed_orbit_of_its_table():
@@ -286,18 +335,34 @@ def test_g_orbit_is_the_closed_orbit_of_its_table():
             yield (table + 1) % d
 
     for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
-        seen = set()
-        for table in symmetric_g_tables():
-            if tuple(table.ravel().tolist()) in seen:
-                continue  # its orbit, a member's g_orbit, was checked in full already
-            orbit = g_orbit(table, form)
-            assert tuple(table.ravel().tolist()) in orbit
-            seen |= orbit
-            for key in orbit:
-                member = np.asarray(key).reshape(3, 3)
+        for representative, orbit in orbits_of(form).items():
+            assert representative == min(orbit)
+            # the closure of the representative under the generators is the orbit
+            closure, frontier = {representative}, [representative]
+            while frontier:
+                member = np.asarray(frontier.pop()).reshape(3, 3)
                 for image in generators(member, form):
-                    assert tuple(image.ravel().tolist()) in orbit
-                assert g_orbit(member, form) == orbit
+                    key = tuple(image.ravel().tolist())
+                    assert key in orbit
+                    if key not in closure:
+                        closure.add(key)
+                        frontier.append(key)
+            assert closure == orbit
+
+
+@pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
+def test_symmetric_g_search_best_is_the_first_ranked_table(form):
+    result = symmetric_g_search(form, OptimizationConfig(restarts=1, seed=5),
+                                coarse_restarts=1, refine_top=1)
+    key, ratio = result.ranking[0]
+    assert _symmetric_orbits(form)[key] == key
+    assert result.best.ratio == ratio
+    sc = Scenario(2, 3, 3)
+    functional = build_functional(sc, fourier_party_basis(3),
+                                  GTable(sc, np.asarray(key).reshape(3, 3)), form)
+    assert result.best.classical_bound == classical_bound(functional).bound
+    assert result.best.quantum_value == quantum_functional_value(functional, result.best.setup,
+                                                                 path="born")
 
 
 def test_scan_refuses_over_budget_rows_before_building(monkeypatch):
@@ -539,7 +604,7 @@ def test_carried_factors_match_fresh_ones(name, make, monkeypatch):
 
 def test_coarse_batch_matches_single_searches():
     sc = Scenario(2, 3, 3)
-    tables = sorted({min(g_orbit(table, FunctionalForm.MODULUS)) for table in symmetric_g_tables()})
+    tables = sorted(set(_symmetric_orbits(FunctionalForm.MODULUS).values()))
     jobs = []
     for index, key in enumerate(tables):
         g = GTable(sc, np.asarray(key).reshape(3, 3))
