@@ -112,7 +112,8 @@ def _load_spec(value: str):
 
 def _emit(result, command: list[str], inputs: dict, seed, config: dict,
           started: float, fmt: str = "json", csv_text: str | None = None) -> int:
-    digest = document_digest(result)
+    rounded = round_floats(result)
+    digest = document_digest(rounded, rounded=True)
     manifest = RunManifest(
         command=command,
         inputs=inputs,
@@ -126,7 +127,7 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
         sys.stdout.write(csv_text if csv_text is not None else "")
         _log(canonical_json({"manifest": asdict(manifest)}))
     else:
-        doc = {"result": round_floats(result), "manifest": round_floats(asdict(manifest))}
+        doc = {"result": rounded, "manifest": round_floats(asdict(manifest))}
         print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

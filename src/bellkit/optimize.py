@@ -19,7 +19,11 @@ Each restart runs a monotone alternating ascent: with the state held fixed,
 every free phase has a sinusoidal objective A e^(i*phi) + B e^(-i*phi) + C
 whose coefficients are read off a per-party environment (the pairing
 contracted over every other party), so each phase is maximized exactly in
-turn; the state is then refreshed by an eigensolve.
+turn; the state is then refreshed by an eigensolve.  A modulus form's refresh
+also re-centres the rotation theta: safeguarded Newton steps climb
+lambda_max(H(theta)), reading its first and second derivatives off each
+round's eigendecomposition, and the refresh keeps its best round, so it never
+ends below its first eigensolve (see _recentred).
 
 The ascent runs on a batch of rows.  A row is one (functional, restart) pair;
 the rows of a batch share a term structure and a support and differ in their
@@ -355,10 +359,6 @@ class _MultiportObjective:
         return complex(weights @ z)
 
     # -- eigen-resolved objective -------------------------------------------
-    def _hermitian(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        rotated = g * np.exp(1j * theta)[:, None, None] if self.is_modulus else g
-        return 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
-
     def scatter(self, block: np.ndarray) -> np.ndarray:
         """The full d^N state whose amplitudes on the support are block."""
         state = np.zeros(self.dim, dtype=complex)
@@ -369,32 +369,24 @@ class _MultiportObjective:
                          blocks: np.ndarray | None, theta: np.ndarray):
         """Eigen state updates of every row; for modulus forms also re-centre the rotations.
 
-        factors are the rows' support factors.  A modulus row's state is
-        refreshed at its rotation theta, which then moves to -arg(s* G s), for
-        up to 8 rounds or until it moves by less than 1e-12; blocks None starts
-        each row from the top eigenvector at theta.  Returns the states on the
-        support, the rotations and the values.
+        factors are the rows' support factors.  A real-part row takes the top
+        eigenvector of G's Hermitian part.  A modulus row's rotation first
+        moves to -arg(s* G s) of its state blocks (None starts each row from
+        the top eigenvector at theta); then _recentred climbs
+        lambda_max(H(theta)) by Newton steps, up to 8 eigensolves, and keeps
+        the round with the largest |s* G s|.  So a refresh never ends below
+        its first eigensolve, and each row's value is that of the state and
+        rotation returned with it.  Returns the states on the support, the
+        rotations and the values.
         """
         g = self.g_matrix(factors, mask_weights)
         if not self.is_modulus:
-            new = _top_eigenvectors(self._hermitian(g, theta))
+            new = _eigh_stack(_hermitian_part(g))[1][:, :, -1]
             return new, theta, _quadratic(g, new).real
         if blocks is None:
-            blocks = _top_eigenvectors(self._hermitian(g, theta))
-        new, total = np.empty_like(blocks), _quadratic(g, blocks)
-        theta = np.where(total != 0, -np.angle(total), theta)
-        live = np.arange(len(g))
-        for _ in range(8):
-            g_live, theta_live = g[live], theta[live]
-            new[live] = vectors = _top_eigenvectors(self._hermitian(g_live, theta_live))
-            total[live] = sums = _quadratic(g_live, vectors)
-            next_theta = -np.angle(sums)
-            settled = np.abs((next_theta - theta_live + np.pi) % (2 * np.pi) - np.pi) < 1e-12
-            theta[live] = np.where(sums != 0, next_theta, theta_live)
-            live = live[(sums != 0) & ~settled]
-            if not live.size:
-                break
-        return new, theta, np.abs(total)
+            blocks = _eigh_stack(_hermitian_part(g, np.exp(1j * theta)))[1][:, :, -1]
+        total = _quadratic(g, blocks)
+        return _recentred(g, np.where(total != 0, -np.angle(total), theta))
 
     def setup_at(self, phases: np.ndarray, state: np.ndarray) -> QuantumSetup:
         # fix the state's arbitrary global phase for reproducible output
@@ -410,8 +402,63 @@ def _quadratic(g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return (blocks.conj() * (g * blocks[:, None, :]).sum(axis=-1)).sum(axis=-1)
 
 
-def _top_eigenvector(h: np.ndarray) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue of the Hermitian matrix h.
+def _hermitian_part(g: np.ndarray, rotation: np.ndarray | None = None) -> np.ndarray:
+    """H = (R + R*) / 2 of every row of a (B, m, m) stack, R = rotation[b] G[b] (G for None)."""
+    rotated = g if rotation is None else g * rotation[:, None, None]
+    return 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
+
+
+def _recentred(g: np.ndarray, theta: np.ndarray):
+    """Modulus rows' states, rotations and values: a safeguarded Newton ascent in theta.
+
+    The value of a rotation is f(theta) = lambda_1, the top eigenvalue of
+    H(theta) = _hermitian_part(G, e^(i*theta)), with top eigenvector s.  From
+    the round's eigenpairs (lambda_j, v_j), f' = -Im(e^(i*theta) s* G s) and
+    f'' = -lambda_1 + 2 sum_(j != 1) |v_j* G s|^2 / (lambda_1 - lambda_j).
+    Each round steps to theta - f'/f'' where f'' is negative and the step
+    finite, and elsewhere to -arg(s* G s), the fixed point of the rotation
+    (Newton's step with the sum dropped, so it converges only linearly).  A
+    row stops once theta moves by less than 1e-12, once s* G s = 0, or after
+    8 rounds.  A Newton step can overshoot, so each row returns the round
+    with the largest |s* G s|: its state, the rotation -arg(s* G s) and the
+    value |s* G s|.  The first round is one eigensolve at the given theta, so
+    no refresh ends below it; a row whose first s* G s is 0 keeps its theta.
+    """
+    count, size = g.shape[:2]
+    best, best_total = np.empty((count, size), dtype=complex), np.zeros(count, dtype=complex)
+    best_value = np.full(count, -1.0)
+    theta = theta.copy()
+    live = np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(8):
+            g_live, theta_live = g[live], theta[live]
+            rotation = np.exp(1j * theta_live)
+            values, vectors = _eigh_stack(_hermitian_part(g_live, rotation))
+            image = (g_live * vectors[:, None, :, -1]).sum(axis=-1)           # G s
+            # v_j* G s for every eigenvector j, each summed along a fresh last
+            # axis; the top one, j = m, is s* G s bit for bit as _quadratic
+            pairs = (np.ascontiguousarray(vectors.transpose(0, 2, 1)).conj()
+                     * image[:, None, :]).sum(axis=-1)
+            sums, magnitude = pairs[:, -1], np.abs(pairs[:, -1])
+            better = magnitude > best_value[live]
+            rows = live[better]
+            best[rows], best_total[rows] = vectors[better, :, -1], sums[better]
+            best_value[rows] = magnitude[better]
+            gaps = values[:, -1:] - values[:, :-1]                           # lambda_1 - lambda_j
+            curvature = 2 * (np.abs(pairs[:, :-1]) ** 2 / gaps).sum(axis=-1) - values[:, -1]
+            newton = theta_live + (rotation * sums).imag / curvature
+            next_theta = np.where((curvature < 0) & np.isfinite(newton), newton, -np.angle(sums))
+            moving = sums != 0
+            theta[live] = np.where(moving, next_theta, theta_live)
+            turn = (next_theta - theta_live + np.pi) % (2 * np.pi) - np.pi
+            live = live[moving & (np.abs(turn) >= 1e-12)]
+            if not live.size:
+                break
+    return best, np.where(best_total != 0, -np.angle(best_total), theta), best_value
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors of the Hermitian matrix h.
 
     LAPACK's divide-and-conquer solver behind numpy's eigh can fail to converge
     on a finite, exactly Hermitian matrix (seen at 243x243 with one BLAS
@@ -419,25 +466,25 @@ def _top_eigenvector(h: np.ndarray) -> np.ndarray:
     default solver converges is unchanged.
     """
     try:
-        _, vecs = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError:
         from scipy import linalg  # imported only here: no converging run loads it
 
-        _, vecs = linalg.eigh(h, driver="evr")
-    return vecs[:, -1]
+        return linalg.eigh(h, driver="evr")
 
 
-def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
-    """Top eigenvectors of a (B, m, m) stack of Hermitian matrices, one per row.
+def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (B, m), ascending, and eigenvectors (B, m, m) of a stack of Hermitian matrices.
 
     The stacked eigh solves each matrix as a call on it alone would.  If it
-    raises, every matrix is solved alone through _top_eigenvector, so a row's
-    vector never depends on the rest of its stack.
+    raises, every matrix is solved alone through _eigh, so a row's
+    eigenpairs never depend on the rest of its stack.
     """
     try:
-        return np.linalg.eigh(h)[1][:, :, -1]
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError:
-        return np.array([_top_eigenvector(matrix) for matrix in h])
+        solved = [_eigh(matrix) for matrix in h]
+        return np.array([w for w, _ in solved]), np.array([v for _, v in solved])
 
 
 def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: float,

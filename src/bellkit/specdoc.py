@@ -315,12 +315,18 @@ def complex_pair(value: complex) -> list[float]:
     return [float(f"{value.real:.{DIGITS}g}"), float(f"{value.imag:.{DIGITS}g}")]
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(round_floats(doc), sort_keys=True, separators=(",", ":"))
+def canonical_json(doc, rounded: bool = False) -> str:
+    """Compact key-sorted JSON of doc with its floats rounded; rounded=True: doc already is."""
+    return json.dumps(doc if rounded else round_floats(doc), sort_keys=True, separators=(",", ":"))
 
 
-def document_digest(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+def document_digest(doc, rounded: bool = False) -> str:
+    """SHA-256 of canonical_json(doc, rounded).
+
+    round_floats is idempotent, so the digest of a rounded document is the
+    digest of the document it was rounded from.
+    """
+    return hashlib.sha256(canonical_json(doc, rounded).encode()).hexdigest()
 
 
 def serialize_setup(setup: QuantumSetup) -> dict:

@@ -577,6 +577,27 @@ def test_numbers_serialized_to_12_significant_digits(capsys):
     assert value == float(f"{value:.12g}")
 
 
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=3),
+    st.floats(allow_nan=False), st.complex_numbers(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.lists(st.floats(allow_nan=False), max_size=3).map(np.array),
+)
+json_trees = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), children, max_size=4)), max_leaves=20)
+
+
+@given(doc=json_trees)
+def test_round_floats_is_idempotent(doc):
+    once = round_floats(doc)
+    # compared as text, so -0.0 against 0.0 and int against float would show
+    assert json.dumps(round_floats(once)) == json.dumps(once)
+    assert document_digest(once, rounded=True) == document_digest(doc)
+
+
 def test_setup_document_roundtrip():
     scenario = Scenario(2, 2, 3)
     rng = np.random.default_rng(11)
