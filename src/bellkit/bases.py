@@ -28,6 +28,7 @@ from .core import (
     as_index,
     as_index_array,
     as_mask,
+    contract_parties,
     root_of_unity,
     settings_tuples,
     unit_roots,
@@ -44,7 +45,6 @@ __all__ = [
     "k2_conjugate_basis",
     "build_functional",
     "ww_coefficients",
-    "walsh_matrix",
     "wwzb_nonlinear",
     "evaluate_functional",
     "apply_form",
@@ -339,17 +339,20 @@ def build_functional(
     if g.scenario != scenario:
         raise ValueError("g table was built for a different scenario")
     u, scale = _probe_matrix(scenario, basis, pairing)
-    coeff = unit_roots(scenario.outcomes)[g.table]
-    for _ in range(scenario.parties):
-        # consume the leading h-axis, appending the matching x-axis at the end
-        coeff = np.tensordot(coeff, u, axes=([0], [0]))
+    coeff = contract_parties(unit_roots(scenario.outcomes)[g.table], [u] * scenario.parties)
     if scale != 1.0:
         coeff = coeff * scale
     return BellFunctional.from_coefficients(scenario, coeff, form, mask)
 
 
+# (-1)^(r x): the d = 2 Fourier probe without its 2^(-1/2), exact
+WALSH_PROBE = np.array([[1.0, 1.0], [1.0, -1.0]])
+WALSH_PROBE.setflags(write=False)
+
+
 def ww_coefficients(f) -> np.ndarray:
     """Two-outcome coefficient family q(x) = 2^-N sum_r f(r) (-1)^(r.x), f = +/-1.
+    It is the construction's expansion of f in the exact d = 2 probe.
 
     `f` is a dict keyed by exactly the 2^N tuples of {0,1}^N, or an ndarray
     of shape (2,)*N; any other dict raises ValueError.  The resulting
@@ -369,18 +372,7 @@ def ww_coefficients(f) -> np.ndarray:
         raise ValueError(f"f must cover all of {{0,1}}^{n}")
     if not np.all(np.abs(arr) == 1):
         raise ValueError("f must take values +1 or -1")
-    return (arr.ravel() @ walsh_matrix(n)).reshape(arr.shape) / 2**n
-
-
-def walsh_matrix(n: int) -> np.ndarray:
-    """The 2^N x 2^N signs (-1)^(r.x), rows r and columns x in lexicographic order.
-
-    It is the N-fold Kronecker power of [[1, 1], [1, -1]].
-    """
-    walsh = np.ones((1, 1))
-    for _ in range(n):
-        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
-    return walsh
+    return contract_parties(arr, [WALSH_PROBE] * n) / 2**n
 
 
 def wwzb_nonlinear(
@@ -394,10 +386,7 @@ def wwzb_nonlinear(
     """
     scenario = tensor.scenario
     u, scale = _probe_matrix(scenario, basis, pairing)
-    probe = tensor.values
-    for _ in range(scenario.parties):
-        # contract the leading x-axis against the vector components
-        probe = np.tensordot(probe, u, axes=([0], [1]))
+    probe = contract_parties(tensor.values, [u.T] * scenario.parties)
     return float(np.abs(probe).sum() * scale)
 
 

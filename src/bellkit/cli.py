@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Scenario
-from .bases import walsh_matrix
+from .core import Scenario, contract_parties
+from .bases import WALSH_PROBE
 from .lhv import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnsupportedFormError,
-    _exponent_rows,
     classical_bound,
     facet_check,
 )
@@ -251,14 +250,15 @@ def _ww_rows(parties: int) -> list[dict]:
     count = 2 ** 2**n
     # row i: the binary digits of i, first column most significant, as signs
     signs = 1.0 - 2.0 * (np.arange(count)[:, None] >> np.arange(2**n)[::-1] & 1)
-    # row i is ww_coefficients of row i's signs, flattened
-    q = signs @ walsh_matrix(n) / 2**n
-
-    scenario = Scenario(n, 2, 2)
-    # alpha = -1, so each vertex entry (-1)^e is exactly 1 - 2e
-    vertices = 1.0 - 2.0 * _exponent_rows(scenario, [(1,) * n], np.arange(scenario.n_strategies))
-    values = q @ vertices.T
-    bounds = values.max(axis=1)
+    # row i is ww_coefficients of row i's signs, flattened: one expansion of all rows
+    q = contract_parties(signs.T.reshape((2,) * n + (count,)), [WALSH_PROBE] * n)
+    q = q.reshape(count, -1) / 2**n
+    # column j = 2 a(0) + a(1): the signs (-1)^a(x) of a party's strategy a; a
+    # vertex is the product of its parties' signs, so this values all 4^N
+    # strategies in flat-index order
+    party_signs = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    values = contract_parties(q.T.reshape((2,) * n + (count,)), [party_signs] * n)
+    bounds = values.reshape(count, -1).max(axis=1)
 
     # f factorizes (trivial inequality) iff f(r) = s (-1)^(r.y), whose Walsh
     # coefficients are s at y and zero elsewhere: one nonzero coefficient

@@ -28,6 +28,7 @@ __all__ = [
     "settings_tuples",
     "correlation_from_probabilities",
     "correlation_stack",
+    "contract_parties",
     "strategy_correlation_tensor",
     "point_mass_table",
 ]
@@ -228,9 +229,6 @@ class CorrelationTensor:
     def __getitem__(self, x: tuple[int, ...]) -> complex:
         return complex(self.values[tuple(x)])
 
-    def conjugated(self) -> "CorrelationTensor":
-        return CorrelationTensor(self.scenario, self.mask.conjugated(), self.values.conj())
-
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
@@ -279,6 +277,20 @@ class DeterministicStrategy:
         for pos in range(n * k - 1, -1, -1):
             index, digits[pos] = divmod(index, d)
         return cls(scenario, digits.reshape(n, k))
+
+
+def contract_parties(values, matrices) -> np.ndarray:
+    """out[..., j_0, .., j_(N-1)] = sum_i values[i_0, .., i_(N-1), ...] prod_p m_p[i_p, j_p].
+
+    Each matrix m_p in turn consumes the leading axis of `values` in one
+    matmul and appends its column axis at the end.  Trailing axes of `values`
+    are carried along, so one call expands a whole stack of tables.
+    """
+    values = np.asarray(values)
+    shape = values.shape[len(matrices):] + tuple(m.shape[1] for m in matrices)
+    for m in matrices:
+        values = np.dot(values.reshape(len(m), -1).T, m)
+    return values.reshape(shape)
 
 
 def _mask_weight_tensor(scenario: Scenario, mask: ConjugationMask) -> np.ndarray:

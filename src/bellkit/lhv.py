@@ -408,9 +408,9 @@ def _orbit_representatives(scenario: Scenario, masks) -> np.ndarray:
     return _representatives(scenario, _gauge(scenario, entries, FunctionalForm.REAL_PART)[1])
 
 
-def polytope_dimension(scenario: Scenario, masks, budget: int = DEFAULT_BUDGET) -> int:
+def polytope_dimension(scenario: Scenario, masks) -> int:
     """Affine dimension of the deterministic vertices over these masks, real-embedded."""
-    _check_budget(scenario, budget)
+    _check_budget(scenario, DEFAULT_BUDGET)
     rows = _exponent_rows(scenario, masks, _orbit_representatives(scenario, masks))
     return _affine_dimension(rows, scenario.outcomes)
 

@@ -7,8 +7,9 @@ the authoritative path; the shift-product form of the correlations is an
 algebraically equal fast path, kept as the cross-check of the Born path
 (quantum_functional_value(path="fast")); the optimizer's seesaw runs on its own
 environment tensors.  Both paths are contracted party by party
-over all k^N joint settings at once, with no loop over settings tuples, and
-each evaluates all of a functional's masks in one call.
+over all k^N joint settings at once, with no loop over settings tuples (the
+Born path through `core.contract_parties`), and each evaluates all of a
+functional's masks in one call.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     as_index,
     as_mask,
     check_correlations,
+    contract_parties,
     correlation_from_probabilities,
     unit_roots,
 )
@@ -120,20 +122,16 @@ class QuantumSetup:
 def _final_amplitudes(setup: QuantumSetup, phases: np.ndarray) -> np.ndarray:
     """Output amplitudes for every joint setting of phases at once.
 
-    phases has shape (N, k', d): k' settings per party.  Party by party, the
-    leading axis of the amplitudes is that party's input port; one matmul
-    with the stack of k' transfer matrices F diag(e^(i phi)) consumes it and
-    appends the party's (setting, output port) axes at the end.  One
+    phases has shape (N, k', d): k' settings per party.  `contract_parties`
+    expands the amplitudes party by party, each party's stack of k' transfer
+    matrices F diag(e^(i phi)) read as one (d in, k' * d out) matrix.  One
     transposed view then gives shape (d,)*N + (k',)*N, the ProbabilityTable
     layout.
     """
     fourier = fourier_multiport(setup.scenario.outcomes).matrix
-    d = len(fourier)
-    n, settings = phases.shape[:2]
-    psi = setup.amplitudes
-    for shifters in np.exp(1j * phases):
-        transfer = fourier[None] * shifters[:, None, :]  # (k', d out, d in)
-        psi = np.dot(psi.reshape(d, -1).T, transfer.reshape(settings * d, d).T)
+    n, settings, d = phases.shape
+    transfers = fourier * np.exp(1j * phases)[:, :, None, :]  # (N, k', d out, d in)
+    psi = contract_parties(setup.amplitudes, [t.reshape(settings * d, d).T for t in transfers])
     return psi.reshape((settings, d) * n).transpose(
         list(range(1, 2 * n, 2)) + list(range(0, 2 * n, 2)))
 

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellkit import (
     BellFunctional,
@@ -24,8 +24,9 @@ from bellkit import (
     ww_coefficients,
     wwzb_nonlinear,
 )
+from bellkit.bases import _probe_matrix
 from bellkit.cglmp import cglmp_correlation_functional, i323_functional
-from bellkit.core import ConjugationMask, CorrelationTensor, correlation_stack
+from bellkit.core import ConjugationMask, CorrelationTensor, correlation_stack, unit_roots
 from bellkit.multiport import QuantumSetup, probability_table, quantum_correlation_stack
 
 
@@ -164,6 +165,67 @@ def test_ww_reconstruction_from_fourier_basis():
             functional = build_functional(sc, fourier_party_basis(2), g, FunctionalForm.REAL_PART)
             q = ww_coefficients((-1.0) ** g_arr)
             assert np.allclose(functional.coefficients, 2 ** (n / 2) * q, atol=1e-12)
+
+
+def test_ww_coefficients_equal_the_kronecker_walsh_matrix():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4):
+        # the 2^N x 2^N signs (-1)^(r.x), rows r and columns x in lexicographic order
+        walsh = np.ones((1, 1))
+        for _ in range(n):
+            walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=2**n)))
+        if n == 4:
+            signs = signs[rng.choice(len(signs), 300, replace=False)]
+        for f in signs:
+            q = ww_coefficients(f.reshape((2,) * n))
+            assert q.shape == (2,) * n
+            assert np.array_equal(q.ravel(), f @ walsh / 2**n)
+
+
+# The per-party tensordot loops the construction and the envelope ran before
+# `contract_parties`, kept as the oracle.
+
+def tensordot_coefficients(scenario, basis, g, pairing):
+    u, scale = _probe_matrix(scenario, basis, pairing)
+    coeff = unit_roots(scenario.outcomes)[g.table]
+    for _ in range(scenario.parties):
+        coeff = np.tensordot(coeff, u, axes=([0], [0]))
+    return coeff * scale if scale != 1.0 else coeff
+
+
+def tensordot_envelope(tensor, basis, pairing):
+    u, scale = _probe_matrix(tensor.scenario, basis, pairing)
+    probe = tensor.values
+    for _ in range(tensor.scenario.parties):
+        probe = np.tensordot(probe, u, axes=([0], [1]))
+    return float(np.abs(probe).sum() * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fourier=st.booleans(), n=st.integers(1, 5), d=st.integers(2, 14),
+       pairing=st.sampled_from(list(Pairing)), seed=st.integers(0, 2**32 - 1))
+@example(fourier=False, n=2, d=14, pairing=Pairing.BILINEAR, seed=0)
+@example(fourier=False, n=2, d=14, pairing=Pairing.SESQUILINEAR, seed=1)
+@example(fourier=True, n=5, d=4, pairing=Pairing.SESQUILINEAR, seed=2)
+def test_construction_and_envelope_match_the_tensordot_loops(fourier, n, d, pairing, seed):
+    # the Fourier basis needs k = d (kept to k^N <= 1024 entries), k2-conjugate k = 2, d >= 3
+    if fourier:
+        d = min(d, int(round(1024 ** (1 / n))))
+    else:
+        d = max(d, 3)
+    k = d if fourier else 2
+    scenario = Scenario(n, k, d)
+    basis = fourier_party_basis(d) if fourier else k2_conjugate_basis(d)
+    rng = np.random.default_rng(seed)
+    g = GTable(scenario, rng.integers(0, d, size=(k,) * n))
+    functional = build_functional(scenario, basis, g, FunctionalForm.REAL_PART, pairing)
+    assert np.array_equal(functional.coefficients,
+                          tensordot_coefficients(scenario, basis, g, pairing))
+    raw = rng.uniform(-1, 1, (k,) * n) + 1j * rng.uniform(-1, 1, (k,) * n)
+    tensor = CorrelationTensor(scenario, ConjugationMask((1,) * n, d),
+                               raw.real if d == 2 else raw / np.sqrt(2))
+    assert wwzb_nonlinear(tensor, basis, pairing) == tensordot_envelope(tensor, basis, pairing)
 
 
 def test_wwzb_nonlinear_values():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,24 @@ BOOLEAN_AMPLITUDE = dict(SETUP_DOC, amplitudes=[True, 0, 0, 1])
 # each term carries its own mask, so a top-level one would be ignored
 TERMS_WITH_MASK = dict(TERMS_DOC, mask="garbage")
 
+# the construction route's bases: fourier needs k = d, k2-conjugate k = 2 and d >= 3
+FOURIER_223 = {"scenario": {"parties": 2, "settings": 2, "outcomes": 3}, "form": "real-part",
+               "construction": {"basis": "fourier", "g": [[0, 0], [0, 1]]}}
+K2_CONJUGATE_233 = {"scenario": {"parties": 2, "settings": 3, "outcomes": 3},
+                    "form": "real-part",
+                    "construction": {"basis": "k2-conjugate", "g": [[0, 0, 0]] * 3}}
+K2_CONJUGATE_222 = dict(FOURIER_223, scenario={"parties": 2, "settings": 2, "outcomes": 2},
+                        construction={"basis": "k2-conjugate", "g": [[0, 0], [0, 1]]})
+UNKNOWN_BASIS = dict(K2_CONJUGATE_222, construction={"basis": "walsh", "g": [[0, 0], [0, 1]]})
+
+
+def readme_functional_document() -> dict:
+    """The example document under README's "Functional documents" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Functional documents"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
 I323_SETUP = {
     "scenario": {"parties": 3, "settings": 3, "outcomes": 3},
     "amplitudes": [1] + [0] * 12 + [1] + [0] * 12 + [1],
@@ -186,6 +205,16 @@ I323_SETUP = {
     ("amplitude-true", ["optimize", "--spec", "chsh", "--setup", "{boolean_amplitude}"],
      ".amplitudes[0]: "),
     ("terms-with-mask", ["bound", "--spec", "{terms_with_mask}"], ".mask: "),
+    # README's example document with a mask entry of d = 3, and with one entry for two parties
+    ("mask-entry-3", ["bound", "--spec", "{readme_mask_3}"], ".mask: "),
+    ("mask-one-entry", ["bound", "--spec", "{readme_mask_1}"], ".mask: "),
+    ("fourier-settings-not-outcomes", ["bound", "--spec", "{fourier_223}"],
+     ".construction.basis: "),
+    ("k2-conjugate-three-settings", ["bound", "--spec", "{k2_conjugate_233}"],
+     ".construction.basis: "),
+    ("k2-conjugate-two-outcomes", ["bound", "--spec", "{k2_conjugate_222}"],
+     ".construction.basis: "),
+    ("unknown-basis", ["bound", "--spec", "{unknown_basis}"], ".construction.basis: "),
     ("scenarios-semicolon", ["table", "--scenarios", ";"], "scenarios: "),
     ("scenarios-empty", ["table", "--scenarios", ""], "scenarios: "),
     # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
@@ -208,7 +237,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "boolean_mask": BOOLEAN_MASK, "bound_text_3": dict(CHSH_DOC, bound="3"),
              "bound_true": dict(CHSH_DOC, bound=True), "boolean_weight": BOOLEAN_WEIGHT,
              "text_phase": TEXT_PHASE, "boolean_amplitude": BOOLEAN_AMPLITUDE,
-             "terms_with_mask": TERMS_WITH_MASK}
+             "terms_with_mask": TERMS_WITH_MASK,
+             "readme_mask_3": dict(readme_functional_document(), mask=[1, 3]),
+             "readme_mask_1": dict(readme_functional_document(), mask=[1]),
+             "fourier_223": FOURIER_223, "k2_conjugate_233": K2_CONJUGATE_233,
+             "k2_conjugate_222": K2_CONJUGATE_222, "unknown_basis": UNKNOWN_BASIS}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:
@@ -315,6 +348,26 @@ def test_optimize_uses_the_document_bound(capsys):
     code, _, err = run_cli(capsys, "bound", "--spec", "chsh", "--budget", "1")
     assert code == 3
     assert "budget" in err
+
+
+def test_optimize_with_a_zero_bound_leaves_the_ratio_undefined(capsys, tmp_path):
+    spec = tmp_path / "zero-bound.json"
+    spec.write_text(json.dumps(dict(CHSH_DOC, bound=0)))
+    result = run_json(capsys, "optimize", "--spec", str(spec), "--budget", "1",
+                      "--restarts", "1")["result"]
+    assert result["classical_bound"] == 0.0
+    assert result["ratio"] is None
+    assert result["ratio_defined"] is False
+    assert result["ratio_note"] == "classical bound is numerically zero; the ratio is undefined"
+
+
+def test_readme_functional_document_carries_its_classical_bound():
+    doc = readme_functional_document()
+    functional = parse_functional_document(doc, "README")
+    assert functional.mask.entries == (1, 2)
+    assert functional.cached_bound == doc["bound"]
+    # the enumerated maximum is 1 up to round-off; the CLI reports 1.0
+    assert classical_bound(functional).bound == pytest.approx(doc["bound"], rel=0, abs=1e-12)
 
 
 def test_modulus_facet_exit_4(capsys, tmp_path):
@@ -563,6 +616,24 @@ def test_ww_rows_are_ww_coefficients(capsys, parties):
     for row in rows:
         signs = np.array(row["f"], dtype=float).reshape((2,) * parties)
         assert row["coefficients"] == ww_coefficients(signs).ravel().tolist()
+
+
+# the result digests of `bellkit ww --parties N`, N = 1..4, from the Kronecker-power
+# Walsh matrix and the enumerated vertex matrix the family was first valued with
+WW_DIGESTS = {
+    1: "09b3e7d690df95e051b737df515494182d2f5b286799938a1da6db834a9a91b3",
+    2: "6aea0d0b364b78595fd5fb3cdae93c3529566063ab146344ad06a056c5eb4475",
+    3: "9fbff35f6f81e86d23cea9dd773bf98541d2e3ab64211cdc661b292e4f53dd92",
+    4: "d42e8471b2e246455c631f7f4e3ff83f0311a646ae472f821ae9e7e50c5990db",
+}
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3, 4])
+def test_ww_documents_are_pinned(capsys, parties):
+    # the csv run digests the same result document and skips its indented dump
+    code, _, err = run_cli(capsys, "ww", "--parties", str(parties), "--format", "csv")
+    assert code == 0
+    assert json.loads(err)["manifest"]["result_digest"] == WW_DIGESTS[parties]
 
 
 def test_ww_csv(capsys):

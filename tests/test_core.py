@@ -15,7 +15,7 @@ from bellkit import (
     settings_tuples,
     strategy_correlation_tensor,
 )
-from bellkit.core import _mask_weights, correlation_stack
+from bellkit.core import _mask_weights, contract_parties, correlation_stack
 
 
 def uniform_table(scenario):
@@ -307,3 +307,28 @@ def test_correlation_tensor_validation():
         values[1, 0] = bad
         with pytest.raises(ValueError, match="not finite"):
             CorrelationTensor(sc3, ConjugationMask((1, 2), 3), values)
+
+
+@pytest.mark.parametrize("leading, trailing, columns", [
+    ((2,), (), (3,)),
+    ((3, 2), (4,), (2, 5)),
+    ((2, 3, 2), (2, 3), (4, 1, 3)),
+])
+def test_contract_parties_expands_party_by_party(leading, trailing, columns):
+    rng = np.random.default_rng(len(leading))
+    # small integers, so every sum is exact and the comparison can be too
+    values = rng.integers(-3, 4, leading + trailing).astype(float)
+    matrices = [rng.integers(-3, 4, (rows, cols)).astype(float)
+                for rows, cols in zip(leading, columns)]
+    found = contract_parties(values, matrices)
+    assert found.shape == trailing + columns
+    expected = np.zeros(trailing + columns)
+    for i in np.ndindex(leading):
+        for j in np.ndindex(columns):
+            weight = np.prod([m[a, b] for m, a, b in zip(matrices, i, j)])
+            expected[(...,) + j] += weight * values[i]
+    assert np.array_equal(found, expected)
+    # a stack of tables on the trailing axes expands as each table alone
+    for t in np.ndindex(trailing):
+        single = contract_parties(values[(...,) + t], matrices)
+        assert np.array_equal(found[t], single)
