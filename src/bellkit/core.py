@@ -272,6 +272,9 @@ class DeterministicStrategy:
 
     @classmethod
     def from_flat_index(cls, scenario: Scenario, index: int) -> "DeterministicStrategy":
+        index = as_index(index, "strategy index")
+        if not 0 <= index < scenario.n_strategies:
+            raise ValueError(f"strategy index {index} is outside [0, {scenario.n_strategies})")
         n, k, d = scenario.parties, scenario.settings, scenario.outcomes
         digits = np.empty(n * k, dtype=np.int64)
         for pos in range(n * k - 1, -1, -1):

@@ -30,7 +30,10 @@ exactly by their integer exponents rather than by rounding floats.  All
 strategies of one real-part gauge orbit of the masks share one exponent row,
 and the representative a_p(0) < g_p is the orbit's first strategy in
 flat-index order, so both ranks are taken over the representatives alone
-(every strategy, only when the gauge is trivial).
+(every strategy, only when the gauge is trivial).  The gauge, cached per
+mask set and form, and the vertex structure (representatives, exponent rows,
+polytope dimension), cached per mask set, are computed once per process and
+shared read-only by every later call.
 """
 
 from __future__ import annotations
@@ -211,10 +214,12 @@ def _strategy_values(functional, indices, offsets=0) -> np.ndarray:
     ], axis=-1)
 
 
-def _gauge(scenario: Scenario, masks, form: FunctionalForm) -> tuple[np.ndarray, list[int]]:
-    """The outcome shifts c in Z_d^N that fix every strategy's value, and the gauge steps.
+@functools.lru_cache(maxsize=256)
+def _gauge(scenario: Scenario, entries: tuple[tuple[int, ...], ...],
+           form: FunctionalForm) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only outcome shifts c in Z_d^N that fix every strategy's value, and the steps.
 
-    masks holds the mask entries r_t, one row per distinct mask, the first
+    entries holds the mask entries r_t, one tuple per distinct mask, the first
     term's first.
     Shifting party p's outcomes by c_p multiplies term t by alpha^(r_t.c).
     Real parts are unchanged when r_t.c = 0 for every t, moduli when
@@ -224,7 +229,7 @@ def _gauge(scenario: Scenario, masks, form: FunctionalForm) -> tuple[np.ndarray,
     smallest (`_representatives`).
     """
     n, d = scenario.parties, scenario.outcomes
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1, n)
+    masks = np.array(entries, dtype=np.int64).reshape(-1, n)
     block = max(1, DEFAULT_CHUNK // masks.size)
     found = []
     for start in range(0, d**n, block):
@@ -234,12 +239,13 @@ def _gauge(scenario: Scenario, masks, form: FunctionalForm) -> tuple[np.ndarray,
         reference = 0 if form is FunctionalForm.REAL_PART else phases[:, :1]
         found.append(shifts[(phases == reference).all(axis=1)])
     group = np.concatenate(found)
+    group.setflags(write=False)
     steps = []
     for p in range(n):
         lead = group[(group[:, :p] == 0).all(axis=1), p]
         positive = lead[lead > 0]
         steps.append(int(positive.min()) if positive.size else d)
-    return group, steps
+    return group, tuple(steps)
 
 
 def _leading_rows(scenario: Scenario, steps) -> list[int]:
@@ -341,39 +347,6 @@ def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundR
     return ClassicalBoundResult(float(bound), saturating, total, scenario)
 
 
-def _mask_list(scenario: Scenario, masks) -> list:
-    """The masks as ConjugationMasks, refusing an empty list."""
-    masks = [as_mask(scenario, mask) for mask in masks]
-    if not masks:
-        raise ValueError("vertex exponents need at least one mask")
-    return masks
-
-
-def _exponent_rows(scenario: Scenario, masks, indices) -> np.ndarray:
-    """Row i: the exponents (sum_p r_p a_p(x_p)) mod d of strategy indices[i], one column per (r, x).
-
-    There is one block of columns per mask r in `masks`, in the order given,
-    and one column per settings tuple x within a block.  Row i of the
-    correlation vertex matrix is alpha to these exponents, so two strategies
-    give the same vertex exactly when their exponent rows agree.
-    """
-    masks = _mask_list(scenario, masks)
-    k, d = scenario.settings, scenario.outcomes
-    exponents = _party_exponents(scenario)
-    indices = np.asarray(indices, dtype=np.int64)
-    party_rows = _digits(indices, [exponents.shape[2]] * scenario.parties)
-    blocks = []
-    for mask in masks:
-        # party 0's setting is the slowest column digit, as in settings_tuples
-        block = np.zeros((len(indices), 1), dtype=np.int64)
-        for rows, r in zip(party_rows, mask.entries):
-            columns = block.shape[1] * k
-            block = (block[:, :, None] + exponents[:, r, rows].T[:, None, :]).reshape(
-                len(indices), columns)
-        blocks.append(block % d)
-    return np.hstack(blocks).astype(np.min_scalar_type(d - 1))
-
-
 def _embed_real(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows.real, rows.imag])
 
@@ -396,23 +369,47 @@ def _affine_dimension(exponents: np.ndarray, d: int) -> int:
     return _affine_rank(_embed_real(unit_roots(d)[exponents[np.sort(first)]]))
 
 
-def _orbit_representatives(scenario: Scenario, masks) -> np.ndarray:
-    """One strategy per real-part gauge orbit of the masks (`_representatives`).
+@functools.lru_cache(maxsize=256)
+def _vertex_structure(scenario: Scenario,
+                      entries: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """One strategy per real-part gauge orbit of the masks, their exponent rows, the dimension.
 
-    Every strategy of such an orbit has one exponent row, and the
-    representative is the orbit's first strategy in flat-index order, so the
-    distinct rows of the representatives, in order of first occurrence, are
-    those of all d^(N*k) strategies.
+    The representatives (`_representatives`) are read-only flat indices,
+    ascending.  Row i of the read-only rows holds the exponents
+    (sum_p r_p a_p(x_p)) mod d of representative i: one block of columns per
+    mask entries r, in the order given, and one column per settings tuple x
+    within a block.  alpha to these exponents is the vertex, so two strategies
+    give the same vertex exactly when their rows agree.  Every strategy of an
+    orbit has one row, and the representative is the orbit's first strategy in
+    flat-index order, so the distinct rows here, in order of first occurrence,
+    are those of all d^(N*k) strategies.  No budget is checked here.
     """
-    entries = [mask.entries for mask in _mask_list(scenario, masks)]
-    return _representatives(scenario, _gauge(scenario, entries, FunctionalForm.REAL_PART)[1])
+    d = scenario.outcomes
+    steps = _gauge(scenario, entries, FunctionalForm.REAL_PART)[1]
+    representatives = _representatives(scenario, steps)
+    exponents = _party_exponents(scenario)
+    party_rows = _digits(representatives, [exponents.shape[2]] * scenario.parties)
+    blocks = []
+    for mask in entries:
+        # party 0's setting is the slowest column digit, as in settings_tuples
+        block = np.zeros((len(representatives), 1), dtype=np.int64)
+        for rows, r in zip(party_rows, mask):
+            block = (block[:, :, None] + exponents[:, r, rows].T[:, None, :]).reshape(
+                len(representatives), -1)
+        blocks.append(block % d)
+    rows = np.hstack(blocks).astype(np.min_scalar_type(d - 1))
+    representatives.setflags(write=False)
+    rows.setflags(write=False)
+    return representatives, rows, _affine_dimension(rows, d)
 
 
 def polytope_dimension(scenario: Scenario, masks) -> int:
     """Affine dimension of the deterministic vertices over these masks, real-embedded."""
     _check_budget(scenario, DEFAULT_BUDGET)
-    rows = _exponent_rows(scenario, masks, _orbit_representatives(scenario, masks))
-    return _affine_dimension(rows, scenario.outcomes)
+    entries = tuple(as_mask(scenario, mask).entries for mask in masks)
+    if not entries:
+        raise ValueError("polytope_dimension needs at least one mask")
+    return _vertex_structure(scenario, entries)[2]
 
 
 def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> FacetReport:
@@ -427,23 +424,23 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     is valid, has a saturating vertex, and the saturating vertices' affine rank
     is one less than the polytope's; both ranks count distinct exponent rows.
     The saturating set is a union of gauge orbits, so its rank, like the
-    polytope's, is taken over the orbit representatives alone.
+    polytope's, is taken over the rows of the orbit representatives alone
+    (`_vertex_structure`).
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
             "facet certification applies to real-part functionals; linearize the modulus first"
         )
     scenario = functional.scenario
-    masks = functional.masks()
     result = classical_bound(functional, budget)
     reference = functional.cached_bound if functional.cached_bound is not None else result.bound
     tol = SATURATION_TOL * max(1.0, abs(result.bound))
     is_valid = bool(result.bound <= reference + tol)
     saturating = result.saturating if reference <= result.bound + tol else result.saturating[:0]
-    representatives = _orbit_representatives(scenario, masks)
-    first = np.intersect1d(saturating, representatives, assume_unique=True)
-    rank = _affine_dimension(_exponent_rows(scenario, masks, first), scenario.outcomes)
-    dim = _affine_dimension(_exponent_rows(scenario, masks, representatives), scenario.outcomes)
+    representatives, rows, dim = _vertex_structure(scenario, functional.masks())
+    at = np.searchsorted(representatives, saturating)
+    at = at[representatives.take(at, mode="clip") == saturating]
+    rank = _affine_dimension(rows[at], scenario.outcomes)
     return FacetReport(
         bound=reference,
         polytope_dimension=dim,

@@ -217,6 +217,16 @@ def test_strategy_flat_index_roundtrip():
     assert DeterministicStrategy.from_flat_index(sc, 80).assignments.tolist() == [[2, 2], [2, 2]]
 
 
+def test_strategy_flat_index_refuses_out_of_range_and_non_integers():
+    sc = Scenario(2, 2, 2)
+    assert DeterministicStrategy.from_flat_index(sc, 0).assignments.tolist() == [[0, 0], [0, 0]]
+    last = DeterministicStrategy.from_flat_index(sc, sc.n_strategies - 1)
+    assert last.assignments.tolist() == [[1, 1], [1, 1]]
+    for index in (-1, sc.n_strategies, 10**6, True, 1.5):
+        with pytest.raises(ValueError):
+            DeterministicStrategy.from_flat_index(sc, index)
+
+
 def test_strategy_equality_and_hash():
     sc = Scenario(2, 2, 3)
     zeros = DeterministicStrategy(sc, np.zeros((2, 2), dtype=np.int64))

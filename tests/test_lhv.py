@@ -26,9 +26,7 @@ from bellkit.lhv import (
     _affine_rank,
     _chunk_values,
     _embed_real,
-    _exponent_rows,
     _gauge,
-    _orbit_representatives,
     _representatives,
     classical_bound,
     enumerate_strategies,
@@ -235,8 +233,8 @@ def test_product_g_orbits_match_brute_force(form):
 ])
 def test_gauge_steps_and_exactness(scenario, terms, form, steps):
     functional = BellFunctional(scenario, terms, form)
-    group, found = _gauge(scenario, [r for _, r, _ in terms], form)
-    assert found == steps
+    group, found = _gauge(scenario, tuple(r for _, r, _ in terms), form)
+    assert list(found) == steps
     assert len(group) == np.prod([scenario.outcomes // g for g in steps])
     for chunk in (7, 13, DEFAULT_CHUNK):
         assert_matches_brute_force(functional, chunk)
@@ -412,27 +410,51 @@ def full_enumeration_rank(rows, d):
     return _affine_rank(_embed_real(unit_roots(d)[first_unique_rows(rows)]))
 
 
+def all_exponent_rows(scenario, masks):
+    """Row s: sum_p r_p a_p(x_p) mod d of strategy s, one column per (mask r, settings tuple x)."""
+    tables = np.stack([strategy.assignments for strategy in enumerate_strategies(scenario)])
+    parties = np.arange(scenario.parties)
+    return np.stack([tables[:, parties, x] @ np.array(r) % scenario.outcomes
+                     for r in masks for x in settings_tuples(scenario)], axis=1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(functional=mixed_mask_functionals(forms=(FunctionalForm.REAL_PART,)))
 def test_facet_check_matches_full_enumeration(functional):
     """Orbit representatives give the rows, dimension and rank of all d^(N*k) strategies."""
     scenario, masks = functional.scenario, functional.masks()
     d = scenario.outcomes
-    everything = _exponent_rows(scenario, masks, np.arange(scenario.n_strategies))
+    everything = all_exponent_rows(scenario, masks)
     assert len(everything) == scenario.n_strategies
-    representatives = _orbit_representatives(scenario, masks)
-    assert np.array_equal(first_unique_rows(_exponent_rows(scenario, masks, representatives)),
-                          first_unique_rows(everything))
-    dimension = full_enumeration_rank(everything, d)
+    lhv._gauge.cache_clear()
+    lhv._vertex_structure.cache_clear()
+    report = facet_check(functional)
+    assert facet_check(functional) == report  # a warm cache gives the cold cache's report
+    representatives, rows, dimension = lhv._vertex_structure(scenario, masks)
+    group = lhv._gauge(scenario, masks, FunctionalForm.REAL_PART)[0]
+    assert not (representatives.flags.writeable or rows.flags.writeable or group.flags.writeable)
+    assert np.array_equal(rows, everything[representatives])
+    assert np.array_equal(first_unique_rows(rows), first_unique_rows(everything))
+    assert dimension == full_enumeration_rank(everything, d)
     assert polytope_dimension(scenario, masks) == dimension
     bound, saturating = brute_force_bound(functional)
-    report = facet_check(functional)
     assert report.bound == bound
     assert report.polytope_dimension == dimension
     assert report.saturating_count == len(saturating)
     rank = full_enumeration_rank(everything[saturating], d) if saturating else 0
     assert report.saturating_rank == rank
     assert report.is_facet == (rank == dimension - 1)
+
+
+def test_facet_check_budget_is_its_own(monkeypatch):
+    """The cached vertex structure checks no budget; polytope_dimension checks DEFAULT_BUDGET."""
+    functional = i323_functional()
+    expected = facet_check(functional)
+    lhv._vertex_structure.cache_clear()
+    monkeypatch.setattr(lhv, "DEFAULT_BUDGET", functional.scenario.n_strategies - 1)
+    assert facet_check(functional, budget=10**6) == expected
+    with pytest.raises(BudgetExceededError):
+        polytope_dimension(functional.scenario, functional.masks())
 
 
 def test_i323_is_a_facet_of_its_projection():
