@@ -142,16 +142,22 @@ def enumerate_strategies(
         yield DeterministicStrategy(scenario, np.array(digits).reshape(n, k))
 
 
+@functools.lru_cache(maxsize=256)
 def _party_assignments(scenario: Scenario) -> np.ndarray:
-    """All d^k single-party assignments, row i in lexicographic order (setting 0 slowest)."""
+    """All d^k single-party assignments, read-only, in lexicographic order (setting 0 slowest)."""
     k, d = scenario.settings, scenario.outcomes
-    return np.array(list(itertools.product(range(d), repeat=k)), dtype=np.int64)
+    assignments = np.array(list(itertools.product(range(d), repeat=k)), dtype=np.int64)
+    assignments.setflags(write=False)
+    return assignments
 
 
+@functools.lru_cache(maxsize=256)
 def _party_exponents(scenario: Scenario) -> np.ndarray:
-    """[x, r, i] = r * a_i(x) mod d: one party's exponent for setting x and mask entry r."""
+    """Read-only [x, r, i] = r * a_i(x) mod d: a party's exponent for setting x, mask entry r."""
     d = scenario.outcomes
-    return np.arange(d)[:, None] * _party_assignments(scenario).T[:, None, :] % d
+    exponents = np.arange(d)[:, None] * _party_assignments(scenario).T[:, None, :] % d
+    exponents.setflags(write=False)
+    return exponents
 
 
 def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
@@ -429,7 +435,7 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     """
     if functional.form is not FunctionalForm.REAL_PART:
         raise UnsupportedFormError(
-            "facet certification applies to real-part functionals; linearize the modulus first"
+            "facet reports exist only for real-part functionals, not for modulus forms"
         )
     scenario = functional.scenario
     result = classical_bound(functional, budget)

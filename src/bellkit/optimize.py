@@ -46,8 +46,9 @@ returned setup, so results are reproducible from the setup alone.  A fixed seed
 gives bit-identical results on every run: restarts draw from disjoint rows of
 one Sobol stream, and the reduction breaks ties by restart index.  The stream
 is the scrambled Sobol sequence of scipy.stats.qmc.Sobol, rebuilt here bit for
-bit from the Joe-Kuo direction numbers scipy ships (see _sobol_points), so
-importing this module does not load scipy.stats.
+bit (see _sobol_points) from Joe & Kuo's (2008) direction numbers as scipy
+ships them.  bellkit ships the table precomputed in sobol_directions.npy and
+memory-maps it, so a search imports no scipy module.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from .core import Scenario, correlation_stack
 from .bases import (
@@ -608,50 +608,25 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
 
 
 @functools.cache
-def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """Joe-Kuo primitive polynomials and initial direction numbers, as scipy ships them.
+def _direction_table() -> np.ndarray:
+    """Joe-Kuo direction numbers, (21201, SOBOL_BITS) uint32, column j shifted by 29 - j.
 
-    The file is read with np.load, not through scipy.stats, whose import is
-    about half of bellkit's start-up time.
+    Row i holds dimension i's numbers from new-joe-kuo-6.21201 (Joe & Kuo,
+    SIAM J. Sci. Comput. 30, 2635, 2008), as scipy ships them, extended by the
+    Bratley-Fox recurrence.  The file is memory-mapped read-only, so a search
+    reads only the rows it uses.
     """
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(path) as table:
-        return table["poly"], table["vinit"]
+    return np.load(Path(__file__).with_name("sobol_directions.npy"), mmap_mode="r")
 
 
-@functools.cache
 def _direction_numbers(dims: int) -> np.ndarray:
-    """Unscrambled direction numbers, (dims, SOBOL_BITS) uint32, column j shifted by 29 - j.
-
-    Dimension 0 is all ones; dimension i of degree m = bit_length(poly[i]) - 1
-    takes its first m numbers from vinit and the rest from the Bratley-Fox
-    recurrence v[j] = v[j-m] ^ XOR_k a_k (v[j-k-1] << (k+1)) over the bits a_k
-    of poly[i], in uint32 like scipy.  Read-only: the cache hands it to every
-    caller.
-    """
-    poly, vinit = _sobol_table()
-    if dims > len(poly):
-        raise ValueError(f"at most {len(poly)} Sobol dimensions are supported, got {dims}")
-    poly = poly[:dims].astype(np.uint32)
-    degree = np.frexp(poly)[1] - 1
-    taps = np.arange(vinit.shape[1])
-    # the term v[j-k-1] << (k+1) enters where bit m-1-k of poly is set, for k < m
-    active = (taps < degree[:, None]) & (
-        (poly[:, None] >> np.maximum(degree[:, None] - 1 - taps, 0)) & 1 == 1)
-    shifts = (taps + 1).astype(np.uint32)
-    v = np.zeros((dims, SOBOL_BITS), dtype=np.uint32)
-    v[:, :vinit.shape[1]] = vinit[:dims]
-    v[0] = 1
-    rows = np.arange(dims)
-    for j in range(1, SOBOL_BITS):
-        recurring = (degree > 0) & (degree <= j)
-        earlier = v[:, np.maximum(j - 1 - taps, 0)] << shifts
-        step = v[rows, np.maximum(j - degree, 0)] ^ np.bitwise_xor.reduce(
-            np.where(active, earlier, 0), axis=1)
-        v[recurring, j] = step[recurring]
-    v <<= SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32)
-    v.setflags(write=False)
-    return v
+    """A read-only copy of the first dims rows of the direction table."""
+    table = _direction_table()
+    if dims > len(table):
+        raise ValueError(f"at most {len(table)} Sobol dimensions are supported, got {dims}")
+    directions = np.array(table[:dims])
+    directions.setflags(write=False)
+    return directions
 
 
 def _sobol_points(seed: int, count: int, dims: int) -> np.ndarray:

@@ -380,7 +380,7 @@ def test_modulus_facet_exit_4(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "facet", "--spec", str(path))
     assert code == 4
-    assert "linearize" in err
+    assert "facet reports exist only for real-part functionals" in err
 
 
 def test_facet_i323_mixed_masks(capsys):
@@ -579,6 +579,25 @@ def test_search_does_not_import_numpy_ma():
                                env=env, timeout=120)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+def test_search_does_not_import_scipy():
+    # the Sobol direction numbers ship with bellkit, so a search that converges
+    # needs no scipy module at all
+    code = ("import sys\n"
+            "from bellkit import OptimizationConfig, maximize_violation\n"
+            "from bellkit.presets import PRESETS\n"
+            "from bellkit.specdoc import parse_functional_document\n"
+            "i323 = parse_functional_document(PRESETS['i323'])\n"
+            "maximize_violation(i323, OptimizationConfig(restarts=1))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 def test_table_bad_scenario_string(capsys):

@@ -1,7 +1,9 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc  # the oracle for _sobol_points only; bellkit never imports it
 
@@ -24,9 +26,11 @@ from bellkit.bases import apply_form
 from bellkit.specdoc import serialize_opt_result
 from bellkit.cglmp import cglmp_correlation_functional, i323_functional
 from bellkit.optimize import (
+    SOBOL_BITS,
     ScanRow,
     _MultiportObjective,
     _child_seed,
+    _direction_numbers,
     _eigh,
     _eigh_stack,
     _ghz_support,
@@ -419,6 +423,52 @@ def test_sobol_points_cover_the_direction_table():
         qmc.Sobol(d=last + 1, scramble=True, seed=5)
     with pytest.raises(ValueError, match="dimensions"):
         _sobol_points(5, 1, last + 1)
+
+
+def test_sobol_points_match_scipy_at_the_last_dimension():
+    # 64 points scramble the first six direction numbers of every dimension
+    last = qmc.Sobol.MAXDIM
+    assert np.array_equal(_sobol_points(7, 64, last), scipy_sobol_points(7, 64, last))
+
+
+def bratley_fox_directions(poly: np.ndarray, vinit: np.ndarray) -> np.ndarray:
+    """Direction numbers from primitive polynomials and initial numbers, shifted like bellkit's.
+
+    Dimension 0 is all ones; dimension i of degree m = bit_length(poly[i]) - 1
+    takes its first m numbers from vinit and the rest from the Bratley-Fox
+    recurrence v[j] = v[j-m] ^ XOR_k a_k (v[j-k-1] << (k+1)) over the bits a_k
+    of poly[i], in uint32 like scipy; column j is then shifted by 29 - j.
+    """
+    dims = len(poly)
+    poly = poly.astype(np.uint32)
+    degree = np.frexp(poly)[1] - 1
+    taps = np.arange(vinit.shape[1])
+    # the term v[j-k-1] << (k+1) enters where bit m-1-k of poly is set, for k < m
+    active = (taps < degree[:, None]) & (
+        (poly[:, None] >> np.maximum(degree[:, None] - 1 - taps, 0)) & 1 == 1)
+    shifts = (taps + 1).astype(np.uint32)
+    v = np.zeros((dims, SOBOL_BITS), dtype=np.uint32)
+    v[:, :vinit.shape[1]] = vinit
+    v[0] = 1
+    rows = np.arange(dims)
+    for j in range(1, SOBOL_BITS):
+        recurring = (degree > 0) & (degree <= j)
+        earlier = v[:, np.maximum(j - 1 - taps, 0)] << shifts
+        step = v[rows, np.maximum(j - degree, 0)] ^ np.bitwise_xor.reduce(
+            np.where(active, earlier, 0), axis=1)
+        v[recurring, j] = step[recurring]
+    return v << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32))
+
+
+def test_shipped_direction_table_is_scipys_joe_kuo_table():
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        expected = bratley_fox_directions(table["poly"], table["vinit"])
+    shipped = _direction_numbers(qmc.Sobol.MAXDIM)
+    assert expected.shape == (21201, SOBOL_BITS)
+    assert shipped.dtype == np.uint32 and shipped.flags.c_contiguous
+    assert not shipped.flags.writeable
+    assert np.array_equal(shipped, expected)
 
 
 def test_child_seed_stability():
