@@ -271,6 +271,29 @@ class DeterministicStrategy:
         return index
 
     @classmethod
+    def _rows(cls, scenario: Scenario, tables) -> tuple["DeterministicStrategy", ...]:
+        """One strategy per row of an (S, N, k) block of outcomes, the block checked once.
+
+        The block gets `__post_init__`'s checks (integer dtype, shape, every
+        entry in [0, d)) as a whole and is made read-only; each strategy holds
+        a row view of it and skips `__post_init__`.
+        """
+        block = as_index_array(tables, "outcomes")
+        n, k, d = scenario.parties, scenario.settings, scenario.outcomes
+        if block.ndim != 3 or block.shape[1:] != (n, k):
+            raise ValueError(f"expected shape (S, {n}, {k}), got {block.shape}")
+        if block.min() < 0 or block.max() >= d:
+            raise ValueError(f"outcomes must lie in [0, {d})")
+        block.setflags(write=False)
+        strategies = []
+        for row in block:
+            strategy = object.__new__(cls)
+            object.__setattr__(strategy, "scenario", scenario)
+            object.__setattr__(strategy, "assignments", row)
+            strategies.append(strategy)
+        return tuple(strategies)
+
+    @classmethod
     def from_flat_index(cls, scenario: Scenario, index: int) -> "DeterministicStrategy":
         index = as_index(index, "strategy index")
         if not 0 <= index < scenario.n_strategies:

@@ -91,8 +91,9 @@ class ClassicalBoundResult:
     saturating holds the saturating strategies of scenario as flat indices
     (DeterministicStrategy.flat_index), ascending, in a read-only int64 array.
     No strategy object is built until one is asked for: argmax builds them all
-    on first access and keeps them, witness builds only the first.  Results
-    compare by identity.
+    on first access, as one validated block of digits with a row view per
+    strategy, and keeps them; witness builds only the first.  Results compare
+    by identity.
     """
 
     bound: float
@@ -103,9 +104,7 @@ class ClassicalBoundResult:
     @functools.cached_property
     def argmax(self) -> tuple[DeterministicStrategy, ...]:
         """Every saturating strategy, lexicographically smallest first."""
-        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        tables = np.stack(_digits(self.saturating, [d] * (n * k)), axis=1).reshape(-1, n, k)
-        return tuple(DeterministicStrategy(self.scenario, table) for table in tables)
+        return _strategies(self.scenario, self.saturating)
 
     @property
     def witness(self) -> DeterministicStrategy:
@@ -135,11 +134,16 @@ def _check_budget(scenario: Scenario, budget: int) -> int:
 def enumerate_strategies(
     scenario: Scenario, budget: int = DEFAULT_BUDGET
 ) -> Iterator[DeterministicStrategy]:
-    """Yield every deterministic strategy once, lexicographically."""
-    _check_budget(scenario, budget)
-    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
-    for digits in itertools.product(range(d), repeat=n * k):
-        yield DeterministicStrategy(scenario, np.array(digits).reshape(n, k))
+    """Yield every deterministic strategy once, lexicographically.
+
+    The strategies are built a block of flat indices at a time, at most
+    DEFAULT_CHUNK digits per block, each block validated once as a whole.
+    """
+    total = _check_budget(scenario, budget)
+    block = max(1, DEFAULT_CHUNK // (scenario.parties * scenario.settings))
+    for start in range(0, total, block):
+        yield from _strategies(scenario, np.arange(start, min(start + block, total),
+                                                   dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=256)
@@ -167,6 +171,13 @@ def _digits(flat: np.ndarray, radices) -> list[np.ndarray]:
         flat, digit = np.divmod(flat, radix)
         digits.append(digit)
     return digits[::-1]
+
+
+def _strategies(scenario: Scenario, flat: np.ndarray) -> tuple[DeterministicStrategy, ...]:
+    """The strategies at these int64 flat indices, built as one validated block."""
+    n, k, d = scenario.parties, scenario.settings, scenario.outcomes
+    tables = np.stack(_digits(flat, [d] * (n * k)), axis=1).reshape(-1, n, k)
+    return DeterministicStrategy._rows(scenario, tables)
 
 
 def _term_table(terms, d: int) -> np.ndarray:

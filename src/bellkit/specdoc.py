@@ -37,7 +37,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import DeterministicStrategy, Scenario, as_mask
+from .core import Scenario, as_mask
 from .bases import (
     BellFunctional,
     FunctionalForm,
@@ -47,7 +47,7 @@ from .bases import (
     fourier_party_basis,
     k2_conjugate_basis,
 )
-from .lhv import ClassicalBoundResult, FacetReport
+from .lhv import ClassicalBoundResult, FacetReport, _strategies
 from .multiport import QuantumSetup
 from .optimize import OptResult, ScanRow
 
@@ -343,8 +343,7 @@ def serialize_strategy(strategy) -> list[list[int]]:
 
 def serialize_bound_result(result: ClassicalBoundResult) -> dict:
     count = len(result.saturating)
-    listed = [DeterministicStrategy.from_flat_index(result.scenario, index)
-              for index in result.saturating[:MAX_STRATEGIES].tolist()]
+    listed = _strategies(result.scenario, result.saturating[:MAX_STRATEGIES])
     doc = {
         "bound": round_floats(result.bound),
         "strategies_examined": result.examined,

@@ -76,6 +76,34 @@ def test_bound_document_lists_at_most_max_strategies():
     assert doc["witness"] == first[0] == [[0, 0], [0, 0], [0, 0]]
 
 
+# the result digests of `bellkit bound --spec P`, each listing its saturating
+# strategies from their flat indices by the per-index digit loop
+BOUND_DIGESTS = {
+    "chsh": "53b5c35220a70b2019eaa4304bcd22d1e444cd07f86eaa63e3d3d09dd1098a16",
+    "cglmp-223": "e273b8f62a65a87e113e665e54a9812156a24b7dcdf021552edf608b23f12a0c",
+    "cglmp-corr-223": "73629dcf17419e77c5e2d401cf68c24831584a038c76c6015b901091a79bdea0",
+    "i323": "112fdae5bbae0e7c039854edb578d9b5fc181f399e5f910073e215b8cd4ebfc6",
+    "tight-323-g1": "f222a620212535403759abb58fc90b989ed90fa56de42ea8d041bcfbeb178c75",
+    "tight-323-g2": "8a952ab91f412fa980acdddc50893fbe230ba9fbfda19d68ba5aeed2ff91d678",
+    "tight-323-g3": "343c808983b82a4b5fd129e8d9e31fdc3147196d344a47df46718dfdd69726f0",
+}
+
+
+def test_bound_digests_cover_every_preset():
+    assert sorted(BOUND_DIGESTS) == sorted(preset_names())
+
+
+@pytest.mark.parametrize("preset", sorted(BOUND_DIGESTS))
+def test_bound_documents_are_pinned(capsys, preset):
+    doc = run_json(capsys, "bound", "--spec", preset)
+    assert doc["manifest"]["result_digest"] == BOUND_DIGESTS[preset]
+    # i323 and the three tight-323 presets list only the first MAX_STRATEGIES
+    result = doc["result"]
+    truncated = result["saturating_count"] > MAX_STRATEGIES
+    assert truncated == (preset in ("i323", "tight-323-g1", "tight-323-g2", "tight-323-g3"))
+    assert len(result["saturating"]) == min(result["saturating_count"], MAX_STRATEGIES)
+
+
 def test_parse_failures_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"scenario": {"parties": 2}}')

@@ -237,6 +237,34 @@ def test_strategy_equality_and_hash():
     assert len({zeros, same, DeterministicStrategy.from_flat_index(sc, 1)}) == 2
 
 
+def test_strategy_rows_are_read_only_views_of_one_checked_block():
+    sc = Scenario(2, 2, 3)
+    flat = [0, 5, 42, 80]
+    tables = np.array([DeterministicStrategy.from_flat_index(sc, i).assignments for i in flat],
+                      dtype=np.int32)
+    rows = DeterministicStrategy._rows(sc, tables)
+    assert [s.flat_index() for s in rows] == flat
+    for s, i in zip(rows, flat):
+        assert s == DeterministicStrategy.from_flat_index(sc, i)
+        assert hash(s) == hash(DeterministicStrategy.from_flat_index(sc, i))
+        assert s.assignments.dtype == np.int64 and s.assignments.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            s.assignments[0, 0] = 1
+
+
+@pytest.mark.parametrize("tables, message", [
+    (np.array([[[0, 1], [2, 0]], [[0, 3], [0, 0]]]), "must lie in"),   # a digit = d
+    (np.array([[[0, 1], [2, 0]], [[0, -1], [0, 0]]]), "must lie in"),  # a negative digit
+    (np.zeros((2, 2, 2)), "must be integers"),                          # a float block
+    (np.array([[[True, False], [False, False]]]), "must be integers"),
+    (np.zeros((2, 2, 3), dtype=np.int64), "expected shape"),
+    (np.zeros((2, 2), dtype=np.int64), "expected shape"),
+])
+def test_strategy_rows_refuse_a_bad_block(tables, message):
+    with pytest.raises(ValueError, match=message):
+        DeterministicStrategy._rows(Scenario(2, 2, 3), tables)
+
+
 def test_fourier_consistency_zero_mask():
     rng = np.random.default_rng(3)
     for scenario in [Scenario(2, 2, 2), Scenario(2, 2, 3), Scenario(3, 2, 3)]:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,21 @@ def test_enumeration_counts_and_order():
     listed = list(enumerate_strategies(Scenario(2, 2, 3)))
     for i, s in enumerate(listed):
         assert s.flat_index() == i
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 7, 10])
+def test_enumeration_matches_itertools_product_in_any_block_size(chunk):
+    # chunk 7 gives blocks of one strategy, 10 two, DEFAULT_CHUNK one block of 81
+    sc = Scenario(2, 2, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lhv, "DEFAULT_CHUNK", chunk)
+        listed = list(enumerate_strategies(sc))
+    expected = [DeterministicStrategy(sc, np.array(digits).reshape(2, 2))
+                for digits in itertools.product(range(3), repeat=4)]
+    assert listed == expected
+    for s in listed:
+        assert s.assignments.dtype == np.int64 and s.assignments.shape == (2, 2)
+        assert not s.assignments.flags.writeable
 
 
 def test_budget_guard():
@@ -575,6 +591,25 @@ def test_linearize_modulus():
             rotated_real_part(functional, 2 * np.pi * j / 360)
         ).bound
         assert slice_bound <= modulus_bound + 1e-9
+
+
+@pytest.mark.parametrize("functional", [
+    chsh_functional(),
+    i323_functional(),
+    BellFunctional(Scenario(3, 2, 3), [((0, 1, 0), (1, 2, 1), 1.0)], FunctionalForm.MODULUS),
+], ids=["chsh", "i323", "all-saturate"])
+def test_argmax_matches_from_flat_index(functional):
+    result = classical_bound(functional)
+    scenario = functional.scenario
+    reference = [DeterministicStrategy.from_flat_index(scenario, i)
+                 for i in result.saturating.tolist()]
+    assert len(result.argmax) == len(reference) == len(result.saturating)
+    for s, expected in zip(result.argmax, reference):
+        assert s == expected and hash(s) == hash(expected)
+        assert s.assignments.dtype == np.int64
+        assert s.assignments.shape == (scenario.parties, scenario.settings)
+        with pytest.raises(ValueError, match="read-only"):
+            s.assignments[0, 0] = 0
 
 
 def test_facet_chunk_counts():
