@@ -81,7 +81,7 @@ class PartyBasis:
     deterministic: np.ndarray | None = None
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=complex)
+        vecs = np.array(self.vectors, dtype=complex)  # a copy: the caller's array stays writable
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
             raise ValueError(f"need a square vector array, got shape {vecs.shape}")
         vecs.setflags(write=False)
@@ -93,7 +93,7 @@ class PartyBasis:
         elif self.kind is BasisKind.DETERMINISTIC_WITH_DUAL:
             if self.deterministic is None:
                 raise ValueError("deterministic-with-dual basis needs the w vectors")
-            w = np.asarray(self.deterministic, dtype=complex)
+            w = np.array(self.deterministic, dtype=complex)  # a copy, as vecs
             if w.shape != vecs.shape:
                 raise ValueError("w and v arrays must have matching shape")
             if not np.allclose(np.abs(w), 1.0, atol=1e-12):
@@ -147,7 +147,8 @@ class GTable:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = as_index_array(self.table, "g values")
+        # a copy: the caller's array stays writable
+        arr = as_index_array(np.array(self.table), "g values")
         if arr.shape != self.scenario.settings_shape():
             raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
         if arr.min() < 0 or arr.max() >= self.scenario.outcomes:

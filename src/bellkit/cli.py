@@ -1,15 +1,17 @@
 """Command-line front end: bound, optimize, table, facet, and ww subcommands.
 
-Result documents are JSON on standard output (CSV where requested); logs and
-diagnostics go to standard error.  Exit codes: 0 success, 2 parse or usage
-error, 3 enumeration budget exceeded, 4 unsupported functional form.  Every
-run emits a manifest (inputs, seed, configuration, result digest) from which
-it can be replayed; replays produce byte-identical result documents.
+Result documents are one line of canonical JSON on standard output (CSV
+where requested); logs and diagnostics go to standard error.  Exit codes: 0
+success, 2 parse or usage error, 3 enumeration budget exceeded, 4 unsupported
+functional form.  Every run emits a manifest (inputs, seed, configuration,
+result digest) from which it can be replayed; replays produce byte-identical
+result documents.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -109,10 +111,15 @@ def _load_spec(value: str):
     return functional, {"source": source, "digest": document_digest(doc)}
 
 
-def _emit(result, command: list[str], inputs: dict, seed, config: dict,
-          started: float, fmt: str = "json", csv_text: str | None = None) -> int:
+def _emit(result, command: list[str], inputs: dict, seed, config: dict, started: float,
+          csv=None) -> int:
+    """Round and encode the result once; result_digest is the SHA-256 of that text.
+
+    Prints the canonical document {"manifest":...,"result":...} as one line,
+    or csv(rounded result), with the manifest line logged to stderr.
+    """
     rounded = round_floats(result)
-    digest = document_digest(rounded, rounded=True)
+    text = canonical_json(rounded)
     manifest = RunManifest(
         command=command,
         inputs=inputs,
@@ -120,14 +127,14 @@ def _emit(result, command: list[str], inputs: dict, seed, config: dict,
         config=config,
         wall_clock_s=time.time() - started,
         version=__version__,
-        result_digest=digest,
+        result_digest=hashlib.sha256(text.encode()).hexdigest(),
     )
-    if fmt == "csv":
-        sys.stdout.write(csv_text if csv_text is not None else "")
-        _log(canonical_json({"manifest": asdict(manifest)}))
+    head = '{"manifest":' + canonical_json(round_floats(asdict(manifest)))
+    if csv is not None:
+        sys.stdout.write(csv(rounded))
+        _log(head + "}")
     else:
-        doc = {"result": rounded, "manifest": round_floats(asdict(manifest))}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(head + ',"result":' + text + "}")  # "manifest" < "result": still canonical
     return EXIT_OK
 
 
@@ -229,11 +236,10 @@ def cmd_table(args, argv) -> int:
     scenarios = _parse_scenarios(args.scenarios)
     config = _config_from_args(args)
     rows = scan_product_g(scenarios, config, budget=args.budget)
-    result = {"rows": serialize_scan_rows(rows)}
-    csv_text = scan_rows_csv(rows)
-    return _emit(result, argv, {"scenarios": [list(s) for s in scenarios]}, args.seed,
-                 {"restarts": args.restarts, "budget": args.budget},
-                 started, fmt=args.format, csv_text=csv_text)
+    csv = (lambda doc: scan_rows_csv(doc["rows"])) if args.format == "csv" else None
+    return _emit({"rows": serialize_scan_rows(rows)}, argv,
+                 {"scenarios": [list(s) for s in scenarios]}, args.seed,
+                 {"restarts": args.restarts, "budget": args.budget}, started, csv=csv)
 
 
 def cmd_facet(args, argv) -> int:
@@ -288,14 +294,15 @@ def cmd_ww(args, argv) -> int:
         "all_bounds_one": all(r["bound_is_one"] for r in rows),
         "functionals": rows,
     }
-    csv_lines = ["f,bound,nontrivial"]
-    for row in rows:
-        csv_lines.append(
-            ";".join(str(v) for v in row["f"])
-            + f",{round_floats(row['bound'])},{int(row['nontrivial'])}"
-        )
     return _emit(result, argv, {"parties": args.parties}, None, {}, started,
-                 fmt=args.format, csv_text="\n".join(csv_lines) + "\n")
+                 csv=_ww_csv if args.format == "csv" else None)
+
+
+def _ww_csv(result: dict) -> str:
+    lines = ["f,bound,nontrivial"] + [
+        f"{';'.join(map(str, row['f']))},{row['bound']},{int(row['nontrivial'])}"
+        for row in result["functionals"]]
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

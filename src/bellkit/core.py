@@ -219,7 +219,7 @@ class CorrelationTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", as_mask(self.scenario, self.mask))
-        arr = np.asarray(self.values, dtype=complex)
+        arr = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writable
         if arr.shape != self.scenario.settings_shape():
             raise ValueError(f"expected shape {self.scenario.settings_shape()}, got {arr.shape}")
         check_correlations(self.scenario, [self.mask], arr[None])
@@ -241,14 +241,20 @@ class DeterministicStrategy:
     assignments: np.ndarray  # shape (N, k), entries in [0, d)
 
     def __post_init__(self):
-        arr = as_index_array(self.assignments, "outcomes")
-        n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        if arr.shape != (n, k):
-            raise ValueError(f"expected shape {(n, k)}, got {arr.shape}")
-        if arr.min() < 0 or arr.max() >= d:
-            raise ValueError(f"outcomes must lie in [0, {d})")
+        arr = np.array(self.assignments)  # a copy: the caller's array stays writable
+        object.__setattr__(self, "assignments", self._checked_block(self.scenario, arr, ()))
+
+    @staticmethod
+    def _checked_block(scenario: Scenario, values, lead: tuple[int, ...]) -> np.ndarray:
+        """values as read-only int64, checked: integers, shape lead + (N, k), entries in [0, d)."""
+        arr = as_index_array(values, "outcomes")
+        shape = lead + (scenario.parties, scenario.settings)
+        if arr.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        if arr.min() < 0 or arr.max() >= scenario.outcomes:
+            raise ValueError(f"outcomes must lie in [0, {scenario.outcomes})")
         arr.setflags(write=False)
-        object.__setattr__(self, "assignments", arr)
+        return arr
 
     def __eq__(self, other):
         if not isinstance(other, DeterministicStrategy):
@@ -274,17 +280,12 @@ class DeterministicStrategy:
     def _rows(cls, scenario: Scenario, tables) -> tuple["DeterministicStrategy", ...]:
         """One strategy per row of an (S, N, k) block of outcomes, the block checked once.
 
-        The block gets `__post_init__`'s checks (integer dtype, shape, every
-        entry in [0, d)) as a whole and is made read-only; each strategy holds
-        a row view of it and skips `__post_init__`.
+        The block gets `__post_init__`'s checks as a whole and is made
+        read-only; each strategy holds a row view of it and skips
+        `__post_init__`.  An int64 block is not copied, so the caller's array
+        becomes read-only: only the library calls this, with fresh arrays.
         """
-        block = as_index_array(tables, "outcomes")
-        n, k, d = scenario.parties, scenario.settings, scenario.outcomes
-        if block.ndim != 3 or block.shape[1:] != (n, k):
-            raise ValueError(f"expected shape (S, {n}, {k}), got {block.shape}")
-        if block.min() < 0 or block.max() >= d:
-            raise ValueError(f"outcomes must lie in [0, {d})")
-        block.setflags(write=False)
+        block = cls._checked_block(scenario, tables, np.shape(tables)[:1])
         strategies = []
         for row in block:
             strategy = object.__new__(cls)

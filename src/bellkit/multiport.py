@@ -51,7 +51,7 @@ class MultiportUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
         if mat.shape != (self.dimension, self.dimension):
             raise ValueError(f"expected {self.dimension}x{self.dimension} matrix")
         if not np.allclose(mat @ mat.conj().T, np.eye(self.dimension), atol=1e-12):
@@ -90,13 +90,14 @@ class QuantumSetup:
 
     def __post_init__(self):
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        amps = _finite("amplitudes", np.asarray(self.amplitudes, dtype=complex))
+        # copies: the caller's arrays stay writable
+        amps = _finite("amplitudes", np.array(self.amplitudes, dtype=complex))
         if amps.shape != (d,) * n:
             raise ValueError(f"expected amplitude shape {(d,) * n}, got {amps.shape}")
         norm = np.linalg.norm(amps.ravel())
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} is not 1; use QuantumSetup.normalized")
-        phases = _finite("phases", np.asarray(self.phases, dtype=float))
+        phases = _finite("phases", np.array(self.phases, dtype=float))
         if phases.shape != (n, k, d):
             raise ValueError(f"expected phase shape {(n, k, d)}, got {phases.shape}")
         if np.abs(phases[:, :, 0]).max() > 0:

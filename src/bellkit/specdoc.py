@@ -22,9 +22,10 @@ Every number in a document is a finite JSON number: strings such as "3" and
 the literals true and false are refused.  A complex number is a number or an
 [re, im] pair of numbers.
 
-All numbers in result documents are rounded to 12 significant digits and
-complex values serialize as [re, im]; serialization is canonical so identical
-results produce byte-identical documents.
+The serialize_* functions return JSON-ready values unrounded.  The CLI
+rounds each result document once with round_floats, to 12 significant digits
+with complex values as [re, im], and encodes it once with canonical_json, so
+identical results produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "parse_functional_document",
     "parse_setup_document",
     "round_floats",
-    "complex_pair",
     "canonical_json",
     "document_digest",
     "serialize_setup",
@@ -69,7 +69,7 @@ __all__ = [
     "scan_rows_csv",
 ]
 
-DIGITS = 12  # significant digits of every number in a result document
+ROUNDING = ".12g"  # the format of every float in a result document: 12 significant digits
 MAX_STRATEGIES = 256  # saturating strategies listed in a bound document
 
 
@@ -291,49 +291,42 @@ def parse_setup_document(doc: dict, location: str = "setup") -> QuantumSetup:
 # -- result serialization ----------------------------------------------------
 
 def round_floats(value):
-    """Round every float in a JSON-ready structure to DIGITS significant digits."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    """A copy of a JSON-ready structure: floats to 12 significant digits, complex to [re, im]."""
+    # the commonest leaves are tested first
+    if isinstance(value, float):  # numpy's float64 too
+        return float(format(value, ROUNDING))
+    if isinstance(value, (int, str)) or value is None:  # bool is an int
         return value
-    if isinstance(value, float):
-        return float(f"{value:.{DIGITS}g}")
-    if isinstance(value, complex):
-        return complex_pair(value)
     if isinstance(value, dict):
         return {k: round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [round_floats(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return round_floats(float(value))
-    if isinstance(value, np.ndarray):
+    if isinstance(value, complex):
+        return [round_floats(value.real), round_floats(value.imag)]
+    if isinstance(value, (np.number, np.ndarray)):  # numpy scalars and arrays
         return round_floats(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def complex_pair(value: complex) -> list[float]:
-    return [float(f"{value.real:.{DIGITS}g}"), float(f"{value.imag:.{DIGITS}g}")]
+def canonical_json(doc) -> str:
+    """Compact key-sorted JSON of doc exactly as given; round it first with round_floats."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_json(doc, rounded: bool = False) -> str:
-    """Compact key-sorted JSON of doc with its floats rounded; rounded=True: doc already is."""
-    return json.dumps(doc if rounded else round_floats(doc), sort_keys=True, separators=(",", ":"))
-
-
-def document_digest(doc, rounded: bool = False) -> str:
-    """SHA-256 of canonical_json(doc, rounded).
+def document_digest(doc) -> str:
+    """SHA-256 of canonical_json(round_floats(doc)).
 
     round_floats is idempotent, so the digest of a rounded document is the
     digest of the document it was rounded from.
     """
-    return hashlib.sha256(canonical_json(doc, rounded).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(round_floats(doc)).encode()).hexdigest()
 
 
 def serialize_setup(setup: QuantumSetup) -> dict:
     return {
         "scenario": asdict(setup.scenario),
-        "amplitudes": [complex_pair(complex(v)) for v in setup.amplitudes.ravel()],
-        "phases": round_floats(setup.phases),
+        "amplitudes": [[v.real, v.imag] for v in setup.amplitudes.ravel().tolist()],
+        "phases": setup.phases.tolist(),
     }
 
 
@@ -345,7 +338,7 @@ def serialize_bound_result(result: ClassicalBoundResult) -> dict:
     count = len(result.saturating)
     listed = _strategies(result.scenario, result.saturating[:MAX_STRATEGIES])
     doc = {
-        "bound": round_floats(result.bound),
+        "bound": result.bound,
         "strategies_examined": result.examined,
         "saturating_count": count,
         "witness": serialize_strategy(result.witness),
@@ -357,19 +350,19 @@ def serialize_bound_result(result: ClassicalBoundResult) -> dict:
 
 
 def serialize_facet_report(report: FacetReport) -> dict:
-    return round_floats(asdict(report))
+    return asdict(report)
 
 
 def serialize_opt_result(result: OptResult) -> dict:
     return {
-        "quantum_value": round_floats(result.quantum_value),
-        "classical_bound": round_floats(result.classical_bound),
-        "ratio": round_floats(result.ratio) if result.ratio is not None else None,
+        "quantum_value": result.quantum_value,
+        "classical_bound": result.classical_bound,
+        "ratio": result.ratio,
         "ratio_defined": result.ratio is not None,
         "setup": serialize_setup(result.setup),
         "restart_index": result.restart_index,
         "iterations": result.iterations,
-        "restart_values": round_floats(list(result.restart_values)),
+        "restart_values": list(result.restart_values),
         "restart_iterations": list(result.restart_iterations),
     }
 
@@ -378,18 +371,12 @@ SCAN_COLUMNS = [field.name for field in fields(ScanRow)]
 
 
 def serialize_scan_rows(rows: list[ScanRow]) -> list[dict]:
-    return [
-        {column: round_floats(getattr(row, column)) for column in SCAN_COLUMNS}
-        for row in rows
-    ]
+    return [asdict(row) for row in rows]
 
 
-def scan_rows_csv(rows: list[ScanRow]) -> str:
+def scan_rows_csv(rows: list[dict]) -> str:
+    """CSV text of rounded serialize_scan_rows output; an empty cell is None."""
     lines = [",".join(SCAN_COLUMNS)]
-    for row in serialize_scan_rows(rows):
-        cells = []
-        for column in SCAN_COLUMNS:
-            value = row[column]
-            cells.append("" if value is None else str(value))
-        lines.append(",".join(cells))
+    for row in rows:
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in SCAN_COLUMNS))
     return "\n".join(lines) + "\n"

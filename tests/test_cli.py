@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from bellkit.optimize import OptimizationConfig, scan_product_g
 from bellkit.specdoc import (
     MAX_STRATEGIES,
     SpecParseError,
+    canonical_json,
     document_digest,
     functional_document,
     parse_functional_document,
@@ -677,7 +679,7 @@ WW_DIGESTS = {
 
 @pytest.mark.parametrize("parties", [1, 2, 3, 4])
 def test_ww_documents_are_pinned(capsys, parties):
-    # the csv run digests the same result document and skips its indented dump
+    # the csv run digests the same result document without printing it
     code, _, err = run_cli(capsys, "ww", "--parties", str(parties), "--format", "csv")
     assert code == 0
     assert json.loads(err)["manifest"]["result_digest"] == WW_DIGESTS[parties]
@@ -713,7 +715,40 @@ def test_round_floats_is_idempotent(doc):
     once = round_floats(doc)
     # compared as text, so -0.0 against 0.0 and int against float would show
     assert json.dumps(round_floats(once)) == json.dumps(once)
-    assert document_digest(once, rounded=True) == document_digest(doc)
+    assert document_digest(once) == document_digest(doc)
+    assert document_digest(doc) == hashlib.sha256(canonical_json(once).encode()).hexdigest()
+
+
+def test_canonical_json_does_not_round():
+    value = 0.12345678901234568  # 17 significant digits
+    assert json.loads(canonical_json({"x": value}))["x"] == value != round_floats(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--spec", "i323"],
+    ["facet", "--spec", "tight-323-g1"],
+    ["optimize", "--spec", "chsh", "--restarts", "2", "--seed", "1"],
+    ["table", "--scenarios", "2,2,2", "--restarts", "1", "--seed", "1"],
+    ["ww", "--parties", "2"],
+])
+def test_stdout_is_the_canonical_text_the_digest_hashes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert out == canonical_json(doc) + "\n"
+    text = canonical_json(doc["result"])
+    assert doc["manifest"]["result_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--scenarios", "2,2,2", "--restarts", "1", "--seed", "1"],
+    ["ww", "--parties", "3"],
+])
+def test_json_and_csv_runs_report_one_digest(capsys, argv):
+    digest = run_json(capsys, *argv)["manifest"]["result_digest"]
+    code, _, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert json.loads(err)["manifest"]["result_digest"] == digest
 
 
 def test_setup_document_roundtrip():

@@ -15,7 +15,9 @@ from bellkit import (
     settings_tuples,
     strategy_correlation_tensor,
 )
+from bellkit.bases import BasisKind, GTable, PartyBasis, fourier_party_basis, k2_conjugate_basis
 from bellkit.core import _mask_weights, contract_parties, correlation_stack
+from bellkit.multiport import MultiportUnitary, QuantumSetup, fourier_multiport
 
 
 def uniform_table(scenario):
@@ -263,6 +265,40 @@ def test_strategy_rows_are_read_only_views_of_one_checked_block():
 def test_strategy_rows_refuse_a_bad_block(tables, message):
     with pytest.raises(ValueError, match=message):
         DeterministicStrategy._rows(Scenario(2, 2, 3), tables)
+
+
+SC223 = Scenario(2, 2, 3)
+K2_BASIS = k2_conjugate_basis(3)
+SETUP_223 = QuantumSetup.normalized(SC223, np.ones((3, 3)), np.zeros((2, 2, 3)))
+
+# each stored array: (a caller's array of the stored dtype, the stored array built from it)
+STORED_ARRAYS = {
+    "DeterministicStrategy": (np.array([[0, 1], [2, 0]]),
+                              lambda a: DeterministicStrategy(SC223, a).assignments),
+    "GTable": (np.array([[0, 1], [1, 2]]), lambda a: GTable(SC223, a).table),
+    "CorrelationTensor": (np.full((2, 2), 0.5 + 0j),
+                          lambda a: CorrelationTensor(SC223, (1, 1), a).values),
+    "PartyBasis.vectors": (fourier_party_basis(3).vectors,
+                           lambda a: PartyBasis(BasisKind.SELF_CONJUGATE, 3, a).vectors),
+    "PartyBasis.deterministic": (K2_BASIS.deterministic, lambda a: PartyBasis(
+        BasisKind.DETERMINISTIC_WITH_DUAL, 3, K2_BASIS.vectors, a).deterministic),
+    "MultiportUnitary": (fourier_multiport(3).matrix, lambda a: MultiportUnitary(3, a).matrix),
+    "QuantumSetup.amplitudes": (SETUP_223.amplitudes,
+                                lambda a: QuantumSetup(SC223, a, SETUP_223.phases).amplitudes),
+    "QuantumSetup.phases": (SETUP_223.phases,
+                            lambda a: QuantumSetup(SC223, SETUP_223.amplitudes, a).phases),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_ARRAYS))
+def test_constructors_keep_a_private_read_only_copy(name):
+    template, build = STORED_ARRAYS[name]
+    caller = template.copy()
+    stored = build(caller)
+    before = stored.copy()
+    caller.flat[-1] += 1  # the caller's array stays writable
+    assert np.array_equal(stored, before)
+    assert not stored.flags.writeable
 
 
 def test_fourier_consistency_zero_mask():
