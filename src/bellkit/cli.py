@@ -270,15 +270,12 @@ def _ww_rows(parties: int) -> list[dict]:
     # coefficients are s at y and zero elsewhere: one nonzero coefficient
     nontrivial = np.count_nonzero(q, axis=1) > 1
 
+    # one tolist per column: Python values converted in bulk, not per row
+    columns = zip(signs.astype(np.int64).tolist(), q.tolist(), bounds.tolist(),
+                  (np.abs(bounds - 1.0) < 1e-9).tolist(), nontrivial.tolist())
     return [
-        {
-            "f": [int(v) for v in signs[i]],
-            "coefficients": q[i].tolist(),
-            "bound": float(bounds[i]),
-            "bound_is_one": bool(abs(bounds[i] - 1.0) < 1e-9),
-            "nontrivial": bool(nontrivial[i]),
-        }
-        for i in range(count)
+        {"f": f, "coefficients": c, "bound": b, "bound_is_one": one, "nontrivial": nt}
+        for f, c, b, one, nt in columns
     ]
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from bellkit.bases import apply_form
 from bellkit.specdoc import serialize_opt_result
 from bellkit.cglmp import cglmp_correlation_functional, i323_functional
 from bellkit.optimize import (
+    OVERRELAXATION,
     SOBOL_BITS,
     ScanRow,
     _MultiportObjective,
@@ -44,6 +46,7 @@ from bellkit.optimize import (
     _state_column,
     _sweep,
     _symmetric_orbits,
+    _update_phases,
     coset_support,
     scan_product_g,
     symmetric_g_search,
@@ -598,6 +601,68 @@ def test_sweep_never_lowers_the_objective(name, make):
             assert swept[i] >= apply_form(functional.form, before[i]) - 1e-12, (name, kind)
             after = objective.pair_total(phases[i], states[i], weights[i])
             assert abs(swept[i] - apply_form(functional.form, after)) < 1e-12, (name, kind)
+
+
+# every moved phase lies in [-omega*pi, omega*pi]; the slack covers the last bit of omega*pi
+PHASE_LIMIT = OVERRELAXATION * np.pi + 1e-12
+
+
+def gained(total, theta, new_total, modulus):
+    """The rise of Re[e^(i*theta) * total] over one call, |total| after it for a modulus row."""
+    after = abs(new_total) if modulus else new_total.real
+    return after - (cmath.exp(1j * theta) * total).real
+
+
+@pytest.mark.parametrize("modulus", [False, True])
+@pytest.mark.parametrize("name, make", KERNEL_CASES)
+def test_update_phases_is_monotone_and_keeps_phases_bounded(name, make, modulus):
+    objective = _MultiportObjective([make()], coset_support(make()))
+    sc = objective.scenario
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        for p in range(sc.parties):
+            groups, size = objective.shift_groups[p], (len(objective.shift_masks[p]), sc.outcomes)
+            sums = (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
+            start = rng.uniform(0, 2 * np.pi, size=(sc.settings, sc.outcomes))
+            start[:, 0] = 0.0
+            rows = start.tolist()
+            total = complex(*rng.normal(size=2))
+            theta = -cmath.phase(total) if modulus else 0.0
+            new_total, new_theta = _update_phases(rows, sums, groups, total, theta, modulus)
+            assert gained(total, theta, new_total, modulus) >= -1e-12, (name, p)
+            assert np.all(np.abs(np.array(rows)[:, 1:]) <= PHASE_LIMIT), (name, p, rows)
+            assert np.array_equal(np.array(rows)[:, 0], start[:, 0])
+            assert new_theta == (-cmath.phase(new_total) if modulus else 0.0)
+
+            # z = 0 for every phase: nothing moves
+            zeros = np.zeros(size, dtype=complex).tolist()
+            rows = start.tolist()
+            assert _update_phases(rows, zeros, groups, total, theta, modulus) == (total, theta)
+            assert rows == start.tolist()
+
+
+@pytest.mark.parametrize("modulus", [False, True])
+@pytest.mark.parametrize("start", [np.pi, -np.pi])
+def test_update_phases_over_relaxes_a_half_turn(start, modulus):
+    # one setting of d = 2 and one shift group with E = (0, 1): the total is
+    # e^(i*phi_1) + 2, maximized at phi* = 0, and phi_1 = +-pi is a half turn away
+    rows, sums, groups = [[0.0, start]], [[0j, 1 + 0j]], [[(0, [1, 0], [1, 0])]]
+    total = cmath.exp(1j * start) + 2
+    theta = -cmath.phase(total) if modulus else 0.0
+    new_total, _ = _update_phases(rows, sums, groups, total, theta, modulus)
+    # past phi* by (omega - 1) pi, on whichever side the wrapped step points
+    assert abs(abs(rows[0][1]) - (OVERRELAXATION - 1) * np.pi) < 1e-12
+    assert abs(new_total - (cmath.exp(1j * rows[0][1]) + 2)) < 1e-12
+    assert gained(total, theta, new_total, modulus) > 1.5
+
+
+def test_large_d_search_is_pinned():
+    # product-g (2,2,10), real part: the exact phase step (omega = 1) took
+    # 1,348 sweeps over these 8 restarts and reached R = 0.999999997385
+    result = maximize_violation(product_g_functional(2, 10, FunctionalForm.REAL_PART),
+                                OptimizationConfig(restarts=8, seed=1))
+    assert sum(result.restart_iterations) == 495
+    assert result.ratio == pytest.approx(0.999999998898, abs=1e-12)
 
 
 def run_rows(objective, owners, starts, sizes):
