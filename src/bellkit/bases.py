@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,9 +181,9 @@ class BellFunctional:
     """Re or |.| of sum_t w_t E^(r_t)[x_t] over a term list kept in order.
 
     The terms are (x_t, r_t, w_t) triples: settings, mask entries and a
-    finite weight; their masks may differ, as the starred three-party
-    construction needs.  from_coefficients lists a dense tensor's nonzero
-    entries in settings order under one mask.  `mask` and the dense
+    finite weight, with a finite sum of moduli |w_t|; their masks may differ,
+    as the starred three-party construction needs.  from_coefficients lists a
+    dense tensor's nonzero entries in settings order under one mask.  `mask` and the dense
     `coefficients` are built from the terms on first use, and are None when
     the masks are mixed.  Weights are never normalized implicitly.
     """
@@ -206,6 +207,9 @@ class BellFunctional:
                 raise ValueError(f"term with settings {x}, mask {r} has weight {w}, not finite")
         if not any(w != 0 for _, _, w in terms):
             raise ValueError("functional has no nonzero weight")
+        # every value, quantum or classical, is bounded by sum_t |w_t|
+        if not math.isfinite(sum(math.hypot(w.real, w.imag) for _, _, w in terms)):
+            raise ValueError("the weights' moduli sum past the float range")
         object.__setattr__(self, "term_list", terms)
 
     @classmethod

@@ -93,6 +93,8 @@ def _read_document(path: str, location: str):
         return json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(location, f"cannot read {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecParseError(location, f"{path!r} is nested too deeply to parse") from exc
 
 
 def _load_spec(value: str):

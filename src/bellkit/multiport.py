@@ -5,8 +5,9 @@ transform; a measurement setting is a list of input-port phases, and the
 outcome is the index of the output port that fires.  Born probabilities are
 the authoritative path; the shift-product form of the correlations is an
 algebraically equal fast path, kept as the cross-check of the Born path
-(quantum_functional_value(path="fast")); the optimizer's seesaw runs on its own
-environment tensors.  Both paths are contracted party by party
+(quantum_functional_value(path="fast")).  Its index plan, the ports and basis
+states j + r displaced by each mask (_shift_plan), is the one the optimizer's
+seesaw reads too.  Both paths are contracted party by party
 over all k^N joint settings at once, with no loop over settings tuples (the
 Born path through `core.contract_parties`), and each evaluates all of a
 functional's masks in one call.

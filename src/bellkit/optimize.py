@@ -2,10 +2,12 @@
 
 For fixed phase-shifter settings the pairing sum_x c_x E_x is a quadratic form
 s* G(phi) s in the input state, and G only couples basis index j with j + r_t,
-where r_t are the term masks.  So G is block-diagonal over the cosets of the
-subgroup H = <r_t> of Z_d^N, and every coset block gives the same optimum: for
-the Fourier matrix F X^c = Z^c F, so translating the state by c and rolling
-each party's phase rows by c_p leaves every probability unchanged.  The search
+where r_t are the term masks; the map j -> j + r_t (mod d), on basis states
+and on ports, is read from multiport._shift_plan, the plan the shift-product
+path uses too.  So G is block-diagonal over the cosets of the subgroup
+H = <r_t> of Z_d^N, and every coset block gives the same optimum: for the
+Fourier matrix F X^c = Z^c F, so translating the state by c and rolling each
+party's phase rows by c_p leaves every probability unchanged.  The search
 therefore runs on H alone, an index array of basis states (the support): G is
 built on the support's rows and columns, |H| x |H| instead of d^N x d^N (d x d
 for any single-mask functional), and the best state for given phases is the
@@ -80,7 +82,7 @@ from .bases import (
     k2_conjugate_basis,
 )
 from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound
-from .multiport import QuantumSetup, probability_table, quantum_correlation_stack
+from .multiport import QuantumSetup, _shift_plan, probability_table, quantum_correlation_stack
 
 __all__ = [
     "ConfigError",
@@ -199,12 +201,16 @@ def coset_support(functional) -> np.ndarray:
 
 
 class _MultiportObjective:
-    """Pairing totals, G(phi) on a support, and eigen-resolved states, batched over rows.
+    """Environments, G(phi) on a support, and eigen-resolved states, batched over rows.
 
     The functionals share one term structure: they list the same (settings,
     mask) pairs in the same order and differ only in their weights, one row of
-    weights (F, T) and of mask_weights (F, M, T) each.  The batched methods
-    take a leading axis of B rows, each reading its own functional's weights.
+    weights (F, T) and of mask_weights (F, M, T) each, the M distinct masks in
+    order of first use (functional.masks()).  Every j + r_t it uses (the
+    shifted ports of the phase factors, the shifted states of G and of the
+    state products) comes from multiport._shift_plan of those masks.  The
+    batched methods take a leading axis of B rows, each reading its own
+    functional's weights.
     States live on support, an ascending index array of basis states: G is
     built on the support's rows and columns and the pairing is contracted over
     the support's states; entries that would leave the support are dropped,
@@ -228,22 +234,24 @@ class _MultiportObjective:
         self.rs = np.array([t[1] for t in terms], dtype=np.int64)          # (T, n)
         self.weights = np.array([[t[2] for t in functional.terms()]
                                  for functional in functionals], dtype=complex)  # (F, T)
-        # port indices j + r_t, per party, for rolling phase rows by a mask entry
-        ports = np.arange(d)
-        roll_idx = (ports[None, None, :] + self.rs.T[:, :, None]) % d       # (n, T, d)
+        # the distinct masks in order of first use, and each term's mask
+        masks = first.masks()
+        self.mask_of = np.array([masks.index(r) for _, r, _ in terms], dtype=np.int64)  # (T,)
+        shifted, displaced = _shift_plan(scenario, masks)
         # flat indices into phases[p] of ports j and j + r_t for setting x_t, per party
-        self.port_idx = self.xs.T[:, :, None] * d + ports                   # (n, T, d)
-        self.shifted_port_idx = self.xs.T[:, :, None] * d + roll_idx
+        self.port_idx = self.xs.T[:, :, None] * d + np.arange(d)             # (n, T, d)
+        self.shifted_port_idx = displaced[np.arange(n)[:, None], self.mask_of, self.xs.T]
         self.support = np.asarray(support)
         self.fixed = fixed
-        self._index_support()
+        self._index_support(shifted.reshape(len(masks), -1))
         self._group_shifts()
         self.is_modulus = first.form is FunctionalForm.MODULUS
         self.n_phases = n * k * (d - 1)
 
-    def _index_support(self):
+    def _index_support(self, shifted: np.ndarray):
         """Where each term puts its G entries and pairs its amplitudes on the support.
 
+        shifted[m, j] is the flat index of j + r_m for the m-th distinct mask.
         Column a of G holds basis state h = support[a]; a term with mask r puts
         w prod_p u_p(h_p) in the row of h + r.  Terms sharing a mask share that
         row, so their entries are summed first (mask_weights) and each distinct
@@ -258,17 +266,14 @@ class _MultiportObjective:
         self.factor_idx = np.arange(n)[:, None] * d + self.digits          # (n, m)
         # port_masks[p, c, a] = 1 where support[a] has digit c at party p
         self.port_masks = (self.digits[:, None, :] == np.arange(d)[:, None]).astype(float)
-        masks, mask_of = np.unique(self.rs, axis=0, return_inverse=True)
-        mask_of = mask_of.reshape(-1)
-        self.mask_weights = np.zeros((len(self.weights), len(masks), count), dtype=complex)
-        self.mask_weights[:, mask_of, np.arange(count)] = self.weights
-        targets = np.ravel_multi_index((self.digits[:, None] + masks.T[:, :, None]) % d,
-                                       (d,) * n)
-        rows = np.minimum(np.searchsorted(self.support, targets), size - 1)  # (M, m)
+        self.mask_weights = np.zeros((len(self.weights), len(shifted), count), dtype=complex)
+        self.mask_weights[:, self.mask_of, np.arange(count)] = self.weights
+        targets = shifted[:, self.support]                                   # (M, m)
+        rows = np.minimum(np.searchsorted(self.support, targets), size - 1)
         inside = self.support[rows] == targets
         self.g_cells = (rows * size + np.arange(size))[inside]
-        self.g_sources = (np.arange(len(masks))[:, None] * size + np.arange(size))[inside]
-        self.partners = np.where(inside, rows, size)[mask_of]                # (T, m)
+        self.g_sources = (np.arange(len(shifted))[:, None] * size + np.arange(size))[inside]
+        self.partners = np.where(inside, rows, size)[self.mask_of]           # (T, m)
 
     def _group_shifts(self):
         """Per party, the terms whose phase row moves, grouped by (setting, mask entry s).
@@ -290,14 +295,6 @@ class _MultiportObjective:
             for g, (x, s) in enumerate(keys):
                 groups[x].append((g, ((ports + s) % d).tolist(), ((ports - s) % d).tolist()))
             self.shift_groups.append(groups)
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """rows[t, j] = flat index of (j + r_t) mod d over all d^N states, for pair_total."""
-        n, d = self.scenario.parties, self.scenario.outcomes
-        grid = np.indices((d,) * n).reshape(n, self.dim)
-        shifted = (grid[None, :, :] + self.rs[:, :, None]) % d
-        return np.array([np.ravel_multi_index(shifted[t], (d,) * n) for t in range(len(self.rs))])
 
     # -- core algebra, batched over a leading row axis ------------------------
     def phase_factors(self, phases: np.ndarray) -> np.ndarray:
@@ -352,26 +349,7 @@ class _MultiportObjective:
         g[:, self.g_cells] = per_mask.reshape(count, -1)[:, self.g_sources]
         return g.reshape(count, size, size)
 
-    def pair_total(self, phases: np.ndarray, state: np.ndarray, weights: np.ndarray) -> complex:
-        """sum_t w_t sum_j u_t(j) s_j conj(s_(j + r_t)) for one row on the whole space.
-
-        The reference path: a full d^N state, contracted party by party.
-        """
-        n, d = self.scenario.parties, self.scenario.outcomes
-        u = self.phase_factors(phases[None])[0]
-        flat = state.ravel()
-        z = (flat[None, :] * flat.conj()[self.rows]).reshape((len(self.xs),) + (d,) * n)
-        for p in range(n):
-            z = (z * u[:, p][(...,) + (None,) * (n - 1 - p)]).sum(axis=1)
-        return complex(weights @ z)
-
     # -- eigen-resolved objective -------------------------------------------
-    def scatter(self, block: np.ndarray) -> np.ndarray:
-        """The full d^N state whose amplitudes on the support are block."""
-        state = np.zeros(self.dim, dtype=complex)
-        state[self.support] = block
-        return state
-
     def refreshed_states(self, factors: np.ndarray, mask_weights: np.ndarray,
                          blocks: np.ndarray | None, theta: np.ndarray):
         """Eigen state updates of every row; for modulus forms also re-centre the rotations.
@@ -395,7 +373,10 @@ class _MultiportObjective:
         total = _quadratic(g, blocks)
         return _recentred(g, np.where(total != 0, -np.angle(total), theta))
 
-    def setup_at(self, phases: np.ndarray, state: np.ndarray) -> QuantumSetup:
+    def setup_at(self, phases: np.ndarray, block: np.ndarray) -> QuantumSetup:
+        """The setup of phases and the full d^N state whose amplitudes on the support are block."""
+        state = np.zeros(self.dim, dtype=complex)
+        state[self.support] = block
         # fix the state's arbitrary global phase for reproducible output
         anchor = np.argmax(np.abs(state))
         state = state * np.exp(-1j * np.angle(state[anchor]))
@@ -725,7 +706,7 @@ def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
             restart_values = tuple(values[rows].tolist())
             best = max(range(restarts), key=lambda i: (restart_values[i], -i))
             row = slot * restarts + best
-            setup = objective.setup_at(phases[row], objective.scatter(states[row]))
+            setup = objective.setup_at(phases[row], states[row])
             functional, beta = jobs[index][0], betas[index]
             born_value = quantum_functional_value(functional, setup, path="born")
             results[index] = OptResult(

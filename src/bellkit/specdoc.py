@@ -152,7 +152,10 @@ def _nested_to_array(data: Any, shape: tuple[int, ...], location: str, parse_lea
         for i, child in enumerate(node):
             fill(child, depth + 1, f"{loc}[{i}]")
     fill(data, 0, location)
-    return np.array(leaves, dtype=dtype).reshape(shape)
+    try:
+        return np.array(leaves, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # more axes than numpy supports
+        raise SpecParseError(location, str(exc)) from exc
 
 
 def parse_functional_document(doc: dict, location: str = "spec") -> BellFunctional:

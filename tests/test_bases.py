@@ -405,6 +405,19 @@ def test_functional_refuses_non_finite_weights(bad):
         BellFunctional.from_coefficients(sc, coeff, FunctionalForm.REAL_PART)
 
 
+@pytest.mark.parametrize("weights", [
+    [1e308, 1e308, 1e308, -1e308],  # each finite, their moduli summing past the float range
+    [complex(1.7e308, 1.7e308)],  # a finite weight whose own modulus overflows
+])
+def test_functional_refuses_weights_whose_moduli_overflow(weights):
+    sc = Scenario(2, 2, 2)
+    terms = [(x, (0, 0), w) for x, w in zip([(0, 0), (0, 1), (1, 0), (1, 1)], weights)]
+    with pytest.raises(ValueError, match="moduli sum past the float range"):
+        BellFunctional(sc, terms, FunctionalForm.MODULUS)
+    # the largest single finite modulus is accepted
+    BellFunctional(sc, [((0, 0), (0, 0), complex(1e308, 1e308))], FunctionalForm.MODULUS)
+
+
 # The term-by-term sum `contract` made before it planned its gather, kept as the oracle.
 
 def reference_total(functional, correlations):

@@ -192,6 +192,19 @@ def readme_functional_document() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
+OVERFLOW_COEFFICIENTS = dict(CHSH_DOC, coefficients=[[1e308, 1e308], [1e308, -1e308]])
+OVERFLOW_WEIGHT = {"scenario": {"parties": 2, "settings": 2, "outcomes": 2}, "form": "modulus",
+                   "terms": [{"settings": [0, 0], "mask": [0, 0], "weight": [1.7e308, 1.7e308]}]}
+PARTIES_65 = {"scenario": {"parties": 65, "settings": 1, "outcomes": 2}, "form": "real-part"}
+
+
+def wrapped(leaf, depth: int):
+    """leaf wrapped in depth one-element lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 I323_SETUP = {
     "scenario": {"parties": 3, "settings": 3, "outcomes": 3},
     "amplitudes": [1] + [0] * 12 + [1] + [0] * 12 + [1],
@@ -252,6 +265,20 @@ I323_SETUP = {
     ("scenarios-non-ascii-digit", ["table", "--scenarios", "2,2,\u0663"], "scenarios[0]: "),
     ("scenarios-no-party", ["table", "--scenarios", "2,2,2;0,2,2"], "scenarios[1]: "),
     ("scenarios-one-outcome", ["table", "--scenarios", "2,2,1"], "scenarios[0]: "),
+    # finite weights whose moduli sum past the float range bound no value
+    ("coefficients-moduli-overflow", ["bound", "--spec", "{overflow_coefficients}"],
+     ".coefficients: "),
+    ("coefficients-moduli-overflow-facet", ["facet", "--spec", "{overflow_coefficients}"],
+     ".coefficients: "),
+    ("weight-modulus-overflow", ["optimize", "--spec", "{overflow_weight}", "--restarts", "1"],
+     ".terms: "),
+    # json.loads raises RecursionError on deep nesting
+    ("spec-nested-too-deeply", ["bound", "--spec", "{deep}"], "spec: "),
+    ("setup-nested-too-deeply", ["optimize", "--spec", "chsh", "--setup", "{deep}"],
+     "--setup: "),
+    # a dense route for 65 parties needs more axes than numpy supports
+    ("coefficients-65-parties", ["bound", "--spec", "{coefficients_65}"], ".coefficients: "),
+    ("construction-65-parties", ["bound", "--spec", "{construction_65}"], ".construction.g: "),
 ])
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv, location):
     files = {"ragged": RAGGED_SETUP, "missing": None,
@@ -271,7 +298,12 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, name, argv,
              "readme_mask_3": dict(readme_functional_document(), mask=[1, 3]),
              "readme_mask_1": dict(readme_functional_document(), mask=[1]),
              "fourier_223": FOURIER_223, "k2_conjugate_233": K2_CONJUGATE_233,
-             "k2_conjugate_222": K2_CONJUGATE_222, "unknown_basis": UNKNOWN_BASIS}
+             "k2_conjugate_222": K2_CONJUGATE_222, "unknown_basis": UNKNOWN_BASIS,
+             "overflow_coefficients": OVERFLOW_COEFFICIENTS, "overflow_weight": OVERFLOW_WEIGHT,
+             "deep": "[" * 5000 + "]" * 5000,
+             "coefficients_65": dict(PARTIES_65, coefficients=wrapped(1, 65)),
+             "construction_65": dict(PARTIES_65, construction={"basis": "fourier",
+                                                               "g": wrapped(0, 65)})}
     paths = {key: tmp_path / f"{key}.json" for key in files}
     for key, doc in files.items():
         if doc is not None:
@@ -794,6 +826,9 @@ def test_presets_parse_to_their_constructors():
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# a functional's weights have a finite sum of moduli: seven weights whose parts
+# are at most 1e307 in size sum below the float range
+part = st.floats(-1e307, 1e307)
 
 
 @st.composite
@@ -801,9 +836,9 @@ def functionals(draw):
     n, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
     term = st.tuples(st.tuples(*[st.integers(0, k - 1)] * n),
                      st.tuples(*[st.integers(0, d - 1)] * n),
-                     st.builds(complex, finite, finite))
+                     st.builds(complex, part, part))
     terms = draw(st.lists(term, min_size=1, max_size=6))
-    terms.append(((0,) * n, (1,) * n, complex(draw(finite.filter(bool)), 0.0)))
+    terms.append(((0,) * n, (1,) * n, complex(draw(part.filter(bool)), 0.0)))
     form = draw(st.sampled_from(list(FunctionalForm)))
     return BellFunctional(Scenario(n, k, d), draw(st.permutations(terms)), form,
                           draw(st.none() | finite))

@@ -24,6 +24,7 @@ from bellkit import (
     quantum_functional_value,
 )
 from bellkit.bases import apply_form
+from bellkit.multiport import QuantumSetup, _shift_plan, quantum_correlation_stack
 from bellkit.specdoc import serialize_opt_result
 from bellkit.cglmp import cglmp_correlation_functional, i323_functional
 from bellkit.optimize import (
@@ -530,13 +531,34 @@ def kinds_for(functional):
     return [kind for kind in STATE_KINDS if kind != "ghz" or (sc.parties, sc.outcomes) == (3, 3)]
 
 
-def probe_fit(objective, phases, state, weights, p, x, c):
+def full_state(objective, block):
+    """The full d^N state whose amplitudes on the objective's support are block."""
+    state = np.zeros(objective.dim, dtype=complex)
+    state[objective.support] = block
+    return state
+
+
+def pair_total(functional, phases, state):
+    """sum_t w_t sum_j u_t(j) s_j conj(s_(j + r_t)) for a full state, through the public fast path.
+
+    The pairing is quadratic in s and reads only phase differences within a
+    setting, so it is |s|^2 times the functional contracted over the
+    shift-product correlations of the normalized, gauge-fixed setup.
+    """
+    sc = functional.scenario
+    state = np.reshape(state, (sc.outcomes,) * sc.parties)
+    setup = QuantumSetup.normalized(sc, state, phases)
+    correlations = lambda masks: quantum_correlation_stack(setup, masks)
+    return np.linalg.norm(state.ravel()) ** 2 * functional.contract(correlations)
+
+
+def probe_fit(functional, phases, state, p, x, c):
     """(A, B, C) of total = A e^(i*phi) + B e^(-i*phi) + C from three reference pair totals."""
     probed = phases.copy()
     totals = []
     for offset in (0.0, np.pi / 2, np.pi):
         probed[p, x, c] = offset
-        totals.append(objective.pair_total(probed, state, weights))
+        totals.append(pair_total(functional, probed, state))
     const = 0.5 * (totals[0] + totals[2])
     a = 0.5 * ((totals[0] - const) + (totals[1] - const) / 1j)
     b = 0.5 * ((totals[0] - const) - (totals[1] - const) / 1j)
@@ -561,8 +583,8 @@ def test_environment_coefficients_match_probe_fit(name, make):
             env = objective.environment(factors, products, weights, p)
             sums = objective.shift_sums(env, p)
             for row in range(len(owners)):
-                state = objective.scatter(blocks[row])
-                reference_total = objective.pair_total(phases[row], state, weights[row])
+                state = full_state(objective, blocks[row])
+                reference_total = pair_total(functionals[owners[row]], phases[row], state)
                 total = complex(np.sum(env[row] * u[row, :, p]))
                 assert abs(total - reference_total) < 1e-12, (name, kind)
                 for x in range(sc.settings):
@@ -574,7 +596,7 @@ def test_environment_coefficients_match_probe_fit(name, make):
                         b = sum(sums[row, g, minus[c]] * f[minus[c]]
                                 for g, _, minus in objective.shift_groups[p][x])
                         const = total - a * f[c] - b / f[c]
-                        want = probe_fit(objective, phases[row], state, weights[row], p, x, c)
+                        want = probe_fit(functionals[owners[row]], phases[row], state, p, x, c)
                         assert np.allclose((a, b, const), want, rtol=0, atol=1e-12), \
                             (name, kind, p, x, c)
 
@@ -591,15 +613,15 @@ def test_sweep_never_lowers_the_objective(name, make):
         weights = objective.weights[owners]
         phases, blocks = random_points(objective, rng, count)
         phases[:, :, :, 0] = 0.0
-        states = [objective.scatter(block) for block in blocks]
-        before = [objective.pair_total(phases[i], states[i], weights[i]) for i in range(count)]
+        states = [full_state(objective, block) for block in blocks]
+        before = [pair_total(functionals[owners[i]], phases[i], states[i]) for i in range(count)]
         theta = -np.angle(before) if objective.is_modulus else np.zeros(count)
         u = objective.phase_factors(phases)
         swept, _ = _sweep(objective, phases, u, objective.support_factors(u),
                           objective.state_products(blocks), theta, weights)
         for i in range(count):
             assert swept[i] >= apply_form(functional.form, before[i]) - 1e-12, (name, kind)
-            after = objective.pair_total(phases[i], states[i], weights[i])
+            after = pair_total(functionals[owners[i]], phases[i], states[i])
             assert abs(swept[i] - apply_form(functional.form, after)) < 1e-12, (name, kind)
 
 
@@ -893,16 +915,19 @@ def flat_indices(scenario, digits):
                                 (d,) * scenario.parties)
 
 
-def dense_g(objective, phases):
+def dense_g(functional, objective, phases):
     """G(phi) on the whole space by definition: G[j + r_t, j] += w_t prod_p u_t,p(j_p)."""
-    sc = objective.scenario
+    sc = functional.scenario
     dim = sc.outcomes ** sc.parties
     digits = np.indices((sc.outcomes,) * sc.parties).reshape(sc.parties, dim)
+    masks = functional.masks()
+    # shifted[m, j] is the flat index of j + r_m over all d^N states
+    shifted = _shift_plan(sc, masks)[0].reshape(len(masks), dim)
     u = objective.phase_factors(phases[None])[0]
     g = np.zeros((dim, dim), dtype=complex)
-    for t, weight in enumerate(objective.weights[0]):
+    for t, (_, r, weight) in enumerate(functional.terms()):
         factor = np.prod([u[t, p, digits[p]] for p in range(sc.parties)], axis=0)
-        g[objective.rows[t], np.arange(dim)] += weight * factor
+        g[shifted[masks.index(r)], np.arange(dim)] += weight * factor
     return g
 
 
@@ -950,7 +975,7 @@ def test_translation_invariance_and_coset_blocks(problem):
     in_h[support] = True
     phases = rng.uniform(0, 2 * np.pi, size=(n, sc.settings, d))
     theta = rng.uniform(0, 2 * np.pi)
-    g = dense_g(objective, phases)
+    g = dense_g(functional, objective, phases)
 
     # no entry of G couples two different cosets of H
     digits = np.indices((d,) * n).reshape(n, dim)
@@ -964,9 +989,8 @@ def test_translation_invariance_and_coset_blocks(problem):
     # a state translated by c pairs like the state itself with phase rows rolled by c
     state = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
     translated = np.roll(state, shift, axis=tuple(range(n)))
-    weights = objective.weights[0]
-    moved = objective.pair_total(phases, translated, weights)
-    kept = objective.pair_total(rolled(phases, shift), state, weights)
+    moved = pair_total(functional, phases, translated)
+    kept = pair_total(functional, rolled(phases, shift), state)
     assert abs(moved - kept) < 1e-12
 
     # the full top eigenvalue is H's block maximized over one translation per coset
