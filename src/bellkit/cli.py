@@ -148,8 +148,15 @@ def _config_from_args(args) -> OptimizationConfig:
         raise SpecParseError(f"--{exc.field}", str(exc)) from exc
 
 
+def _check_budget_flag(args):
+    """Refuse a negative --budget as a usage error, like --restarts 0."""
+    if args.budget < 0:
+        raise SpecParseError("--budget", f"budget must be at least 0, got {args.budget}")
+
+
 def cmd_bound(args, argv) -> int:
     started = time.time()
+    _check_budget_flag(args)
     functional, spec_info = _load_spec(args.spec)
     result = classical_bound(functional, budget=args.budget)
     doc = serialize_bound_result(result)
@@ -160,6 +167,7 @@ def cmd_bound(args, argv) -> int:
 
 def cmd_optimize(args, argv) -> int:
     started = time.time()
+    _check_budget_flag(args)
     if args.ghz_family and args.setup is not None:
         raise SpecParseError("--ghz-family", "cannot be combined with --setup")
     if args.optimize_phases and args.setup is None:
@@ -235,6 +243,7 @@ def _parse_scenarios(text: str) -> list[tuple[int, int, int]]:
 
 def cmd_table(args, argv) -> int:
     started = time.time()
+    _check_budget_flag(args)
     scenarios = _parse_scenarios(args.scenarios)
     config = _config_from_args(args)
     rows = scan_product_g(scenarios, config, budget=args.budget)
@@ -246,6 +255,7 @@ def cmd_table(args, argv) -> int:
 
 def cmd_facet(args, argv) -> int:
     started = time.time()
+    _check_budget_flag(args)
     functional, spec_info = _load_spec(args.spec)
     report = facet_check(functional, budget=args.budget)
     doc = serialize_facet_report(report)

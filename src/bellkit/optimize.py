@@ -35,19 +35,23 @@ ends below its first eigensolve (see _recentred).
 
 The ascent runs on a batch of rows.  A row is one (functional, restart) pair;
 the rows of a batch share a term structure and a support and differ in their
-weights and start phases.  The search driver puts every restart of every
-functional it is given into one batch per term structure and support, so the
-orbit representatives of the exponent-table sweep share one batch.  The phase
-factors, environments, G, its Hermitian part, one stacked eigensolve, the
-modulus rotation re-centring and the convergence test run on all rows at
-once, and a converged row leaves the batch.  The phase factors are evaluated
-once per batch and carried across iterations: the sweep, the only step that
-moves phases, refreshes a party's factors right after updating its phases,
-and G is built from the factors the sweep leaves.  The single-phase updates
-are sequential, so each row makes them in plain complex arithmetic from its
-environment summed per (setting, shift) group.  Every batched sum runs along
-the last axis of a fresh array and every eigensolve is one matrix's, so a
-row's result is bit-identical whatever else shares its batch.
+weights, their form and their start phases.  The search driver puts every
+restart of every functional it is given into one batch per term structure and
+support, whatever the form, so the orbit representatives of the
+exponent-table sweep share one batch, and so do the real-part and modulus
+forms of one bellkit table row.  A batch lists its real-part rows first, so
+each form's rows are one contiguous slice.  The phase factors, environments,
+G and the convergence test run on all rows at once, the real-part rows' state
+refresh is one stacked eigensolve, the modulus rows' rotation re-centring
+runs on all of them at once, and a converged row leaves the batch.  The phase
+factors are evaluated once per batch and carried across iterations: the
+sweep, the only step that moves phases, refreshes a party's factors right
+after updating its phases, and G is built from the factors the sweep leaves.
+The single-phase updates are sequential, so each row makes them in plain
+complex arithmetic from its environment summed per (setting, shift) group,
+reading each phase's groups from a plan built once per batch.  Every batched
+sum runs along the last axis of a fresh array and every eigensolve is one
+matrix's, so a row's result is bit-identical whatever else shares its batch.
 
 Every reported quantum value is re-evaluated through the Born-rule path on the
 returned setup, so results are reproducible from the setup alone.  A fixed seed
@@ -206,11 +210,12 @@ class _MultiportObjective:
     The functionals share one term structure: they list the same (settings,
     mask) pairs in the same order and differ only in their weights, one row of
     weights (F, T) and of mask_weights (F, M, T) each, the M distinct masks in
-    order of first use (functional.masks()).  Every j + r_t it uses (the
-    shifted ports of the phase factors, the shifted states of G and of the
-    state products) comes from multiport._shift_plan of those masks.  The
-    batched methods take a leading axis of B rows, each reading its own
-    functional's weights.
+    order of first use (functional.masks()), and in their form, one flag of
+    modulus (F,) each, so both forms of one term structure share an objective.
+    Every j + r_t it uses (the shifted ports of the phase factors, the shifted
+    states of G and of the state products) comes from multiport._shift_plan of
+    those masks.  The batched methods take a leading axis of B rows, each
+    reading its own functional's weights, real-part rows before modulus rows.
     States live on support, an ascending index array of basis states: G is
     built on the support's rows and columns and the pairing is contracted over
     the support's states; entries that would leave the support are dropped,
@@ -245,7 +250,7 @@ class _MultiportObjective:
         self.fixed = fixed
         self._index_support(shifted.reshape(len(masks), -1))
         self._group_shifts()
-        self.is_modulus = first.form is FunctionalForm.MODULUS
+        self.modulus = np.array([f.form is FunctionalForm.MODULUS for f in functionals])
         self.n_phases = n * k * (d - 1)
 
     def _index_support(self, shifted: np.ndarray):
@@ -278,23 +283,22 @@ class _MultiportObjective:
     def _group_shifts(self):
         """Per party, the terms whose phase row moves, grouped by (setting, mask entry s).
 
-        shift_masks[p][g] marks group g's terms.  shift_groups[p][x] lists, for
-        the groups reading setting x, (g, plus, minus) with plus[c] = c + s and
-        minus[c] = c - s mod d.
+        shift_masks[p][g] marks group g's terms.  phase_reads[p][x][c] is the
+        read plan of phase phi[x, c]: a tuple of (g, c + s mod d, c - s mod d),
+        one per group g reading setting x, in group order.
         """
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
-        ports = np.arange(d)
-        self.shift_masks, self.shift_groups = [], []
+        self.shift_masks, self.phase_reads = [], []
         for p in range(n):
             settings, shifts = self.xs[:, p], self.rs[:, p] % d
             keys = sorted({(int(x), int(s)) for x, s in zip(settings, shifts) if s})
             self.shift_masks.append(np.array(
                 [(settings == x) & (shifts == s) for x, s in keys], dtype=float,
             ).reshape(len(keys), len(self.xs)))
-            groups = [[] for _ in range(k)]
-            for g, (x, s) in enumerate(keys):
-                groups[x].append((g, ((ports + s) % d).tolist(), ((ports - s) % d).tolist()))
-            self.shift_groups.append(groups)
+            self.phase_reads.append([
+                [tuple((g, (c + s) % d, (c - s) % d)
+                       for g, (y, s) in enumerate(keys) if y == x) for c in range(d)]
+                for x in range(k)])
 
     # -- core algebra, batched over a leading row axis ------------------------
     def phase_factors(self, phases: np.ndarray) -> np.ndarray:
@@ -351,27 +355,38 @@ class _MultiportObjective:
 
     # -- eigen-resolved objective -------------------------------------------
     def refreshed_states(self, factors: np.ndarray, mask_weights: np.ndarray,
-                         blocks: np.ndarray | None, theta: np.ndarray):
-        """Eigen state updates of every row; for modulus forms also re-centre the rotations.
+                         blocks: np.ndarray | None, theta: np.ndarray, real_rows: int):
+        """Eigen state updates of every row; for modulus rows also re-centre the rotations.
 
-        factors are the rows' support factors.  A real-part row takes the top
-        eigenvector of G's Hermitian part.  A modulus row's rotation first
-        moves to -arg(s* G s) of its state blocks (None starts each row from
-        the top eigenvector at theta); then _recentred climbs
-        lambda_max(H(theta)) by Newton steps, up to 8 eigensolves, and keeps
-        the round with the largest |s* G s|.  So a refresh never ends below
-        its first eigensolve, and each row's value is that of the state and
-        rotation returned with it.  Returns the states on the support, the
-        rotations and the values.
+        factors are the rows' support factors; the first real_rows rows are
+        real-part rows and the rest modulus rows, each form a slice of the
+        stack, so the split copies nothing.  The real-part rows take the top
+        eigenvectors of their G's Hermitian parts, one stacked eigensolve, and
+        keep their rotations.  A modulus row's rotation first moves to
+        -arg(s* G s) of its state blocks (None starts each row from the top
+        eigenvector at theta); then _recentred climbs lambda_max(H(theta)) by
+        Newton steps, up to 8 eigensolves, and keeps the round with the
+        largest |s* G s|.  So a refresh never ends below its first eigensolve,
+        and each row's value is that of the state and rotation returned with
+        it.  Returns the states on the support, the rotations and the values.
         """
         g = self.g_matrix(factors, mask_weights)
-        if not self.is_modulus:
-            new = _eigh_stack(_hermitian_part(g))[1][:, :, -1]
-            return new, theta, _quadratic(g, new).real
-        if blocks is None:
-            blocks = _eigh_stack(_hermitian_part(g, np.exp(1j * theta)))[1][:, :, -1]
-        total = _quadratic(g, blocks)
-        return _recentred(g, np.where(total != 0, -np.angle(total), theta))
+        parts = []
+        if real_rows:
+            real = g[:real_rows]
+            new = _eigh_stack(_hermitian_part(real))[1][:, :, -1]
+            parts.append((new, theta[:real_rows], _quadratic(real, new).real))
+        if real_rows < len(g):
+            g, theta = g[real_rows:], theta[real_rows:]
+            if blocks is None:
+                start = _eigh_stack(_hermitian_part(g, np.exp(1j * theta)))[1][:, :, -1]
+            else:
+                start = blocks[real_rows:]
+            total = _quadratic(g, start)
+            parts.append(_recentred(g, np.where(total != 0, -np.angle(total), theta)))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(pair) for pair in zip(*parts))
 
     def setup_at(self, phases: np.ndarray, block: np.ndarray) -> QuantumSetup:
         """The setup of phases and the full d^N state whose amplitudes on the support are block."""
@@ -383,6 +398,15 @@ class _MultiportObjective:
         d = self.scenario.outcomes
         shape = (d,) * self.scenario.parties
         return QuantumSetup.normalized(self.scenario, state.reshape(shape), phases)
+
+
+def _form_values(totals: np.ndarray, real_rows: int) -> np.ndarray:
+    """Each row's value in its form: Re total of the first real_rows rows, |total| of the rest."""
+    if real_rows == len(totals):
+        return totals.real
+    if not real_rows:
+        return np.abs(totals)
+    return np.concatenate([totals[:real_rows].real, np.abs(totals[real_rows:])])
 
 
 def _quadratic(g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -475,12 +499,13 @@ def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array([w for w, _ in solved]), np.array([v for _, v in solved])
 
 
-def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: float,
+def _update_phases(rows: list, sums: list, reads: list, total: complex, theta: float,
                    modulus: bool) -> tuple[complex, float]:
     """Over-relaxed single-phase updates of one row's party, in plain complex arithmetic.
 
     rows[x][c] is the party's phase phi[x, c], updated in place for c >= 1 in
-    order; sums[g] is the shift group sum E_s of group g.  With everything
+    order; sums[g] is the shift group sum E_s of group g and reads[x][c] is
+    phi[x, c]'s read plan, (g, c + s, c - s) per group.  With everything
     else frozen the pairing total is A e^(i*phi) + B e^(-i*phi) + C in
     phi[x, c], with A = sum_s E_s[c] e^(-i*phi[x, c + s]) and
     B = sum_s E_s[c - s] e^(i*phi[x, c - s]) over the groups reading setting x.
@@ -492,20 +517,20 @@ def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: 
     [-omega*pi, omega*pi]; z = 0 leaves it where it is.  The running total
     follows each step, and a modulus row's rotation then moves to
     -arg(total), which leaves Re[e^(i*theta) * total] = |total| no lower.
+    e^(i*theta) is evaluated once, and again only when the rotation moves.
     Returns the final total and rotation.
     """
-    for x, phis in enumerate(rows):
-        moving = [(sums[g], plus, minus) for g, plus, minus in groups[x]]
+    rotation = cmath.exp(1j * theta)
+    for phis, plan in zip(rows, reads):
         factors = [cmath.exp(1j * phi) for phi in phis]
         for c in range(1, len(phis)):
             a = b = 0j
-            for shift_sum, plus, minus in moving:
-                a += shift_sum[c] * factors[plus[c]].conjugate()
-                j = minus[c]
-                b += shift_sum[j] * factors[j]
+            for g, plus, minus in plan[c]:
+                shift_sum = sums[g]
+                a += shift_sum[c] * factors[plus].conjugate()
+                b += shift_sum[minus] * factors[minus]
             current = factors[c]
             const = total - a * current - b * current.conjugate()
-            rotation = cmath.exp(1j * theta)
             z = rotation * a + (rotation * b).conjugate()
             if z != 0:
                 best = -cmath.phase(z)
@@ -515,15 +540,17 @@ def _update_phases(rows: list, sums: list, groups: list, total: complex, theta: 
             total = a * current + b * current.conjugate() + const
             if modulus and total != 0:
                 theta = -cmath.phase(total)
+                rotation = cmath.exp(1j * theta)
     return total, theta
 
 
 def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
            factors: np.ndarray, products: np.ndarray, theta: np.ndarray,
-           weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           weights: np.ndarray, real_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """One pass of over-relaxed single-phase updates on every row, with the states held fixed.
 
-    u and factors are the rows' phase factors and support factors at phases.
+    u and factors are the rows' phase factors and support factors at phases;
+    the first real_rows rows are real-part rows and the rest modulus rows.
     Party by party, the environments of all rows are contracted in one batch
     and summed per shift group; then each row updates that party's phases in
     turn (_update_phases), each step monotone and each moved phase within
@@ -537,30 +564,35 @@ def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
         totals = (env * u[:, :, p]).reshape(len(env), -1).sum(axis=-1).tolist()
         sums = objective.shift_sums(env, p).tolist()
         rows = phases[:, p].tolist()
-        groups = objective.shift_groups[p]
+        reads = objective.phase_reads[p]
         for b, row in enumerate(rows):
-            totals[b], thetas[b] = _update_phases(row, sums[b], groups, totals[b], thetas[b],
-                                                  objective.is_modulus)
+            totals[b], thetas[b] = _update_phases(row, sums[b], reads, totals[b], thetas[b],
+                                                  b >= real_rows)
         phases[:, p] = rows
         u[:, :, p] = objective.party_factors(phases, p)
         factors[:, :, p] = u[:, :, p][:, :, objective.digits[p]]
-    totals = np.array(totals)
-    values = np.abs(totals) if objective.is_modulus else totals.real
-    return values, np.array(thetas)
+    return _form_values(np.array(totals), real_rows), np.array(thetas)
 
 
 def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np.ndarray):
     """Alternate over-relaxed phase sweeps and eigen state updates on every row until stationary.
 
-    Row b runs functional owners[b] from start_phases[b].  A row leaves the
-    batch once a sweep and state update gain at most TOLERANCE, or after
-    MAX_ITERATIONS sweeps.  A fixed state never changes, so its value and
-    rotation are the sweep's running pairing total and no state update runs.
+    Row b runs functional owners[b] from start_phases[b].  The owners list
+    every real-part functional's rows before the modulus ones (ValueError
+    otherwise), so each form's rows stay one slice as rows leave the batch.
+    A row leaves the batch once a sweep and state update gain at most
+    TOLERANCE, or after MAX_ITERATIONS sweeps.  A fixed state never changes,
+    so its value and rotation are the sweep's running pairing total and no
+    state update runs.
     Phases change only inside _sweep, which keeps the phase factors u and
     the support factors in step with them, so each is evaluated once per
     batch.  Returns every row's value, phases, state on the support and sweep
     count.
     """
+    modulus = objective.modulus[owners]
+    real_rows = len(owners) - int(np.count_nonzero(modulus))
+    if modulus[:real_rows].any():
+        raise ValueError("owners must list every real-part row before the modulus rows")
     phases = start_phases.copy()
     phases[:, :, :, 0] = 0.0
     u = objective.phase_factors(phases)
@@ -569,22 +601,23 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
     mask_weights = objective.mask_weights[owners]
     theta = np.zeros(len(owners))
     if objective.fixed is None:
-        blocks, theta, value = objective.refreshed_states(factors, mask_weights, None, theta)
+        blocks, theta, value = objective.refreshed_states(factors, mask_weights, None, theta,
+                                                          real_rows)
     else:
         blocks = np.tile(objective.fixed, (len(owners), 1))
         total = _quadratic(objective.g_matrix(factors, mask_weights), blocks)
-        if objective.is_modulus:
-            theta = np.where(total != 0, -np.angle(total), theta)
-        value = np.abs(total) if objective.is_modulus else total.real
+        theta = np.where(modulus & (total != 0), -np.angle(total), theta)
+        value = _form_values(total, real_rows)
     products = objective.state_products(blocks)
     values, final_phases = np.empty(len(owners)), np.empty_like(phases)
     states, iterations = np.empty_like(blocks), np.empty(len(owners), dtype=np.int64)
     ids = np.arange(len(owners))
     for iteration in range(1, MAX_ITERATIONS + 1):
-        new_value, theta = _sweep(objective, phases, u, factors, products, theta, weights)
+        new_value, theta = _sweep(objective, phases, u, factors, products, theta, weights,
+                                  real_rows)
         if objective.fixed is None:
             blocks, theta, new_value = objective.refreshed_states(factors, mask_weights, blocks,
-                                                                  theta)
+                                                                  theta, real_rows)
             products = objective.state_products(blocks)
         done = new_value <= value + TOLERANCE
         value = np.where(done, np.maximum(value, new_value), new_value)
@@ -598,6 +631,7 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
         if done.all():
             break
         kept = ~done
+        real_rows = int(np.count_nonzero(kept[:real_rows]))
         ids, phases, blocks, products = ids[kept], phases[kept], blocks[kept], products[kept]
         u, factors = u[kept], factors[kept]
         theta, value = theta[kept], value[kept]
@@ -673,31 +707,37 @@ def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
 
     A job is (functional, seed, beta); beta None is the functional's classical
     bound.  Its config.restarts restarts start from the first points of the
-    Sobol stream of seed.  States range over the basis states in support (each
-    functional's coset_support when None), or are the fixed unit vector on it.
-    The restarts of all jobs whose functionals share a term structure and a
-    support run as rows of one seesaw; a row's result does not depend on the
-    rows beside it.  Each job's best restart, ties broken by restart index,
-    is reported as found.
+    Sobol stream of seed, drawn once per seed and phase count, so jobs that
+    share a seed share their start points.  States range over the basis
+    states in support (each functional's coset_support when None), or are the
+    fixed unit vector on it.  The restarts of all jobs whose functionals share
+    a term structure and a support run as rows of one seesaw, whatever their
+    form, the real-part jobs first (a stable sort); a row's result does not
+    depend on the rows beside it.  Each job's best restart, ties broken by
+    restart index, is reported as found.
     """
     betas = [_resolve_bound(f) if beta is None else beta for f, _, beta in jobs]
     batches: dict = {}
     for index, (functional, _, _) in enumerate(jobs):
         own = coset_support(functional) if support is None else support
         structure = tuple((tuple(x), tuple(r)) for x, r, _ in functional.terms())
-        key = (functional.scenario, functional.form, structure, own.tobytes())
+        key = (functional.scenario, structure, own.tobytes())
         batches.setdefault(key, (own, []))[1].append(index)
 
     restarts = config.restarts
     results: list = [None] * len(jobs)
+    drawn: dict = {}
     for own, members in batches.values():
+        members.sort(key=lambda index: jobs[index][0].form is FunctionalForm.MODULUS)
         objective = _MultiportObjective([jobs[i][0] for i in members], own, fixed)
         n, k, d = (objective.scenario.parties, objective.scenario.settings,
                    objective.scenario.outcomes)
         starts = np.zeros((len(members) * restarts, n, k, d))
         for slot, index in enumerate(members):
-            points = _sobol_points(jobs[index][1], restarts, objective.n_phases)
-            starts[slot * restarts:(slot + 1) * restarts, :, :, 1:] = points.reshape(
+            stream = (jobs[index][1], objective.n_phases)
+            if stream not in drawn:
+                drawn[stream] = _sobol_points(stream[0], restarts, stream[1])
+            starts[slot * restarts:(slot + 1) * restarts, :, :, 1:] = drawn[stream].reshape(
                 restarts, n, k, d - 1)
         owners = np.repeat(np.arange(len(members)), restarts)
         values, phases, states, iterations = _seesaw(objective, owners, starts)
@@ -818,8 +858,10 @@ def scan_product_g(
 ) -> list[ScanRow]:
     """Product-g scan over (N, 2, d) scenarios in both forms.
 
-    Per-row failures are annotated.  A row whose enumeration exceeds the budget
-    (None means DEFAULT_BUDGET) is refused before its functional is built.
+    A row's two forms share their terms, their support and their child seed,
+    so one search runs both as one seesaw batch.  Per-row failures are
+    annotated.  A row whose enumeration exceeds the budget (None means
+    DEFAULT_BUDGET) is refused before its functional is built.
     """
     config = config or OptimizationConfig()
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -832,13 +874,11 @@ def scan_product_g(
         fields: dict = {"seed": seed}
         try:
             _check_budget(Scenario(n, k, d), budget)
-            for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS):
-                functional = product_g_functional(n, d, form)
-                beta = _resolve_bound(functional, budget)
-                result = maximize_violation(
-                    functional, replace(config, seed=seed), beta=beta
-                )
-                tag = "re" if form is FunctionalForm.REAL_PART else "abs"
+            functionals = [product_g_functional(n, d, form)
+                           for form in (FunctionalForm.REAL_PART, FunctionalForm.MODULUS)]
+            jobs = [(functional, seed, _resolve_bound(functional, budget))
+                    for functional in functionals]
+            for tag, (_, _, beta), result in zip(("re", "abs"), jobs, _search(jobs, config)):
                 fields[f"beta_{tag}"] = beta
                 fields[f"quantum_{tag}"] = result.quantum_value
                 fields[f"ratio_{tag}"] = result.ratio

@@ -220,6 +220,13 @@ I323_SETUP = {
     ("missing-setup", ["optimize", "--spec", "chsh", "--setup", "{missing}"], "--setup: "),
     ("optimize-restarts", ["optimize", "--spec", "chsh", "--restarts", "0"], "--restarts: "),
     ("table-restarts", ["table", "--scenarios", "2,2,2", "--restarts", "0"], "--restarts: "),
+    # a negative budget admits no strategy count; --budget 0 is a budget (exit 3)
+    ("bound-budget", ["bound", "--spec", "chsh", "--budget", "-5"], "--budget: "),
+    ("facet-budget", ["facet", "--spec", "chsh", "--budget", "-5"], "--budget: "),
+    ("optimize-budget", ["optimize", "--spec", "chsh", "--budget", "-5", "--restarts", "1"],
+     "--budget: "),
+    ("table-budget", ["table", "--scenarios", "2,2,2", "--budget", "-5", "--restarts", "1"],
+     "--budget: "),
     # optimize takes a document's bound instead of enumerating, so it must be finite
     ("optimize-bound-nan", ["optimize", "--spec", "{bound_nan}", "--budget", "1"], ".bound: "),
     ("seed", ["table", "--scenarios", "2,2,2", "--seed", "-1"], "--seed: "),
@@ -401,6 +408,17 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "bound", "--spec", "chsh", "--budget", "3")
     assert code == 3
     assert "16" in err
+
+
+def test_zero_budget_is_a_budget(capsys):
+    for command in ("bound", "facet"):
+        code, _, err = run_cli(capsys, command, "--spec", "chsh", "--budget", "0")
+        assert code == 3 and "budget" in err, command
+    # chsh carries its bound, so optimize enumerates nothing
+    run_json(capsys, "optimize", "--spec", "chsh", "--budget", "0", "--restarts", "1")
+    (row,) = run_json(capsys, "table", "--scenarios", "2,2,2", "--budget", "0",
+                      "--restarts", "1")["result"]["rows"]
+    assert row["error"] == "enumeration needs 16 strategies, beyond the budget of 0"
 
 
 def test_optimize_uses_the_document_bound(capsys):
@@ -715,6 +733,18 @@ def test_ww_documents_are_pinned(capsys, parties):
     code, _, err = run_cli(capsys, "ww", "--parties", str(parties), "--format", "csv")
     assert code == 0
     assert json.loads(err)["manifest"]["result_digest"] == WW_DIGESTS[parties]
+
+
+# the result digest of the six-row table the scan benchmark and CI run
+TABLE_ARGV = ["table", "--scenarios", "2,2,2;2,2,3;3,2,2;4,2,2;2,2,6;5,2,3", "--seed", "23",
+              "--restarts", "2"]
+TABLE_DIGEST = "6ec7ee27954a8abfe279fb3356836149337ff084766b4ecf70485a36b7f52d22"
+
+
+def test_six_row_table_is_pinned(capsys):
+    doc = run_json(capsys, *TABLE_ARGV)
+    assert [row["error"] for row in doc["result"]["rows"]] == [None] * 6
+    assert doc["manifest"]["result_digest"] == TABLE_DIGEST
 
 
 def test_ww_csv(capsys):

@@ -61,13 +61,13 @@ def chsh():
     )
 
 
-def reweighted(functional, seed):
-    """The functional's term structure with random complex weights."""
+def reweighted(functional, seed, form=None):
+    """The functional's term structure with random complex weights, in its own form or form."""
     rng = np.random.default_rng(seed)
     return BellFunctional(
         functional.scenario,
         [(x, r, complex(*rng.normal(size=2))) for x, r, _ in functional.terms()],
-        functional.form,
+        functional.form if form is None else form,
     )
 
 
@@ -392,6 +392,34 @@ def test_scan_refuses_over_budget_rows_before_building(monkeypatch):
     )
 
 
+def test_scan_row_runs_both_forms_in_one_batch(monkeypatch):
+    import bellkit.optimize as optimize
+
+    seesaw, batches = optimize._seesaw, []
+
+    def recording(objective, owners, starts):
+        batches.append(sorted(set(objective.modulus[owners].tolist())))
+        return seesaw(objective, owners, starts)
+
+    monkeypatch.setattr(optimize, "_seesaw", recording)
+    config = OptimizationConfig(restarts=3, seed=5)
+    scenarios = [(2, 2, 3), (3, 2, 2), (2, 2, 4)]
+    rows = scan_product_g(scenarios, config)
+    # each row runs its two forms as one seesaw batch
+    assert batches == [[False, True]] * len(scenarios)
+    monkeypatch.setattr(optimize, "_seesaw", seesaw)
+    for index, ((n, _, d), row) in enumerate(zip(scenarios, rows)):
+        seed = _child_seed(config.seed, index)
+        assert row.seed == seed and row.error is None
+        for form, tag in zip(FORMS, ("re", "abs")):
+            functional = product_g_functional(n, d, form)
+            beta = classical_bound(functional).bound
+            alone = maximize_violation(functional, OptimizationConfig(restarts=3, seed=seed), beta)
+            assert getattr(row, f"beta_{tag}") == beta, (n, d, tag)
+            assert getattr(row, f"quantum_{tag}") == alone.quantum_value, (n, d, tag)
+            assert getattr(row, f"ratio_{tag}") == alone.ratio, (n, d, tag)
+
+
 def test_scan_handles_bad_rows_and_continues():
     rows = scan_product_g(
         [(2, 3, 3), (2, 2, 2)], OptimizationConfig(restarts=4, seed=1)
@@ -488,6 +516,8 @@ def d4_half_shift_functional():
              for x in range(2) for y in range(2) for mask in masks[x + 2 * y: x + 2 * y + 3]]
     return BellFunctional(Scenario(2, 2, 4), terms)
 
+
+FORMS = (FunctionalForm.REAL_PART, FunctionalForm.MODULUS)
 
 KERNEL_CASES = [
     ("i323", i323_functional),
@@ -591,10 +621,9 @@ def test_environment_coefficients_match_probe_fit(name, make):
                     f = np.exp(1j * phases[row, p, x])
                     for c in range(sc.outcomes):
                         # A = sum_s E_s[c] conj(f[c + s]), B = sum_s E_s[c - s] f[c - s]
-                        a = sum(sums[row, g, c] * f[plus[c]].conj()
-                                for g, plus, _ in objective.shift_groups[p][x])
-                        b = sum(sums[row, g, minus[c]] * f[minus[c]]
-                                for g, _, minus in objective.shift_groups[p][x])
+                        reads = objective.phase_reads[p][x][c]
+                        a = sum(sums[row, g, c] * f[plus].conj() for g, plus, _ in reads)
+                        b = sum(sums[row, g, minus] * f[minus] for g, _, minus in reads)
                         const = total - a * f[c] - b / f[c]
                         want = probe_fit(functionals[owners[row]], phases[row], state, p, x, c)
                         assert np.allclose((a, b, const), want, rtol=0, atol=1e-12), \
@@ -615,10 +644,12 @@ def test_sweep_never_lowers_the_objective(name, make):
         phases[:, :, :, 0] = 0.0
         states = [full_state(objective, block) for block in blocks]
         before = [pair_total(functionals[owners[i]], phases[i], states[i]) for i in range(count)]
-        theta = -np.angle(before) if objective.is_modulus else np.zeros(count)
+        modulus = objective.modulus[owners]
+        theta = np.where(modulus, -np.angle(before), 0.0)
         u = objective.phase_factors(phases)
         swept, _ = _sweep(objective, phases, u, objective.support_factors(u),
-                          objective.state_products(blocks), theta, weights)
+                          objective.state_products(blocks), theta, weights,
+                          int(np.count_nonzero(~modulus)))
         for i in range(count):
             assert swept[i] >= apply_form(functional.form, before[i]) - 1e-12, (name, kind)
             after = pair_total(functionals[owners[i]], phases[i], states[i])
@@ -643,14 +674,14 @@ def test_update_phases_is_monotone_and_keeps_phases_bounded(name, make, modulus)
     rng = np.random.default_rng(43)
     for _ in range(20):
         for p in range(sc.parties):
-            groups, size = objective.shift_groups[p], (len(objective.shift_masks[p]), sc.outcomes)
+            reads, size = objective.phase_reads[p], (len(objective.shift_masks[p]), sc.outcomes)
             sums = (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
             start = rng.uniform(0, 2 * np.pi, size=(sc.settings, sc.outcomes))
             start[:, 0] = 0.0
             rows = start.tolist()
             total = complex(*rng.normal(size=2))
             theta = -cmath.phase(total) if modulus else 0.0
-            new_total, new_theta = _update_phases(rows, sums, groups, total, theta, modulus)
+            new_total, new_theta = _update_phases(rows, sums, reads, total, theta, modulus)
             assert gained(total, theta, new_total, modulus) >= -1e-12, (name, p)
             assert np.all(np.abs(np.array(rows)[:, 1:]) <= PHASE_LIMIT), (name, p, rows)
             assert np.array_equal(np.array(rows)[:, 0], start[:, 0])
@@ -659,7 +690,7 @@ def test_update_phases_is_monotone_and_keeps_phases_bounded(name, make, modulus)
             # z = 0 for every phase: nothing moves
             zeros = np.zeros(size, dtype=complex).tolist()
             rows = start.tolist()
-            assert _update_phases(rows, zeros, groups, total, theta, modulus) == (total, theta)
+            assert _update_phases(rows, zeros, reads, total, theta, modulus) == (total, theta)
             assert rows == start.tolist()
 
 
@@ -667,11 +698,12 @@ def test_update_phases_is_monotone_and_keeps_phases_bounded(name, make, modulus)
 @pytest.mark.parametrize("start", [np.pi, -np.pi])
 def test_update_phases_over_relaxes_a_half_turn(start, modulus):
     # one setting of d = 2 and one shift group with E = (0, 1): the total is
-    # e^(i*phi_1) + 2, maximized at phi* = 0, and phi_1 = +-pi is a half turn away
-    rows, sums, groups = [[0.0, start]], [[0j, 1 + 0j]], [[(0, [1, 0], [1, 0])]]
+    # e^(i*phi_1) + 2, maximized at phi* = 0, and phi_1 = +-pi is a half turn away;
+    # port c reads (g, c + 1, c - 1) mod 2
+    rows, sums, reads = [[0.0, start]], [[0j, 1 + 0j]], [[((0, 1, 1),), ((0, 0, 0),)]]
     total = cmath.exp(1j * start) + 2
     theta = -cmath.phase(total) if modulus else 0.0
-    new_total, _ = _update_phases(rows, sums, groups, total, theta, modulus)
+    new_total, _ = _update_phases(rows, sums, reads, total, theta, modulus)
     # past phi* by (omega - 1) pi, on whichever side the wrapped step points
     assert abs(abs(rows[0][1]) - (OVERRELAXATION - 1) * np.pi) < 1e-12
     assert abs(new_total - (cmath.exp(1j * rows[0][1]) + 2)) < 1e-12
@@ -712,6 +744,33 @@ def test_seesaw_rows_do_not_depend_on_their_batch(name, make):
             # values, phases, states and iterations, bit for bit
             for got, want in zip(run_rows(objective, owners, starts, sizes), whole):
                 assert np.array_equal(got, want), (name, kind, sizes)
+
+        # real-part and modulus rows of one term structure in one batch, real-part rows
+        # first, against each form's rows run alone on the same support (or fixed state)
+        forms = [reweighted(functional, seed, form) for form in FORMS for seed in (3, 4)]
+        mixed = _MultiportObjective(forms, objective.support, objective.fixed)
+        owners = np.sort(np.concatenate([rng.integers(0, 2, size=rows // 2),
+                                         rng.integers(2, 4, size=rows - rows // 2)]))
+        whole = run_rows(mixed, owners, starts, [rows])
+        # forms[0:2] are real-part functionals, forms[2:4] modulus ones
+        for first, part in ((0, slice(0, rows // 2)), (2, slice(rows // 2, rows))):
+            alone = _MultiportObjective(forms[first:first + 2], objective.support, objective.fixed)
+            single = run_rows(alone, owners[part] - first, starts[part], [rows // 2])
+            for got, want in zip(single, whole):
+                assert np.array_equal(got, want[part]), (name, kind, first)
+        for sizes in ([1] * rows, [7, rows - 7]):
+            for got, want in zip(run_rows(mixed, owners, starts, sizes), whole):
+                assert np.array_equal(got, want), (name, kind, "mixed", sizes)
+
+
+def test_seesaw_refuses_modulus_rows_before_real_part_rows():
+    functional = i323_functional()
+    forms = [reweighted(functional, 3, form) for form in FORMS]
+    objective = _MultiportObjective(forms, coset_support(functional))
+    sc = objective.scenario
+    starts = np.zeros((2, sc.parties, sc.settings, sc.outcomes))
+    with pytest.raises(ValueError, match="real-part row before the modulus rows"):
+        _seesaw(objective, np.array([1, 0]), starts)
 
 
 @pytest.mark.parametrize("name, make", KERNEL_CASES)
@@ -1000,7 +1059,7 @@ def test_translation_invariance_and_coset_blocks(problem):
             seen[flat_indices(sc, digits[:, support] + digits[:, j:j + 1])] = True
             cosets.append(tuple(digits[:, j]))
     assert len(cosets) * len(support) == dim
-    rotation = np.exp(1j * np.array([theta])) if objective.is_modulus else None
+    rotation = np.exp(1j * np.array([theta])) if objective.modulus[0] else None
     full_top = np.linalg.eigvalsh(_hermitian_part(g[None], rotation)[0])[-1]
     block_tops = [np.linalg.eigvalsh(_hermitian_part(
         g_on_support(objective, rolled(phases, c))[None], rotation)[0])[-1]
