@@ -32,6 +32,7 @@ from .lhv import (
     FacetReport,
     UnsupportedFormError,
     classical_bound,
+    classical_bounds,
     enumerate_strategies,
     facet_check,
     polytope_dimension,

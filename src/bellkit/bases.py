@@ -185,7 +185,9 @@ class BellFunctional:
     as the starred three-party construction needs.  from_coefficients lists a
     dense tensor's nonzero entries in settings order under one mask.  `mask` and the dense
     `coefficients` are built from the terms on first use, and are None when
-    the masks are mixed.  Weights are never normalized implicitly.
+    the masks are mixed.  Weights are never normalized implicitly.  A form
+    that is not a FunctionalForm member raises ValueError; strings are not
+    converted.
     """
 
     scenario: Scenario
@@ -194,6 +196,8 @@ class BellFunctional:
     cached_bound: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.form, FunctionalForm):
+            raise ValueError(f"form must be a FunctionalForm, got {self.form!r}")
         n, k, d = self.scenario.parties, self.scenario.settings, self.scenario.outcomes
         terms = tuple((tuple(as_index(v, "setting") for v in x),
                        tuple(as_index(v, "mask entry") for v in r), complex(w))
@@ -339,10 +343,13 @@ def build_functional(
 
     The h-axis of the g table pairs with parties in order: axis p indexes the
     basis vector probing party p.  Under BILINEAR pairing the probe vectors are
-    the basis vectors themselves; under SESQUILINEAR their conjugates.
+    the basis vectors themselves; under SESQUILINEAR their conjugates.  A
+    pairing that is not a Pairing member raises ValueError.
     """
     if g.scenario != scenario:
         raise ValueError("g table was built for a different scenario")
+    if not isinstance(pairing, Pairing):
+        raise ValueError(f"pairing must be a Pairing, got {pairing!r}")
     u, scale = _probe_matrix(scenario, basis, pairing)
     coeff = contract_parties(unit_roots(scenario.outcomes)[g.table], [u] * scenario.parties)
     if scale != 1.0:

@@ -4,21 +4,27 @@ The maximum of Re[linear] or |linear| over the LHV polytope is attained at a
 vertex, so the classical bound of any functional here is the maximum of its
 value over all d^(N*k) deterministic strategies.  A strategy gives term t the
 root alpha^e, e = sum_p r_p a_p(x_p) mod d, so values are exact integer
-exponent sums looked up in a table of w_t alpha^e.  `classical_bound` covers
-the strategies without visiting each one:
+exponent sums looked up in a table of w_t alpha^e.  `classical_bounds` covers
+the strategies of a stack of functionals without visiting each one, and
+`classical_bound` is its one-functional stack:
 
+- Stack.  The functionals share a scenario, a form and their terms' settings
+  and masks; only the weights differ.  Every step below runs once for the
+  whole stack, with the tables on a leading axis, and each result is bit for
+  bit the one the functional gets alone.
 - Gauge.  Shifting every outcome of party p by c_p multiplies term t by
   alpha^(r_t.c).  The shifts that change no value form a group G in Z_d^N,
   found by trying all d^N shifts, and one strategy per G-orbit is searched.
 - Marginal.  For each strategy of parties 1..N-1 the terms are summed per
   setting and outcome of party N, and every row of party N is scored from
   those sums.
-- Certificate.  The near-optimal candidates are re-evaluated exactly at
-  each exponent offset r_0.c an orbit member can have (d for moduli, one for
-  real parts), and each orbit member takes its representative's total at its
-  own offset.  So the bound, the saturating set and the count of strategies
-  covered are those of exhaustive enumeration, bit for bit, and do not depend
-  on the block size DEFAULT_CHUNK.
+- Certificate.  Each table's near-optimal candidates are re-evaluated
+  exactly at each exponent offset r_0.c an orbit member can have (d for
+  moduli, one for real parts), and each orbit member takes its
+  representative's total at its own offset.  So the bound, the saturating
+  set and the count of strategies covered are those of exhaustive
+  enumeration, bit for bit, and do not depend on the block size
+  DEFAULT_CHUNK or on the rest of the stack.
 
 Facet certification embeds each strategy's correlation tensors E^(r), one
 block per mask r the functional uses, in the real space of dimension 2*M*k^N
@@ -58,6 +64,7 @@ __all__ = [
     "FacetReport",
     "enumerate_strategies",
     "classical_bound",
+    "classical_bounds",
     "strategy_functional_value",
     "polytope_dimension",
     "facet_check",
@@ -180,33 +187,53 @@ def _strategies(scenario: Scenario, flat: np.ndarray) -> tuple[DeterministicStra
     return DeterministicStrategy._rows(scenario, tables)
 
 
-def _term_table(terms, d: int) -> np.ndarray:
-    """[t, e] = w_t * alpha^e, multiplied as Python complex numbers like `contract` does."""
-    roots = [complex(root) for root in unit_roots(d)]
-    return np.array([[w * root for root in roots] for _, _, w in terms], dtype=complex)
+def _term_table(weights, d: int) -> np.ndarray:
+    """[..., t, e] = w_t * alpha^e for weights of shape (..., T).
+
+    The product is taken componentwise as Python's complex product is, so
+    every entry is bit for bit `w * root` as `contract` multiplies.
+    """
+    w = np.asarray(weights, dtype=complex)[..., None]
+    roots = unit_roots(d)
+    table = np.empty(w.shape[:-1] + (d,), dtype=complex)
+    table.real = w.real * roots.real - w.imag * roots.imag
+    table.imag = w.real * roots.imag + w.imag * roots.real
+    return table
+
+
+def _totals(scenario: Scenario, xs, rs, table, which, indices, offsets) -> np.ndarray:
+    """Complex totals of table `which[i]` on the strategy at flat index `indices[i]`.
+
+    table is a stack of `_term_table`s, shape (F, T, d), for the terms with
+    settings xs and masks rs.  Term t is the table at the term's exponent sum
+    plus an offset, added in term order, so each total is bit for bit
+    `strategy_functional_value`'s `contract` (at offset 0; see
+    `classical_bounds` for the others).  Offsets broadcast against the
+    indices: offsets of shape (O, 1) give totals of shape (O, len(indices)).
+    """
+    d = scenario.outcomes
+    exponents = _party_exponents(scenario)
+    party_idx = _digits(indices, [exponents.shape[2]] * scenario.parties)
+    # [..., t, i]: term t's exponent on strategy i, then its entry in the stack
+    exponent = sum(exponents[xs[:, p, None], rs[:, p, None], idx]
+                   for p, idx in enumerate(party_idx))
+    exponent = (exponent + np.asarray(offsets)[..., None]) % d
+    first = (np.asarray(which, dtype=np.int64) * len(xs) + np.arange(len(xs))[:, None]) * d
+    values = table.ravel()[first + exponent]
+    totals = np.zeros(values.shape[:-2] + values.shape[-1:], dtype=complex)
+    for t in range(len(xs)):
+        totals += values[..., t, :]
+    return totals
 
 
 def _chunk_values(functional, indices, offsets=0) -> np.ndarray:
-    """Complex totals of the strategies at these flat indices, one batch evaluator for all.
-
-    Term t is `_term_table` at the term's exponent sum plus an offset, added in
-    term order, so each total is bit for bit `strategy_functional_value`'s
-    `contract` (at offset 0; see `classical_bound` for the others).  An array
-    of offsets broadcasts against the indices, so offsets of shape (O, 1)
-    give totals of shape (O, len(indices)).
-    """
-    scenario = functional.scenario
-    d = scenario.outcomes
-    exponents = _party_exponents(scenario)
-    indices = np.asarray(indices, dtype=np.int64)
-    party_idx = _digits(indices, [exponents.shape[2]] * scenario.parties)
+    """Complex totals of the functional on the strategies at these flat indices (`_totals`)."""
     terms = functional.terms()
-    table = _term_table(terms, d)
-    totals = np.zeros(np.broadcast_shapes(np.shape(offsets), indices.shape), dtype=complex)
-    for t, (x, r, _) in enumerate(terms):
-        exponent = sum((exponents[x[p], r[p]][idx] for p, idx in enumerate(party_idx)), offsets)
-        totals += table[t][exponent % d]
-    return totals
+    xs = np.array([x for x, _, _ in terms], dtype=np.int64)
+    rs = np.array([r for _, r, _ in terms], dtype=np.int64)
+    table = _term_table([w for _, _, w in terms], functional.scenario.outcomes)
+    indices = np.asarray(indices, dtype=np.int64)
+    return _totals(functional.scenario, xs, rs, table[None], 0, indices, offsets)
 
 
 def strategy_functional_value(functional, strategy: DeterministicStrategy) -> float:
@@ -220,15 +247,6 @@ def strategy_functional_value(functional, strategy: DeterministicStrategy) -> fl
 
 def _form_values(form: FunctionalForm, totals: np.ndarray) -> np.ndarray:
     return totals.real if form is FunctionalForm.REAL_PART else np.abs(totals)
-
-
-def _strategy_values(functional, indices, offsets=0) -> np.ndarray:
-    """Real part or modulus of the strategies at these flat indices, DEFAULT_CHUNK at a time."""
-    return np.concatenate([
-        _form_values(functional.form,
-                     _chunk_values(functional, indices[start:start + DEFAULT_CHUNK], offsets))
-        for start in range(0, len(indices), DEFAULT_CHUNK)
-    ], axis=-1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -282,86 +300,136 @@ def _representatives(scenario: Scenario, steps) -> np.ndarray:
 def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundResult:
     """Maximize the functional over every deterministic strategy, exactly.
 
-    The search runs over one strategy per gauge orbit (a_p(0) < g_p, see
-    `_gauge`).  Parties 1..N-1 are enumerated in blocks that hold about
-    DEFAULT_CHUNK numbers at a time; for each prefix the terms are summed per
-    last-party setting y and outcome b into S[y, b], and every allowed
-    last-party row is scored as sum_y S[y, b_y].  The candidates within twice
-    the saturation tolerance of the top score (measured against the larger of
-    |top| and sum |w|, so the marginal's own rounding cannot drop a tie) are
-    re-evaluated exactly by `_chunk_values` at every exponent offset r_0.c an
-    orbit member can have (d of them for moduli, one for real parts), and each
+    This is `classical_bounds` of the one-functional stack.
+    """
+    return classical_bounds([functional], budget)[0]
+
+
+def classical_bounds(functionals, budget: int = DEFAULT_BUDGET) -> list[ClassicalBoundResult]:
+    """Maximize each functional of a stack over every deterministic strategy, exactly.
+
+    The functionals share a scenario, a form and their terms' settings and
+    masks, in the same order; only the weights differ.  An empty stack, or
+    one that mixes scenarios, forms or term structures, raises ValueError.
+    One pass serves the whole stack.  The search runs over one strategy per
+    gauge orbit (a_p(0) < g_p, see `_gauge`).  Parties 1..N-1 are enumerated
+    in blocks that hold at most about DEFAULT_CHUNK numbers over all tables;
+    for each prefix the terms are summed per last-party setting y and outcome
+    b into S[y, b], and every allowed last-party row is scored as
+    sum_y S[y, b_y].  Each table's candidates within twice the saturation
+    tolerance of its top score (measured against the larger of |top| and
+    sum |w|, so the marginal's own rounding cannot drop a tie) are
+    re-evaluated exactly by `_totals` at every exponent offset r_0.c an orbit
+    member can have (d of them for moduli, one for real parts), and each
     member takes its representative's total at its offset.
 
     The saturation tolerance is 1e-9 * max(1, |bound|); the flat indices of
     all strategies within it are returned as `saturating`, ascending, and no
-    strategy object is built.  `bound` and `saturating` are those of
-    evaluating all d^(N*k) strategies, bit for bit, and
-    `examined` is d^(N*k), the number of strategies the certificate covers.
-    The budget applies to that number.
+    strategy object is built.  Each result's `bound` and `saturating` are
+    those of evaluating all d^(N*k) strategies on its functional alone, bit
+    for bit, whatever the stack, and `examined` is d^(N*k), the number of
+    strategies the certificate covers.  The budget applies to that number.
     """
-    scenario = functional.scenario
+    functionals = list(functionals)
+    if not functionals:
+        raise ValueError("classical_bounds needs at least one functional")
+    scenario, form = functionals[0].scenario, functionals[0].form
+    structure = [(x, r) for x, r, _ in functionals[0].terms()]
+    weights = []
+    for index, functional in enumerate(functionals):
+        terms = functional.terms()
+        if functional.scenario != scenario or functional.form is not form:
+            raise ValueError(f"functional {index} is not on {scenario} in the {form.value} form")
+        if [(x, r) for x, r, _ in terms] != structure:
+            raise ValueError(f"functional {index} has other term settings or masks than the first")
+        weights.append([w for _, _, w in terms])
     total = _check_budget(scenario, budget)
     n, k, d = scenario.parties, scenario.settings, scenario.outcomes
-    form = functional.form
     assignments = _party_assignments(scenario)
     per_party = len(assignments)
-    terms = functional.terms()
-    xs = np.array([x for x, _, _ in terms], dtype=np.int64)
-    rs = np.array([r for _, r, _ in terms], dtype=np.int64)
-    group, steps = _gauge(scenario, functional.masks(), form)
+    count, width = len(functionals), len(structure)
+    xs = np.array([x for x, _ in structure], dtype=np.int64)
+    rs = np.array([r for _, r in structure], dtype=np.int64)
+    group, steps = _gauge(scenario, functionals[0].masks(), form)
     allowed = _leading_rows(scenario, steps)
     roots = unit_roots(d)
-    # a prefix's term t is table[t, e], e its exponent summed over parties 1..N-1
-    table = _term_table(terms, d)
+    # table[f, t, e] is functional f's term t at exponent e; a prefix's term t
+    # reads it at e, its exponent summed over parties 1..N-1
+    table = _term_table(weights, d)
+    rows = table.reshape(count, width * d)
     exponents = _party_exponents(scenario)
     prefix_exponents = [exponents[xs[:, p], rs[:, p], : allowed[p]].T for p in range(n - 1)]
+    term_rows = np.arange(width) * d
     outcomes = np.arange(d)
-    last_phases = np.zeros((len(terms), k * d), dtype=complex)
-    last_phases[np.arange(len(terms))[:, None], xs[:, -1:] * d + outcomes] = (
+    last_phases = np.zeros((width, k * d), dtype=complex)
+    last_phases[np.arange(width)[:, None], xs[:, -1:] * d + outcomes] = (
         roots[np.outer(rs[:, -1], outcomes) % d])
     last_columns = assignments[: allowed[-1]] + np.arange(k) * d
 
     # |top| <= sum |w|, so this is at least twice the saturation tolerance
-    window = 2 * SATURATION_TOL * max(1.0, float(np.abs(table[:, 0]).sum()))
+    window = 2 * SATURATION_TOL * np.maximum(1.0, np.abs(table[:, :, 0]).sum(axis=1))
     prefixes = math.prod(allowed[:-1])
-    block = max(1, DEFAULT_CHUNK // max(len(terms), k * allowed[-1]))
-    top = -np.inf
-    kept_index, kept_value = [], []
-    for start in range(0, prefixes, block):
-        ids = np.arange(start, min(start + block, prefixes), dtype=np.int64)
-        digits = _digits(ids, allowed[:-1])
-        exponent = np.zeros((len(ids), len(terms)), dtype=np.int64)
-        prefix_flat = np.zeros(len(ids), dtype=np.int64)
-        for part, digit in zip(prefix_exponents, digits):
-            exponent += part[digit]
-            prefix_flat = prefix_flat * per_party + digit
-        sums = table[np.arange(len(terms)), exponent % d] @ last_phases
-        values = _form_values(form, sums[:, last_columns].sum(axis=2))
-        top = max(top, float(values.max()))
-        prefix, row = np.nonzero(values >= top - window)
-        kept_index.append(prefix_flat[prefix] * per_party + row)
-        kept_value.append(values[prefix, row])
+    per_block = max(1, DEFAULT_CHUNK // max(width, k * allowed[-1]))
+    stride = min(count, per_block)  # tables per block
+    block = max(1, per_block // stride)  # prefixes per block
+    top = np.full(count, -np.inf)
+    kept_owner, kept_index, kept_value = [], [], []
+    for lo in range(0, count, stride):
+        tables = slice(lo, lo + stride)
+        for start in range(0, prefixes, block):
+            ids = np.arange(start, min(start + block, prefixes), dtype=np.int64)
+            digits = _digits(ids, allowed[:-1])
+            exponent = np.zeros((len(ids), width), dtype=np.int64)
+            prefix_flat = np.zeros(len(ids), dtype=np.int64)
+            for part, digit in zip(prefix_exponents, digits):
+                exponent += part[digit]
+                prefix_flat = prefix_flat * per_party + digit
+            gathered = rows[tables].take(exponent % d + term_rows, axis=1)
+            sums = (gathered.reshape(-1, width) @ last_phases).reshape(
+                len(gathered), len(ids), k * d)
+            values = _form_values(form, sums[..., last_columns].sum(axis=3))
+            top[tables] = np.maximum(top[tables], values.max(axis=(1, 2)))
+            owner, prefix, row = np.nonzero(
+                values >= (top[tables] - window[tables])[:, None, None])
+            kept_owner.append(owner + lo)
+            kept_index.append(prefix_flat[prefix] * per_party + row)
+            kept_value.append(values[owner, prefix, row])
 
-    representatives = np.concatenate(kept_index)[np.concatenate(kept_value) >= top - window]
+    owner, representatives = kept_owner[0], kept_index[0]
+    if len(kept_owner) > 1:  # an early block's top may have been beaten later
+        owner = np.concatenate(kept_owner)
+        keep = np.concatenate(kept_value) >= (top - window)[owner]
+        # by table, and within a table ascending, as the blocks found them
+        order = np.argsort(owner[keep], kind="stable")
+        owner, representatives = owner[keep][order], np.concatenate(kept_index)[keep][order]
     # a member shifted by c from its representative has every term's exponent
     # moved by r_t.c = r_0.c (0 for real parts), so its total is, bit for bit,
     # its representative's at the exponent offset r_0.c
-    offsets = np.arange(d if form is FunctionalForm.MODULUS else 1)
-    by_offset = _strategy_values(functional, representatives, offsets[:, None])
+    offsets = np.arange(d if form is FunctionalForm.MODULUS else 1)[:, None]
+    step = max(1, DEFAULT_CHUNK // (len(offsets) * width))
+    by_offset = np.concatenate([
+        _form_values(form, _totals(scenario, xs, rs, table, owner[at:at + step],
+                                   representatives[at:at + step], offsets))
+        for at in range(0, len(representatives), step)
+    ], axis=-1)
     values = by_offset[group @ rs[0] % d].T  # [representative, member]
-    bound = values.max()
-    tol = SATURATION_TOL * max(1.0, abs(bound))
-    rep, member = np.nonzero(values >= bound - tol)
+    # every table keeps at least its top, so each owns one run of representatives
+    bounds = np.maximum.reduceat(values.max(axis=1), np.searchsorted(owner, np.arange(count)))
+    tol = SATURATION_TOL * np.maximum(1.0, np.abs(bounds))
+    rep, member = np.nonzero(values >= (bounds - tol)[owner][:, None])
     # shifted[c, i]: the row index of party row i with every outcome shifted by c
     moved = (assignments + outcomes[:, None, None]) % d
     shifted = (moved * d ** np.arange(k - 1, -1, -1)).sum(axis=2)
     saturating = np.zeros(len(rep), dtype=np.int64)
     for p, party_rows in enumerate(_digits(representatives[rep], [per_party] * n)):
         saturating = saturating * per_party + shifted[group[member, p], party_rows]
-    saturating.sort()
+    # owner[rep] ascends, so one sort by (table, flat index) orders every table's run
+    owner = owner[rep]
+    saturating = saturating[np.lexsort((saturating, owner))]
     saturating.setflags(write=False)
-    return ClassicalBoundResult(float(bound), saturating, total, scenario)
+    edges = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    return [ClassicalBoundResult(bound, saturating[lo:hi], total, scenario)
+            for bound, lo, hi in zip(bounds.tolist(), edges, edges[1:])]
 
 
 def _embed_real(rows: np.ndarray) -> np.ndarray:

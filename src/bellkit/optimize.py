@@ -74,18 +74,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Scenario, correlation_stack
+from .core import Scenario, contract_parties, correlation_stack, unit_roots
 from .bases import (
     BellFunctional,
     FunctionalForm,
     GTable,
     Pairing,
+    _probe_matrix,
     apply_form,
     build_functional,
     fourier_party_basis,
     k2_conjugate_basis,
 )
-from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound
+from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound, classical_bounds
 from .multiport import QuantumSetup, _shift_plan, probability_table, quantum_correlation_stack
 
 __all__ = [
@@ -957,6 +958,9 @@ def symmetric_g_search(
     Tables are grouped into relabeling orbits (see _symmetric_orbits) and one
     representative per orbit is optimized: a coarse pass over every orbit, then
     a refined pass with the full restart budget on the leading candidates.
+    The representatives are expanded by one contraction and bounded by one
+    `classical_bounds` pass per term structure (one for the modulus form's 48,
+    two for the real part's 129), bit for bit their per-table bounds.
     coarse_restarts (at least 1) caps the coarse pass's restarts and
     refine_top (at least 0) is the number of leaders refined; either out of
     range raises ConfigError naming it before any search runs.  The ranking
@@ -971,11 +975,20 @@ def symmetric_g_search(
 
     assigned = _symmetric_orbits(form)
     reps = sorted(set(assigned.values()))
-    # every representative is built and bounded once; the refined pass reuses both
-    functionals = {key: build_functional(
-        scenario, basis, GTable(scenario, np.asarray(key, dtype=np.int64).reshape(3, 3)),
-        form) for key in reps}
-    bounds = {key: classical_bound(functional).bound for key, functional in functionals.items()}
+    # every representative is built and bounded once; the refined pass reuses
+    # both.  One contraction expands them all, tables on the trailing axis, as
+    # build_functional expands one
+    probe, scale = _probe_matrix(scenario, basis, Pairing.BILINEAR)
+    tables = np.array(reps, dtype=np.int64).T.reshape(3, 3, len(reps))
+    coefficients = contract_parties(unit_roots(3)[tables], [probe, probe]) * scale
+    functionals = {key: BellFunctional.from_coefficients(scenario, row, form)
+                   for key, row in zip(reps, coefficients)}
+    # one bound pass per term structure
+    groups: dict = {}
+    for key, functional in functionals.items():
+        groups.setdefault(tuple((x, r) for x, r, _ in functional.terms()), []).append(key)
+    bounds = {key: result.bound for keys in groups.values()
+              for key, result in zip(keys, classical_bounds([functionals[key] for key in keys]))}
 
     def search(keys: list[tuple[int, ...]], first_index: int, restarts: int) -> dict:
         jobs = [(functionals[key], _child_seed(config.seed, first_index + index), bounds[key])

@@ -521,3 +521,28 @@ def test_contract_refuses_a_stack_of_the_wrong_shape(functional, stack, found):
     expected = (len(functional.masks()),) + functional.scenario.settings_shape()
     with pytest.raises(ValueError, match=found + r", expected " + re.escape(str(expected))):
         functional.contract(lambda masks: stack)
+
+
+@pytest.mark.parametrize("form", ["modulus", "real-part", None, 1])
+def test_functional_refuses_a_form_that_is_not_a_member(form):
+    # a string form used to construct, then read as a modulus by one step and
+    # as a real part by another
+    sc = Scenario(2, 2, 2)
+    with pytest.raises(ValueError, match="FunctionalForm"):
+        BellFunctional(sc, [((0, 0), (1, 1), 1.0)], form)
+    with pytest.raises(ValueError, match="FunctionalForm"):
+        BellFunctional.from_coefficients(sc, np.eye(2), form)
+
+
+def test_product_g_functional_refuses_a_string_form():
+    with pytest.raises(ValueError, match="FunctionalForm"):
+        product_g_functional(2, 3, "real-part")
+
+
+@pytest.mark.parametrize("pairing", ["sesquilinear", "bilinear", None])
+def test_build_functional_refuses_a_pairing_that_is_not_a_member(pairing):
+    # "sesquilinear" used to build the bilinear coefficients
+    sc = Scenario(2, 2, 3)
+    g = GTable.from_function(sc, lambda x, y: x * y)
+    with pytest.raises(ValueError, match="Pairing"):
+        build_functional(sc, k2_conjugate_basis(3), g, FunctionalForm.MODULUS, pairing)

@@ -9,7 +9,10 @@ from bellkit import (
     BellFunctional,
     DeterministicStrategy,
     FunctionalForm,
+    GTable,
     Scenario,
+    build_functional,
+    k2_conjugate_basis,
     point_mass_table,
     product_g_functional,
     root_of_unity,
@@ -30,6 +33,7 @@ from bellkit.lhv import (
     _gauge,
     _representatives,
     classical_bound,
+    classical_bounds,
     enumerate_strategies,
     facet_check,
     polytope_dimension,
@@ -617,3 +621,112 @@ def test_facet_chunk_counts():
     result = classical_bound(chsh_functional())
     assert len(result.argmax) == 8
     assert result.witness.flat_index() == min(s.flat_index() for s in result.argmax)
+
+
+# -- one strategy pass for a stack of functionals ------------------------------
+
+@st.composite
+def functional_stacks(draw, scenarios=SMALL_SCENARIOS):
+    """1-5 functionals on one term structure: shared settings and masks, own weights."""
+    n, k, d = draw(st.sampled_from(scenarios))
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    masks = draw(st.lists(entries, min_size=1, max_size=3))
+    settings_tuples = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    structure = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks)),
+                              min_size=1, max_size=6))
+    parts = st.one_of(st.integers(-2, 2), st.floats(-2, 2, allow_nan=False))
+    # a weight may be zero in one table and not in another; no table is all zero
+    row = st.lists(st.builds(complex, parts, parts), min_size=len(structure),
+                   max_size=len(structure)).filter(lambda ws: any(w != 0 for w in ws))
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    form = draw(st.sampled_from(list(FunctionalForm)))
+    return [BellFunctional(Scenario(n, k, d), [(x, r, w) for (x, r), w in zip(structure, ws)],
+                           form) for ws in rows]
+
+
+def assert_same_result(result, expected):
+    assert repr(result.bound) == repr(expected.bound)
+    assert result.saturating.dtype == np.int64 and not result.saturating.flags.writeable
+    assert np.array_equal(result.saturating, expected.saturating)
+    assert result.examined == expected.examined and result.scenario == expected.scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=functional_stacks(), data=st.data())
+def test_classical_bounds_match_brute_force_alone_and_permuted(stack, data):
+    results = classical_bounds(stack)
+    assert len(results) == len(stack)
+    for functional, result in zip(stack, results):
+        bound, argmax = brute_force_bound(functional)
+        assert result.bound == bound
+        assert result.saturating.tolist() == argmax
+        assert result.examined == functional.scenario.n_strategies
+        assert_same_result(classical_bounds([functional])[0], result)
+    order = data.draw(st.permutations(range(len(stack))))
+    for index, result in zip(order, classical_bounds([stack[i] for i in order])):
+        assert_same_result(result, results[index])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=functional_stacks(), chunk=st.sampled_from([7, 13, 61]))
+def test_classical_bounds_do_not_depend_on_the_block_size(stack, chunk):
+    # 61 holds several tables and several prefixes of a small stack per block
+    baseline = classical_bounds(stack)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lhv, "DEFAULT_CHUNK", chunk)
+        blocked = classical_bounds(stack)
+    for result, expected in zip(blocked, baseline):
+        assert_same_result(result, expected)
+
+
+def test_classical_bounds_refuse_an_empty_or_mixed_stack():
+    chsh = chsh_functional()
+    terms = chsh.terms()
+    with pytest.raises(ValueError, match="at least one"):
+        classical_bounds([])
+    mixed = {
+        "scenario": BellFunctional(Scenario(2, 2, 3), terms, FunctionalForm.REAL_PART),
+        "form": BellFunctional(chsh.scenario, terms, FunctionalForm.MODULUS),
+        "order": BellFunctional(chsh.scenario, terms[::-1], FunctionalForm.REAL_PART),
+        "length": BellFunctional(chsh.scenario, terms[:3], FunctionalForm.REAL_PART),
+        "mask": BellFunctional(chsh.scenario, [(x, (0, 1), w) for x, _, w in terms],
+                               FunctionalForm.REAL_PART),
+    }
+    for name, other in mixed.items():
+        with pytest.raises(ValueError, match="functional 1"):
+            classical_bounds([chsh, other])
+
+
+def k2_functionals(parties, d, form, tables):
+    """The k2-conjugate, bilinear functionals of these flat exponent tables."""
+    scenario = Scenario(parties, 2, d)
+    basis = k2_conjugate_basis(d)
+    return [build_functional(scenario, basis, GTable(scenario, np.reshape(g, (2,) * parties)),
+                             form) for g in tables]
+
+
+def assert_stacks_match_per_table(functionals):
+    """One classical_bounds call per term structure equals the per-table bounds."""
+    groups = {}
+    for functional in functionals:
+        key = tuple((x, r) for x, r, _ in functional.terms())
+        groups.setdefault(key, []).append(functional)
+    for group in groups.values():
+        for functional, result in zip(group, classical_bounds(group)):
+            assert_same_result(result, classical_bound(functional))
+            bound, argmax = brute_force_bound(functional)
+            assert result.bound == bound and result.saturating.tolist() == argmax
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+@pytest.mark.parametrize("d", [3, 4])
+def test_stacked_bounds_equal_per_table_bounds_on_every_two_party_table(d, form):
+    assert_stacks_match_per_table(
+        k2_functionals(2, d, form, itertools.product(range(d), repeat=4)))
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+def test_stacked_bounds_equal_per_table_bounds_on_a_323_sample(form):
+    flat = np.random.default_rng(323).choice(3**8, size=300, replace=False)
+    tables = np.stack(np.unravel_index(flat, (3,) * 8), axis=1)
+    assert_stacks_match_per_table(k2_functionals(3, 3, form, tables))

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from bellkit import (
     Scenario,
     build_functional,
     classical_bound,
+    classical_bounds,
     fourier_party_basis,
     maximize_violation,
     maximize_with_fixed_state,
@@ -259,6 +261,8 @@ def test_symmetric_g_search_rejects_bad_arguments_before_searching(monkeypatch, 
     monkeypatch.setattr(optimize, "maximize_violation", no_search)
     monkeypatch.setattr(optimize, "_search", no_search)
     monkeypatch.setattr(optimize, "classical_bound", no_search)
+    monkeypatch.setattr(optimize, "classical_bounds", no_search)
+    monkeypatch.setattr(optimize, "contract_parties", no_search)
     with pytest.raises(ValueError, match=argument):
         symmetric_g_search(FunctionalForm.MODULUS, OptimizationConfig(restarts=1),
                            **{argument: value})
@@ -362,6 +366,54 @@ def test_g_orbit_is_the_closed_orbit_of_its_table():
                         closure.add(key)
                         frontier.append(key)
             assert closure == orbit
+
+
+# sha256 of repr((best ratio, best restart values, ranking)) at the benchmark's
+# sweep budget: 2 restarts at seed 17, 1 coarse restart, 2 leaders refined
+SWEEP_PINS = {
+    FunctionalForm.REAL_PART: "7ac7579c3f7cbd16c77b0c0987c475d71d6544ae45d86b5892792d8e14e208bf",
+    FunctionalForm.MODULUS: "74551d6f9129875cb93cb372f985b1afaa0a907c97f220866d6c7ac8385ec68d",
+}
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+def test_symmetric_g_search_is_pinned_bit_for_bit(form):
+    result = symmetric_g_search(form, OptimizationConfig(restarts=2, seed=17),
+                                coarse_restarts=1, refine_top=2)
+    text = repr((result.best.ratio, result.best.restart_values, result.ranking))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PINS[form]
+
+
+@pytest.mark.parametrize("form, stacks", [(FunctionalForm.MODULUS, [48]),
+                                          (FunctionalForm.REAL_PART, [128, 1])])
+def test_symmetric_g_search_bounds_one_stack_per_term_structure(monkeypatch, form, stacks):
+    import bellkit.optimize as optimize
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a representative was bounded on its own")
+
+    seen = []
+
+    def recording(functionals, *args):
+        seen.append(functionals)
+        return classical_bounds(functionals, *args)
+
+    monkeypatch.setattr(optimize, "classical_bound", no_bound)
+    monkeypatch.setattr(optimize, "classical_bounds", recording)
+    symmetric_g_search(form, OptimizationConfig(restarts=1, seed=3), coarse_restarts=1,
+                       refine_top=0)
+    assert sorted(map(len, seen), reverse=True) == stacks
+    # the one expansion gives each representative build_functional's terms
+    sc, basis = Scenario(2, 3, 3), fourier_party_basis(3)
+    keys = sorted(set(_symmetric_orbits(form).values()))
+    stacked = {}
+    for functionals in seen:
+        for functional in functionals:
+            stacked[functional.coefficients.tobytes()] = functional
+    assert len(stacked) == len(keys)
+    for key in keys:
+        alone = build_functional(sc, basis, GTable(sc, np.reshape(key, (3, 3))), form)
+        assert stacked[alone.coefficients.tobytes()].terms() == alone.terms()
 
 
 @pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
