@@ -350,11 +350,16 @@ def build_functional(
         raise ValueError("g table was built for a different scenario")
     if not isinstance(pairing, Pairing):
         raise ValueError(f"pairing must be a Pairing, got {pairing!r}")
-    u, scale = _probe_matrix(scenario, basis, pairing)
-    coeff = contract_parties(unit_roots(scenario.outcomes)[g.table], [u] * scenario.parties)
-    if scale != 1.0:
-        coeff = coeff * scale
+    coeff = _expand_tables(scenario, basis, g.table[..., None], pairing)[0]
     return BellFunctional.from_coefficients(scenario, coeff, form, mask)
+
+
+def _expand_tables(scenario: Scenario, basis: PartyBasis, tables: np.ndarray,
+                   pairing: Pairing) -> np.ndarray:
+    """`build_functional`'s dense c_x of each table tables[..., f], stacked as row f."""
+    u, scale = _probe_matrix(scenario, basis, pairing)
+    coeff = contract_parties(unit_roots(scenario.outcomes)[tables], [u] * scenario.parties)
+    return coeff * scale if scale != 1.0 else coeff
 
 
 # (-1)^(r x): the d = 2 Fourier probe without its 2^(-1/2), exact

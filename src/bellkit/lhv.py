@@ -5,13 +5,13 @@ vertex, so the classical bound of any functional here is the maximum of its
 value over all d^(N*k) deterministic strategies.  A strategy gives term t the
 root alpha^e, e = sum_p r_p a_p(x_p) mod d, so values are exact integer
 exponent sums looked up in a table of w_t alpha^e.  `classical_bounds` covers
-the strategies of a stack of functionals without visiting each one, and
-`classical_bound` is its one-functional stack:
+the strategies of a dense stack of coefficient tables without visiting each
+one, and `classical_bound` runs the same pass on one functional's terms:
 
-- Stack.  The functionals share a scenario, a form and their terms' settings
-  and masks; only the weights differ.  Every step below runs once for the
-  whole stack, with the tables on a leading axis, and each result is bit for
-  bit the one the functional gets alone.
+- Stack.  Every table lists every settings tuple under the plain mask, zero
+  weights included, so a whole family of exponent tables is one stack.  Every
+  step below runs once for the stack, with the tables on a leading axis, and
+  each result is bit for bit the one the table's functional gets alone.
 - Gauge.  Shifting every outcome of party p by c_p multiplies term t by
   alpha^(r_t.c).  The shifts that change no value form a group G in Z_d^N,
   found by trying all d^N shifts, and one strategy per G-orbit is searched.
@@ -52,8 +52,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (DeterministicStrategy, Scenario, as_mask, strategy_correlation_tensor,
-                   unit_roots)
+from .core import (DeterministicStrategy, Scenario, as_mask, settings_tuples,
+                   strategy_correlation_tensor, unit_roots)
 from .bases import BellFunctional, FunctionalForm, apply_form
 
 __all__ = [
@@ -226,16 +226,6 @@ def _totals(scenario: Scenario, xs, rs, table, which, indices, offsets) -> np.nd
     return totals
 
 
-def _chunk_values(functional, indices, offsets=0) -> np.ndarray:
-    """Complex totals of the functional on the strategies at these flat indices (`_totals`)."""
-    terms = functional.terms()
-    xs = np.array([x for x, _, _ in terms], dtype=np.int64)
-    rs = np.array([r for _, r, _ in terms], dtype=np.int64)
-    table = _term_table([w for _, _, w in terms], functional.scenario.outcomes)
-    indices = np.asarray(indices, dtype=np.int64)
-    return _totals(functional.scenario, xs, rs, table[None], 0, indices, offsets)
-
-
 def strategy_functional_value(functional, strategy: DeterministicStrategy) -> float:
     """Evaluate a functional on one deterministic strategy."""
     if strategy.scenario != functional.scenario:
@@ -297,63 +287,72 @@ def _representatives(scenario: Scenario, steps) -> np.ndarray:
     return flat
 
 
+def _weight_scale(weights) -> np.ndarray:
+    """sum_t |w_t| per row, added in term order, so zero weights leave it unchanged bit for bit."""
+    return np.abs(weights).cumsum(axis=-1)[..., -1]
+
+
 def classical_bound(functional, budget: int = DEFAULT_BUDGET) -> ClassicalBoundResult:
-    """Maximize the functional over every deterministic strategy, exactly.
+    """The exact bound by `classical_bounds`'s pass on the functional's terms, any masks."""
+    xs, rs, weights = zip(*functional.terms())
+    return _bounds(functional.scenario, functional.form, np.array(xs), np.array(rs),
+                   np.array([weights]), budget)[0]
 
-    This is `classical_bounds` of the one-functional stack.
+
+def classical_bounds(scenario: Scenario, coefficients, form: FunctionalForm,
+                     budget: int = DEFAULT_BUDGET) -> list[ClassicalBoundResult]:
+    """Maximize each table of a dense stack over every deterministic strategy, exactly.
+
+    coefficients has shape (F,) + settings shape, F tables under the plain
+    mask (1, ..., 1).  Result f is, bit for bit, `classical_bound` of
+    `BellFunctional.from_coefficients(scenario, coefficients[f], form)`: a
+    zero entry adds +-0.0 to a running sum that starts at +0.0, so it moves no
+    total and no tolerance.  What that functional refuses raises ValueError:
+    a form that is not a FunctionalForm, a table with no nonzero entry or
+    with a non-finite sum of moduli; so do a wrong shape and an empty stack.
+
+    One pass, the module's, serves the stack: parties 1..N-1 run in blocks of
+    at most about DEFAULT_CHUNK numbers over all tables, and each table's
+    candidates within twice its saturation tolerance of its top marginal score
+    are re-evaluated exactly by `_totals`.
+
+    A table's saturation tolerance is 1e-9 * sum |w|, so weights scaled by a
+    power of two scale the bound exactly and keep the saturating set.  The
+    flat indices of all strategies within it are returned as `saturating`,
+    ascending, and no strategy object is built.  Each result's `bound` and
+    `saturating` are those of evaluating all d^(N*k) strategies on its table
+    alone, bit for bit, whatever the stack, and `examined` is d^(N*k), the
+    number of strategies the certificate covers.  The budget applies to it.
     """
-    return classical_bounds([functional], budget)[0]
+    if not isinstance(form, FunctionalForm):
+        raise ValueError(f"form must be a FunctionalForm, got {form!r}")
+    weights, shape = np.asarray(coefficients, dtype=complex), scenario.settings_shape()
+    if weights.shape[1:] != shape or not len(weights):
+        raise ValueError(f"need shape (F >= 1,) + {shape}, got {weights.shape}")
+    weights = weights.reshape(len(weights), -1)
+    empty = ~(weights != 0).any(axis=1)
+    if empty.any():
+        raise ValueError(f"table {empty.argmax()} has no nonzero weight")
+    with np.errstate(over="ignore"):
+        unbounded = ~np.isfinite(_weight_scale(weights))
+    if unbounded.any():
+        raise ValueError(f"the moduli of table {unbounded.argmax()} sum past the float range")
+    xs = np.array(settings_tuples(scenario)).reshape(-1, scenario.parties)
+    return _bounds(scenario, form, xs, np.ones_like(xs), weights, budget)
 
 
-def classical_bounds(functionals, budget: int = DEFAULT_BUDGET) -> list[ClassicalBoundResult]:
-    """Maximize each functional of a stack over every deterministic strategy, exactly.
-
-    The functionals share a scenario, a form and their terms' settings and
-    masks, in the same order; only the weights differ.  An empty stack, or
-    one that mixes scenarios, forms or term structures, raises ValueError.
-    One pass serves the whole stack.  The search runs over one strategy per
-    gauge orbit (a_p(0) < g_p, see `_gauge`).  Parties 1..N-1 are enumerated
-    in blocks that hold at most about DEFAULT_CHUNK numbers over all tables;
-    for each prefix the terms are summed per last-party setting y and outcome
-    b into S[y, b], and every allowed last-party row is scored as
-    sum_y S[y, b_y].  Each table's candidates within twice the saturation
-    tolerance of its top score (measured against the larger of |top| and
-    sum |w|, so the marginal's own rounding cannot drop a tie) are
-    re-evaluated exactly by `_totals` at every exponent offset r_0.c an orbit
-    member can have (d of them for moduli, one for real parts), and each
-    member takes its representative's total at its offset.
-
-    The saturation tolerance is 1e-9 * max(1, |bound|); the flat indices of
-    all strategies within it are returned as `saturating`, ascending, and no
-    strategy object is built.  Each result's `bound` and `saturating` are
-    those of evaluating all d^(N*k) strategies on its functional alone, bit
-    for bit, whatever the stack, and `examined` is d^(N*k), the number of
-    strategies the certificate covers.  The budget applies to that number.
-    """
-    functionals = list(functionals)
-    if not functionals:
-        raise ValueError("classical_bounds needs at least one functional")
-    scenario, form = functionals[0].scenario, functionals[0].form
-    structure = [(x, r) for x, r, _ in functionals[0].terms()]
-    weights = []
-    for index, functional in enumerate(functionals):
-        terms = functional.terms()
-        if functional.scenario != scenario or functional.form is not form:
-            raise ValueError(f"functional {index} is not on {scenario} in the {form.value} form")
-        if [(x, r) for x, r, _ in terms] != structure:
-            raise ValueError(f"functional {index} has other term settings or masks than the first")
-        weights.append([w for _, _, w in terms])
+def _bounds(scenario: Scenario, form: FunctionalForm, xs: np.ndarray, rs: np.ndarray,
+            weights: np.ndarray, budget: int) -> list[ClassicalBoundResult]:
+    """`classical_bounds`'s pass: term t has settings xs[t], mask rs[t], weights weights[:, t]."""
     total = _check_budget(scenario, budget)
     n, k, d = scenario.parties, scenario.settings, scenario.outcomes
     assignments = _party_assignments(scenario)
     per_party = len(assignments)
-    count, width = len(functionals), len(structure)
-    xs = np.array([x for x, _ in structure], dtype=np.int64)
-    rs = np.array([r for _, r in structure], dtype=np.int64)
-    group, steps = _gauge(scenario, functionals[0].masks(), form)
+    count, width = weights.shape
+    group, steps = _gauge(scenario, tuple(dict.fromkeys(map(tuple, rs.tolist()))), form)
     allowed = _leading_rows(scenario, steps)
     roots = unit_roots(d)
-    # table[f, t, e] is functional f's term t at exponent e; a prefix's term t
+    # table[f, t, e] is table f's term t at exponent e; a prefix's term t
     # reads it at e, its exponent summed over parties 1..N-1
     table = _term_table(weights, d)
     rows = table.reshape(count, width * d)
@@ -366,8 +365,8 @@ def classical_bounds(functionals, budget: int = DEFAULT_BUDGET) -> list[Classica
         roots[np.outer(rs[:, -1], outcomes) % d])
     last_columns = assignments[: allowed[-1]] + np.arange(k) * d
 
-    # |top| <= sum |w|, so this is at least twice the saturation tolerance
-    window = 2 * SATURATION_TOL * np.maximum(1.0, np.abs(table[:, :, 0]).sum(axis=1))
+    tol = SATURATION_TOL * _weight_scale(weights)
+    window = 2 * tol  # wide enough that the marginal's own rounding cannot drop a tie
     prefixes = math.prod(allowed[:-1])
     per_block = max(1, DEFAULT_CHUNK // max(width, k * allowed[-1]))
     stride = min(count, per_block)  # tables per block
@@ -415,7 +414,6 @@ def classical_bounds(functionals, budget: int = DEFAULT_BUDGET) -> list[Classica
     values = by_offset[group @ rs[0] % d].T  # [representative, member]
     # every table keeps at least its top, so each owns one run of representatives
     bounds = np.maximum.reduceat(values.max(axis=1), np.searchsorted(owner, np.arange(count)))
-    tol = SATURATION_TOL * np.maximum(1.0, np.abs(bounds))
     rep, member = np.nonzero(values >= (bounds - tol)[owner][:, None])
     # shifted[c, i]: the row index of party row i with every outcome shifted by c
     moved = (assignments + outcomes[:, None, None]) % d
@@ -503,9 +501,9 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     The vertices are the exponent rows over every mask the terms use, so with
     mixed masks this is a facet of the local polytope's projection onto the
     (mask, settings) coordinates used.  The reported bound is the cached one,
-    else `classical_bound`'s.  With tol = 1e-9 * max(1, |computed bound|) it is
-    valid when computed <= reported + tol, and the saturating set is
-    `classical_bound`'s when reported <= computed + tol, else empty.  A facet
+    else `classical_bound`'s.  With tol = 1e-9 * sum |w|, the saturation
+    tolerance, it is valid when computed <= reported + tol, and the saturating
+    set is `classical_bound`'s when reported <= computed + tol, else empty.  A facet
     is valid, has a saturating vertex, and the saturating vertices' affine rank
     is one less than the polytope's; both ranks count distinct exponent rows.
     The saturating set is a union of gauge orbits, so its rank, like the
@@ -519,7 +517,7 @@ def facet_check(functional: BellFunctional, budget: int = DEFAULT_BUDGET) -> Fac
     scenario = functional.scenario
     result = classical_bound(functional, budget)
     reference = functional.cached_bound if functional.cached_bound is not None else result.bound
-    tol = SATURATION_TOL * max(1.0, abs(result.bound))
+    tol = SATURATION_TOL * float(_weight_scale([w for _, _, w in functional.terms()]))
     is_valid = bool(result.bound <= reference + tol)
     saturating = result.saturating if reference <= result.bound + tol else result.saturating[:0]
     representatives, rows, dim = _vertex_structure(scenario, functional.masks())

@@ -37,9 +37,10 @@ The ascent runs on a batch of rows.  A row is one (functional, restart) pair;
 the rows of a batch share a term structure and a support and differ in their
 weights, their form and their start phases.  The search driver puts every
 restart of every functional it is given into one batch per term structure and
-support, whatever the form, so the orbit representatives of the
-exponent-table sweep share one batch, and so do the real-part and modulus
-forms of one bellkit table row.  A batch lists its real-part rows first, so
+support, whatever the form: both forms of one bellkit table row share one
+batch, and so do the exponent-table sweep's 48 modulus-form representatives,
+while its 129 real-part ones run as two (128 + 1; their zero coefficients
+differ).  A batch lists its real-part rows first, so
 each form's rows are one contiguous slice.  The phase factors, environments,
 G and the convergence test run on all rows at once, the real-part rows' state
 refresh is one stacked eigensolve, the modulus rows' rotation re-centring
@@ -74,13 +75,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Scenario, contract_parties, correlation_stack, unit_roots
+from .core import Scenario, correlation_stack
 from .bases import (
     BellFunctional,
     FunctionalForm,
     GTable,
     Pairing,
-    _probe_matrix,
+    _expand_tables,
     apply_form,
     build_functional,
     fourier_party_basis,
@@ -958,9 +959,10 @@ def symmetric_g_search(
     Tables are grouped into relabeling orbits (see _symmetric_orbits) and one
     representative per orbit is optimized: a coarse pass over every orbit, then
     a refined pass with the full restart budget on the leading candidates.
-    The representatives are expanded by one contraction and bounded by one
-    `classical_bounds` pass per term structure (one for the modulus form's 48,
-    two for the real part's 129), bit for bit their per-table bounds.
+    The representatives (48 for the modulus form, 129 for the real part) are
+    expanded by one contraction, as `build_functional` expands one, and
+    bounded as one dense stack by one `classical_bounds` call, bit for bit
+    their per-table bounds.
     coarse_restarts (at least 1) caps the coarse pass's restarts and
     refine_top (at least 0) is the number of leaders refined; either out of
     range raises ConfigError naming it before any search runs.  The ranking
@@ -976,22 +978,16 @@ def symmetric_g_search(
     assigned = _symmetric_orbits(form)
     reps = sorted(set(assigned.values()))
     # every representative is built and bounded once; the refined pass reuses
-    # both.  One contraction expands them all, tables on the trailing axis, as
-    # build_functional expands one
-    probe, scale = _probe_matrix(scenario, basis, Pairing.BILINEAR)
+    # both.  One contraction expands them all, and one pass bounds them
     tables = np.array(reps, dtype=np.int64).T.reshape(3, 3, len(reps))
-    coefficients = contract_parties(unit_roots(3)[tables], [probe, probe]) * scale
-    functionals = {key: BellFunctional.from_coefficients(scenario, row, form)
-                   for key, row in zip(reps, coefficients)}
-    # one bound pass per term structure
-    groups: dict = {}
-    for key, functional in functionals.items():
-        groups.setdefault(tuple((x, r) for x, r, _ in functional.terms()), []).append(key)
-    bounds = {key: result.bound for keys in groups.values()
-              for key, result in zip(keys, classical_bounds([functionals[key] for key in keys]))}
+    coefficients = _expand_tables(scenario, basis, tables, Pairing.BILINEAR)
+    bounds = classical_bounds(scenario, coefficients, form)
+    functionals = {key: BellFunctional.from_coefficients(scenario, row, form,
+                                                         cached_bound=result.bound)
+                   for key, row, result in zip(reps, coefficients, bounds)}
 
     def search(keys: list[tuple[int, ...]], first_index: int, restarts: int) -> dict:
-        jobs = [(functionals[key], _child_seed(config.seed, first_index + index), bounds[key])
+        jobs = [(functionals[key], _child_seed(config.seed, first_index + index), None)
                 for index, key in enumerate(keys)]
         results = _search(jobs, replace(config, restarts=restarts))
         return {key: (result.ratio if result.ratio is not None else float("-inf"), result)

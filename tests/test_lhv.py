@@ -19,7 +19,7 @@ from bellkit import (
     strategy_correlation_tensor,
 )
 from bellkit import lhv
-from bellkit.bases import evaluate_functional
+from bellkit.bases import Pairing, _expand_tables, evaluate_functional
 from bellkit.cglmp import i323_functional
 from bellkit.core import ConjugationMask, CorrelationTensor, settings_tuples, unit_roots
 from bellkit.lhv import (
@@ -28,10 +28,11 @@ from bellkit.lhv import (
     BudgetExceededError,
     UnsupportedFormError,
     _affine_rank,
-    _chunk_values,
     _embed_real,
     _gauge,
     _representatives,
+    _term_table,
+    _totals,
     classical_bound,
     classical_bounds,
     enumerate_strategies,
@@ -148,14 +149,25 @@ def bound_in_blocks(functional, chunk):
         return classical_bound(functional)
 
 
+def strategy_totals(functional, indices):
+    """Complex totals of the functional on the strategies at these flat indices (`_totals`)."""
+    terms = functional.terms()
+    xs = np.array([x for x, _, _ in terms], dtype=np.int64)
+    rs = np.array([r for _, r, _ in terms], dtype=np.int64)
+    table = _term_table([[w for _, _, w in terms]], functional.scenario.outcomes)
+    return _totals(functional.scenario, xs, rs, table, 0, np.asarray(indices, dtype=np.int64), 0)
+
+
 def brute_force_bound(functional):
-    """Bound and saturating flat indices from every strategy, in one batch."""
-    scenario = functional.scenario
-    indices = np.arange(scenario.n_strategies)
-    totals = _chunk_values(functional, indices)
+    """Bound and saturating flat indices from every strategy, in one batch.
+
+    The saturation tolerance is the documented 1e-9 * sum |w|, the moduli
+    added in term order.
+    """
+    totals = strategy_totals(functional, np.arange(functional.scenario.n_strategies))
     values = totals.real if functional.form is FunctionalForm.REAL_PART else np.abs(totals)
     bound = values.max()
-    tol = SATURATION_TOL * max(1.0, abs(bound))
+    tol = SATURATION_TOL * sum(abs(w) for _, _, w in functional.terms())
     return bound, [int(i) for i in np.nonzero(values >= bound - tol)[0]]
 
 
@@ -267,8 +279,8 @@ def test_strategy_value_does_not_depend_on_batch():
     terms = [((0, 0), (2, 5), -2 + 1j), ((0, 0), (1, 0), 2.0), ((0, 0), (1, 0), 1j),
              ((0, 0), (1, 0), 1 - 2j), ((0, 0), (1, 0), -2.0)]
     functional = BellFunctional(scenario, terms, FunctionalForm.REAL_PART)
-    batch = _chunk_values(functional, np.arange(36))
-    alone = [_chunk_values(functional, [i])[0] for i in range(36)]
+    batch = strategy_totals(functional, np.arange(36))
+    alone = [strategy_totals(functional, [i])[0] for i in range(36)]
     assert list(batch) == alone
     assert_matches_brute_force(functional)
 
@@ -285,9 +297,9 @@ KERNEL_SCENARIOS = [(n, k, d) for n in (1, 2, 3) for k in (1, 2, 3) for d in ran
 
 @settings(max_examples=60, deadline=None)
 @given(functional=mixed_mask_functionals(KERNEL_SCENARIOS))
-def test_chunk_values_equal_contract_bit_for_bit(functional):
+def test_totals_equal_contract_bit_for_bit(functional):
     scenario = functional.scenario
-    totals = _chunk_values(functional, np.arange(scenario.n_strategies))
+    totals = strategy_totals(functional, np.arange(scenario.n_strategies))
     expected = np.array([contract_total(functional, strategy)
                          for strategy in enumerate_strategies(scenario)])
     assert np.array_equal(totals.view(np.int64), expected.view(np.int64))
@@ -623,25 +635,28 @@ def test_facet_chunk_counts():
     assert result.witness.flat_index() == min(s.flat_index() for s in result.argmax)
 
 
-# -- one strategy pass for a stack of functionals ------------------------------
+# -- one strategy pass for a dense stack of tables ----------------------------
 
 @st.composite
-def functional_stacks(draw, scenarios=SMALL_SCENARIOS):
-    """1-5 functionals on one term structure: shared settings and masks, own weights."""
+def dense_stacks(draw, scenarios=SMALL_SCENARIOS):
+    """A scenario, 1-5 dense tables on it and a form.
+
+    Some settings are zero in every table, the others may be zero (+0 or -0)
+    in some tables and not in others; no table is all zero.
+    """
     n, k, d = draw(st.sampled_from(scenarios))
-    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
-    masks = draw(st.lists(entries, min_size=1, max_size=3))
-    settings_tuples = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
-    structure = draw(st.lists(st.tuples(settings_tuples, st.sampled_from(masks)),
-                              min_size=1, max_size=6))
+    scenario = Scenario(n, k, d)
+    live = draw(st.lists(st.booleans(), min_size=k**n, max_size=k**n).filter(any))
     parts = st.one_of(st.integers(-2, 2), st.floats(-2, 2, allow_nan=False))
-    # a weight may be zero in one table and not in another; no table is all zero
-    row = st.lists(st.builds(complex, parts, parts), min_size=len(structure),
-                   max_size=len(structure)).filter(lambda ws: any(w != 0 for w in ws))
-    rows = draw(st.lists(row, min_size=1, max_size=5))
+    nonzero = st.builds(complex, parts, parts).filter(lambda w: w != 0)
+    maybe = st.one_of(st.sampled_from([0j, complex(-0.0, -0.0)]), nonzero)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [draw(maybe) if on else 0j for on in live]
+        row[draw(st.sampled_from([i for i, on in enumerate(live) if on]))] = draw(nonzero)
+        rows.append(row)
     form = draw(st.sampled_from(list(FunctionalForm)))
-    return [BellFunctional(Scenario(n, k, d), [(x, r, w) for (x, r), w in zip(structure, ws)],
-                           form) for ws in rows]
+    return scenario, np.array(rows).reshape((len(rows),) + scenario.settings_shape()), form
 
 
 def assert_same_result(result, expected):
@@ -652,81 +667,96 @@ def assert_same_result(result, expected):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stack=functional_stacks(), data=st.data())
+@given(stack=dense_stacks(), data=st.data())
 def test_classical_bounds_match_brute_force_alone_and_permuted(stack, data):
-    results = classical_bounds(stack)
-    assert len(results) == len(stack)
-    for functional, result in zip(stack, results):
+    scenario, coefficients, form = stack
+    results = classical_bounds(scenario, coefficients, form)
+    assert len(results) == len(coefficients)
+    for table, result in zip(coefficients, results):
+        functional = BellFunctional.from_coefficients(scenario, table, form)
         bound, argmax = brute_force_bound(functional)
         assert result.bound == bound
         assert result.saturating.tolist() == argmax
-        assert result.examined == functional.scenario.n_strategies
-        assert_same_result(classical_bounds([functional])[0], result)
-    order = data.draw(st.permutations(range(len(stack))))
-    for index, result in zip(order, classical_bounds([stack[i] for i in order])):
+        assert result.examined == scenario.n_strategies
+        assert_same_result(result, classical_bound(functional))
+    order = data.draw(st.permutations(range(len(coefficients))))
+    for index, result in zip(order, classical_bounds(scenario, coefficients[order], form)):
         assert_same_result(result, results[index])
 
 
 @settings(max_examples=40, deadline=None)
-@given(stack=functional_stacks(), chunk=st.sampled_from([7, 13, 61]))
+@given(stack=dense_stacks(), chunk=st.sampled_from([7, 13, 61]))
 def test_classical_bounds_do_not_depend_on_the_block_size(stack, chunk):
     # 61 holds several tables and several prefixes of a small stack per block
-    baseline = classical_bounds(stack)
+    baseline = classical_bounds(*stack)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lhv, "DEFAULT_CHUNK", chunk)
-        blocked = classical_bounds(stack)
+        blocked = classical_bounds(*stack)
     for result, expected in zip(blocked, baseline):
         assert_same_result(result, expected)
 
 
-def test_classical_bounds_refuse_an_empty_or_mixed_stack():
-    chsh = chsh_functional()
-    terms = chsh.terms()
-    with pytest.raises(ValueError, match="at least one"):
-        classical_bounds([])
-    mixed = {
-        "scenario": BellFunctional(Scenario(2, 2, 3), terms, FunctionalForm.REAL_PART),
-        "form": BellFunctional(chsh.scenario, terms, FunctionalForm.MODULUS),
-        "order": BellFunctional(chsh.scenario, terms[::-1], FunctionalForm.REAL_PART),
-        "length": BellFunctional(chsh.scenario, terms[:3], FunctionalForm.REAL_PART),
-        "mask": BellFunctional(chsh.scenario, [(x, (0, 1), w) for x, _, w in terms],
-                               FunctionalForm.REAL_PART),
-    }
-    for name, other in mixed.items():
-        with pytest.raises(ValueError, match="functional 1"):
-            classical_bounds([chsh, other])
+def test_classical_bounds_refuse_what_a_functional_refuses():
+    scenario = Scenario(2, 2, 2)
+    chsh = np.array([[1.0, 1.0], [1.0, -1.0]])
+    form = FunctionalForm.REAL_PART
+    with pytest.raises(ValueError, match="FunctionalForm"):
+        classical_bounds(scenario, chsh[None], "real-part")
+    for shape in [chsh, chsh[None, :1], np.zeros((1, 2, 2, 2)), np.zeros((0, 2, 2))]:
+        with pytest.raises(ValueError, match="need shape"):
+            classical_bounds(scenario, shape, form)
+    for bad, match in [(np.zeros((2, 2)), "table 1 has no nonzero"),
+                       (chsh * 1e308, "table 1 sum past"),
+                       (chsh * np.nan, "table 1 sum past"),
+                       (chsh * np.inf, "table 1 sum past")]:
+        with pytest.raises(ValueError):
+            BellFunctional.from_coefficients(scenario, bad, form)
+        with pytest.raises(ValueError, match=match):
+            classical_bounds(scenario, np.stack([chsh, bad]), form)
 
 
-def k2_functionals(parties, d, form, tables):
-    """The k2-conjugate, bilinear functionals of these flat exponent tables."""
-    scenario = Scenario(parties, 2, d)
-    basis = k2_conjugate_basis(d)
-    return [build_functional(scenario, basis, GTable(scenario, np.reshape(g, (2,) * parties)),
-                             form) for g in tables]
-
-
-def assert_stacks_match_per_table(functionals):
-    """One classical_bounds call per term structure equals the per-table bounds."""
-    groups = {}
-    for functional in functionals:
-        key = tuple((x, r) for x, r, _ in functional.terms())
-        groups.setdefault(key, []).append(functional)
-    for group in groups.values():
-        for functional, result in zip(group, classical_bounds(group)):
-            assert_same_result(result, classical_bound(functional))
-            bound, argmax = brute_force_bound(functional)
-            assert result.bound == bound and result.saturating.tolist() == argmax
+def assert_stack_matches_per_table(parties, d, form, tables):
+    """One classical_bounds call on the expanded k2-conjugate tables equals each table's bound."""
+    scenario, basis = Scenario(parties, 2, d), k2_conjugate_basis(d)
+    tables = np.array(list(tables))
+    coefficients = _expand_tables(scenario, basis, tables.T.reshape((2,) * parties + (-1,)),
+                                  Pairing.BILINEAR)
+    for g, result in zip(tables, classical_bounds(scenario, coefficients, form)):
+        functional = build_functional(scenario, basis, GTable(scenario, g.reshape((2,) * parties)),
+                                      form)
+        assert_same_result(result, classical_bound(functional))
+        bound, argmax = brute_force_bound(functional)
+        assert result.bound == bound and result.saturating.tolist() == argmax
 
 
 @pytest.mark.parametrize("form", list(FunctionalForm))
 @pytest.mark.parametrize("d", [3, 4])
 def test_stacked_bounds_equal_per_table_bounds_on_every_two_party_table(d, form):
-    assert_stacks_match_per_table(
-        k2_functionals(2, d, form, itertools.product(range(d), repeat=4)))
+    assert_stack_matches_per_table(2, d, form, itertools.product(range(d), repeat=4))
 
 
 @pytest.mark.parametrize("form", list(FunctionalForm))
 def test_stacked_bounds_equal_per_table_bounds_on_a_323_sample(form):
     flat = np.random.default_rng(323).choice(3**8, size=300, replace=False)
-    tables = np.stack(np.unravel_index(flat, (3,) * 8), axis=1)
-    assert_stacks_match_per_table(k2_functionals(3, 3, form, tables))
+    assert_stack_matches_per_table(3, 3, form, np.stack(np.unravel_index(flat, (3,) * 8), axis=1))
+
+
+SCALE_CASES = {"chsh": chsh_functional(), "i323": i323_functional(),
+               "product-g-323": product_g_functional(3, 3, FunctionalForm.REAL_PART)}
+
+
+@pytest.mark.parametrize("form", list(FunctionalForm))
+@pytest.mark.parametrize("name", list(SCALE_CASES))
+def test_weights_scaled_by_a_power_of_two_scale_the_bound_exactly(name, form):
+    """The saturation tolerance scales with the weights, so no verdict depends on their scale."""
+    base = SCALE_CASES[name]
+    functional = BellFunctional(base.scenario, base.terms(), form, base.cached_bound)
+    result = classical_bound(functional)
+    report = facet_check(functional) if form is FunctionalForm.REAL_PART else None
+    for k in (-900, -40, -1, 1, 40, 900):
+        scaled = functional.rescaled(2.0**k)
+        found = classical_bound(scaled)
+        assert found.bound == result.bound * 2.0**k
+        assert np.array_equal(found.saturating, result.saturating)
+        if report is not None:
+            assert facet_check(scaled) == replace(report, bound=report.bound * 2.0**k)

@@ -262,7 +262,7 @@ def test_symmetric_g_search_rejects_bad_arguments_before_searching(monkeypatch, 
     monkeypatch.setattr(optimize, "_search", no_search)
     monkeypatch.setattr(optimize, "classical_bound", no_search)
     monkeypatch.setattr(optimize, "classical_bounds", no_search)
-    monkeypatch.setattr(optimize, "contract_parties", no_search)
+    monkeypatch.setattr(optimize, "_expand_tables", no_search)
     with pytest.raises(ValueError, match=argument):
         symmetric_g_search(FunctionalForm.MODULUS, OptimizationConfig(restarts=1),
                            **{argument: value})
@@ -384,9 +384,9 @@ def test_symmetric_g_search_is_pinned_bit_for_bit(form):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PINS[form]
 
 
-@pytest.mark.parametrize("form, stacks", [(FunctionalForm.MODULUS, [48]),
-                                          (FunctionalForm.REAL_PART, [128, 1])])
-def test_symmetric_g_search_bounds_one_stack_per_term_structure(monkeypatch, form, stacks):
+@pytest.mark.parametrize("form, count", [(FunctionalForm.MODULUS, 48),
+                                         (FunctionalForm.REAL_PART, 129)])
+def test_symmetric_g_search_bounds_all_representatives_in_one_call(monkeypatch, form, count):
     import bellkit.optimize as optimize
 
     def no_bound(*args, **kwargs):
@@ -394,26 +394,21 @@ def test_symmetric_g_search_bounds_one_stack_per_term_structure(monkeypatch, for
 
     seen = []
 
-    def recording(functionals, *args):
-        seen.append(functionals)
-        return classical_bounds(functionals, *args)
+    def recording(scenario, coefficients, *args):
+        seen.append(coefficients)
+        return classical_bounds(scenario, coefficients, *args)
 
     monkeypatch.setattr(optimize, "classical_bound", no_bound)
     monkeypatch.setattr(optimize, "classical_bounds", recording)
     symmetric_g_search(form, OptimizationConfig(restarts=1, seed=3), coarse_restarts=1,
                        refine_top=0)
-    assert sorted(map(len, seen), reverse=True) == stacks
-    # the one expansion gives each representative build_functional's terms
+    assert [len(coefficients) for coefficients in seen] == [count]
+    # the one expansion gives each representative, in key order, build_functional's terms
     sc, basis = Scenario(2, 3, 3), fourier_party_basis(3)
     keys = sorted(set(_symmetric_orbits(form).values()))
-    stacked = {}
-    for functionals in seen:
-        for functional in functionals:
-            stacked[functional.coefficients.tobytes()] = functional
-    assert len(stacked) == len(keys)
-    for key in keys:
+    for key, row in zip(keys, seen[0], strict=True):
         alone = build_functional(sc, basis, GTable(sc, np.reshape(key, (3, 3))), form)
-        assert stacked[alone.coefficients.tobytes()].terms() == alone.terms()
+        assert BellFunctional.from_coefficients(sc, row, form).terms() == alone.terms()
 
 
 @pytest.mark.parametrize("form", [FunctionalForm.REAL_PART, FunctionalForm.MODULUS])
