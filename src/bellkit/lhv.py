@@ -308,8 +308,9 @@ def classical_bounds(scenario: Scenario, coefficients, form: FunctionalForm,
     `BellFunctional.from_coefficients(scenario, coefficients[f], form)`: a
     zero entry adds +-0.0 to a running sum that starts at +0.0, so it moves no
     total and no tolerance.  What that functional refuses raises ValueError:
-    a form that is not a FunctionalForm, a table with no nonzero entry or
-    with a non-finite sum of moduli; so do a wrong shape and an empty stack.
+    a form that is not a FunctionalForm, a table with no nonzero entry, with
+    a non-finite entry or with moduli that sum past the float range; so do a
+    wrong shape and an empty stack.
 
     One pass, the module's, serves the stack: parties 1..N-1 run in blocks of
     at most about DEFAULT_CHUNK numbers over all tables, and each table's
@@ -329,6 +330,11 @@ def classical_bounds(scenario: Scenario, coefficients, form: FunctionalForm,
     weights, shape = np.asarray(coefficients, dtype=complex), scenario.settings_shape()
     if weights.shape[1:] != shape or not len(weights):
         raise ValueError(f"need shape (F >= 1,) + {shape}, got {weights.shape}")
+    infinite = np.argwhere(~np.isfinite(weights))
+    if len(infinite):
+        table, *x = infinite[0].tolist()
+        raise ValueError(f"table {table} has weight {weights[(table, *x)]} at settings "
+                         f"{tuple(x)}, not finite")
     weights = weights.reshape(len(weights), -1)
     empty = ~(weights != 0).any(axis=1)
     if empty.any():

@@ -76,6 +76,22 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _unit_state(amplitudes) -> np.ndarray:
+    """amplitudes / |amplitudes|; refuses non-finite and all-zero amplitudes.
+
+    The norm is taken after an exact scaling by 2^-e, e the binary exponent of
+    the largest real or imaginary part, so it neither overflows nor underflows,
+    and a state whose norm was representable unscaled keeps its bits.
+    """
+    amps = _finite("amplitudes", np.asarray(amplitudes, dtype=complex))
+    if not amps.any():
+        raise ValueError("cannot normalize the zero state: all amplitudes are 0")
+    exponent = -np.frexp(np.abs([amps.real, amps.imag]).max())[1]
+    scaled = np.empty_like(amps)
+    scaled.real, scaled.imag = np.ldexp(amps.real, exponent), np.ldexp(amps.imag, exponent)
+    return scaled / np.linalg.norm(scaled.ravel())
+
+
 @dataclass(frozen=True)
 class QuantumSetup:
     """Input-state amplitudes plus per-party, per-setting input port phases.
@@ -111,14 +127,11 @@ class QuantumSetup:
     @classmethod
     def normalized(cls, scenario: Scenario, amplitudes, phases) -> "QuantumSetup":
         """Build a setup from raw data: normalize the state, gauge-fix port 0."""
-        amps = _finite("amplitudes", np.asarray(amplitudes, dtype=complex))
-        norm = np.linalg.norm(amps.ravel())
-        if norm == 0:
-            raise ValueError("cannot normalize the zero state")
+        amps = _unit_state(amplitudes)
         phases = _finite("phases", np.asarray(phases, dtype=float))
         if phases.ndim == 3:  # any other shape is refused by __post_init__
             phases = phases - phases[:, :, :1]
-        return cls(scenario, amps / norm, phases)
+        return cls(scenario, amps, phases)
 
 
 def _final_amplitudes(setup: QuantumSetup, phases: np.ndarray) -> np.ndarray:

@@ -40,11 +40,11 @@ restart of every functional it is given into one batch per term structure and
 support, whatever the form: both forms of one bellkit table row share one
 batch, and so do the exponent-table sweep's 48 modulus-form representatives,
 while its 129 real-part ones run as two (128 + 1; their zero coefficients
-differ).  A batch lists its real-part rows first, so
-each form's rows are one contiguous slice.  The phase factors, environments,
-G and the convergence test run on all rows at once, the real-part rows' state
-refresh is one stacked eigensolve, the modulus rows' rotation re-centring
-runs on all of them at once, and a converged row leaves the batch.  The phase
+differ).  Each row carries its form as a flag, like its weights, so the rows
+of a batch may come in any order.  The phase factors, environments, G and the
+convergence test run on all rows at once, the real-part rows' state refresh
+is one stacked eigensolve, the modulus rows' rotation re-centring runs on all
+of them at once, and a converged row leaves the batch.  The phase
 factors are evaluated once per batch and carried across iterations: the
 sweep, the only step that moves phases, refreshes a party's factors right
 after updating its phases, and G is built from the factors the sweep leaves.
@@ -88,7 +88,8 @@ from .bases import (
     k2_conjugate_basis,
 )
 from .lhv import DEFAULT_BUDGET, _check_budget, classical_bound, classical_bounds
-from .multiport import QuantumSetup, _shift_plan, probability_table, quantum_correlation_stack
+from .multiport import (QuantumSetup, _shift_plan, _unit_state, probability_table,
+                        quantum_correlation_stack)
 
 __all__ = [
     "ConfigError",
@@ -217,7 +218,7 @@ class _MultiportObjective:
     Every j + r_t it uses (the shifted ports of the phase factors, the shifted
     states of G and of the state products) comes from multiport._shift_plan of
     those masks.  The batched methods take a leading axis of B rows, each
-    reading its own functional's weights, real-part rows before modulus rows.
+    reading its own functional's weights and form.
     States live on support, an ascending index array of basis states: G is
     built on the support's rows and columns and the pairing is contracted over
     the support's states; entries that would leave the support are dropped,
@@ -357,38 +358,34 @@ class _MultiportObjective:
 
     # -- eigen-resolved objective -------------------------------------------
     def refreshed_states(self, factors: np.ndarray, mask_weights: np.ndarray,
-                         blocks: np.ndarray | None, theta: np.ndarray, real_rows: int):
+                         blocks: np.ndarray | None, theta: np.ndarray, modulus: np.ndarray):
         """Eigen state updates of every row; for modulus rows also re-centre the rotations.
 
-        factors are the rows' support factors; the first real_rows rows are
-        real-part rows and the rest modulus rows, each form a slice of the
-        stack, so the split copies nothing.  The real-part rows take the top
-        eigenvectors of their G's Hermitian parts, one stacked eigensolve, and
-        keep their rotations.  A modulus row's rotation first moves to
-        -arg(s* G s) of its state blocks (None starts each row from the top
-        eigenvector at theta); then _recentred climbs lambda_max(H(theta)) by
-        Newton steps, up to 8 eigensolves, and keeps the round with the
-        largest |s* G s|.  So a refresh never ends below its first eigensolve,
-        and each row's value is that of the state and rotation returned with
-        it.  Returns the states on the support, the rotations and the values.
+        factors are the rows' support factors and modulus flags each row's
+        form.  The real-part rows take the top eigenvectors of their G's
+        Hermitian parts, one stacked eigensolve, and keep their rotations.  A
+        modulus row's rotation first moves to -arg(s* G s) of its state blocks
+        (None starts each row from the top eigenvector at theta); then
+        _recentred climbs lambda_max(H(theta)) by Newton steps, up to 8
+        eigensolves, and keeps the round with the largest |s* G s|.  So a
+        refresh never ends below its first eigensolve, and each row's value is
+        that of the state and rotation returned with it.  Returns the states on
+        the support, the rotations and the values.
         """
         g = self.g_matrix(factors, mask_weights)
-        parts = []
-        if real_rows:
-            real = g[:real_rows]
-            new = _eigh_stack(_hermitian_part(real))[1][:, :, -1]
-            parts.append((new, theta[:real_rows], _quadratic(real, new).real))
-        if real_rows < len(g):
-            g, theta = g[real_rows:], theta[real_rows:]
+        states, values, real = np.empty(g.shape[:2], dtype=complex), np.empty(len(g)), g[~modulus]
+        states[~modulus] = state = _eigh_stack(_hermitian_part(real))[1][:, :, -1]
+        values[~modulus] = _quadratic(real, state).real
+        if modulus.any():
+            g, theta, start = g[modulus], theta.copy(), theta[modulus]
             if blocks is None:
-                start = _eigh_stack(_hermitian_part(g, np.exp(1j * theta)))[1][:, :, -1]
+                state = _eigh_stack(_hermitian_part(g, np.exp(1j * start)))[1][:, :, -1]
             else:
-                start = blocks[real_rows:]
-            total = _quadratic(g, start)
-            parts.append(_recentred(g, np.where(total != 0, -np.angle(total), theta)))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(pair) for pair in zip(*parts))
+                state = blocks[modulus]
+            total = _quadratic(g, state)
+            states[modulus], theta[modulus], values[modulus] = _recentred(
+                g, np.where(total != 0, -np.angle(total), start))
+        return states, theta, values
 
     def setup_at(self, phases: np.ndarray, block: np.ndarray) -> QuantumSetup:
         """The setup of phases and the full d^N state whose amplitudes on the support are block."""
@@ -402,13 +399,9 @@ class _MultiportObjective:
         return QuantumSetup.normalized(self.scenario, state.reshape(shape), phases)
 
 
-def _form_values(totals: np.ndarray, real_rows: int) -> np.ndarray:
-    """Each row's value in its form: Re total of the first real_rows rows, |total| of the rest."""
-    if real_rows == len(totals):
-        return totals.real
-    if not real_rows:
-        return np.abs(totals)
-    return np.concatenate([totals[:real_rows].real, np.abs(totals[real_rows:])])
+def _form_values(totals: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """Each row's value in its form: |total| where modulus flags the row, Re total elsewhere."""
+    return np.where(modulus, np.abs(totals), totals.real)
 
 
 def _quadratic(g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -548,11 +541,11 @@ def _update_phases(rows: list, sums: list, reads: list, total: complex, theta: f
 
 def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
            factors: np.ndarray, products: np.ndarray, theta: np.ndarray,
-           weights: np.ndarray, real_rows: int) -> tuple[np.ndarray, np.ndarray]:
+           weights: np.ndarray, modulus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass of over-relaxed single-phase updates on every row, with the states held fixed.
 
-    u and factors are the rows' phase factors and support factors at phases;
-    the first real_rows rows are real-part rows and the rest modulus rows.
+    u and factors are the rows' phase factors and support factors at phases,
+    and modulus flags each row's form.
     Party by party, the environments of all rows are contracted in one batch
     and summed per shift group; then each row updates that party's phases in
     turn (_update_phases), each step monotone and each moved phase within
@@ -569,32 +562,26 @@ def _sweep(objective: _MultiportObjective, phases: np.ndarray, u: np.ndarray,
         reads = objective.phase_reads[p]
         for b, row in enumerate(rows):
             totals[b], thetas[b] = _update_phases(row, sums[b], reads, totals[b], thetas[b],
-                                                  b >= real_rows)
+                                                  modulus[b])
         phases[:, p] = rows
         u[:, :, p] = objective.party_factors(phases, p)
         factors[:, :, p] = u[:, :, p][:, :, objective.digits[p]]
-    return _form_values(np.array(totals), real_rows), np.array(thetas)
+    return _form_values(np.array(totals), modulus), np.array(thetas)
 
 
 def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np.ndarray):
     """Alternate over-relaxed phase sweeps and eigen state updates on every row until stationary.
 
-    Row b runs functional owners[b] from start_phases[b].  The owners list
-    every real-part functional's rows before the modulus ones (ValueError
-    otherwise), so each form's rows stay one slice as rows leave the batch.
-    A row leaves the batch once a sweep and state update gain at most
-    TOLERANCE, or after MAX_ITERATIONS sweeps.  A fixed state never changes,
-    so its value and rotation are the sweep's running pairing total and no
-    state update runs.
-    Phases change only inside _sweep, which keeps the phase factors u and
-    the support factors in step with them, so each is evaluated once per
-    batch.  Returns every row's value, phases, state on the support and sweep
-    count.
+    Row b runs functional owners[b], in its form, from start_phases[b]; the
+    owners may come in any order.  A row leaves the batch once a sweep and
+    state update gain at most TOLERANCE, or after MAX_ITERATIONS sweeps.  A
+    fixed state never changes, so its value and rotation are the sweep's
+    running pairing total and no state update runs.  Phases change only
+    inside _sweep, which keeps the phase factors u and the support factors in
+    step with them, so each is evaluated once per batch.  Returns every row's
+    value, phases, state on the support and sweep count.
     """
     modulus = objective.modulus[owners]
-    real_rows = len(owners) - int(np.count_nonzero(modulus))
-    if modulus[:real_rows].any():
-        raise ValueError("owners must list every real-part row before the modulus rows")
     phases = start_phases.copy()
     phases[:, :, :, 0] = 0.0
     u = objective.phase_factors(phases)
@@ -604,22 +591,22 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
     theta = np.zeros(len(owners))
     if objective.fixed is None:
         blocks, theta, value = objective.refreshed_states(factors, mask_weights, None, theta,
-                                                          real_rows)
+                                                          modulus)
     else:
         blocks = np.tile(objective.fixed, (len(owners), 1))
         total = _quadratic(objective.g_matrix(factors, mask_weights), blocks)
         theta = np.where(modulus & (total != 0), -np.angle(total), theta)
-        value = _form_values(total, real_rows)
+        value = _form_values(total, modulus)
     products = objective.state_products(blocks)
     values, final_phases = np.empty(len(owners)), np.empty_like(phases)
     states, iterations = np.empty_like(blocks), np.empty(len(owners), dtype=np.int64)
     ids = np.arange(len(owners))
     for iteration in range(1, MAX_ITERATIONS + 1):
         new_value, theta = _sweep(objective, phases, u, factors, products, theta, weights,
-                                  real_rows)
+                                  modulus)
         if objective.fixed is None:
             blocks, theta, new_value = objective.refreshed_states(factors, mask_weights, blocks,
-                                                                  theta, real_rows)
+                                                                  theta, modulus)
             products = objective.state_products(blocks)
         done = new_value <= value + TOLERANCE
         value = np.where(done, np.maximum(value, new_value), new_value)
@@ -633,10 +620,9 @@ def _seesaw(objective: _MultiportObjective, owners: np.ndarray, start_phases: np
         if done.all():
             break
         kept = ~done
-        real_rows = int(np.count_nonzero(kept[:real_rows]))
         ids, phases, blocks, products = ids[kept], phases[kept], blocks[kept], products[kept]
         u, factors = u[kept], factors[kept]
-        theta, value = theta[kept], value[kept]
+        theta, value, modulus = theta[kept], value[kept], modulus[kept]
         weights, mask_weights = weights[kept], mask_weights[kept]
     return values, final_phases, states, iterations
 
@@ -714,9 +700,9 @@ def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
     states in support (each functional's coset_support when None), or are the
     fixed unit vector on it.  The restarts of all jobs whose functionals share
     a term structure and a support run as rows of one seesaw, whatever their
-    form, the real-part jobs first (a stable sort); a row's result does not
-    depend on the rows beside it.  Each job's best restart, ties broken by
-    restart index, is reported as found.
+    form and order; a row's result does not depend on the rows beside it.
+    Each job's best restart, ties broken by restart index, is reported as
+    found.
     """
     betas = [_resolve_bound(f) if beta is None else beta for f, _, beta in jobs]
     batches: dict = {}
@@ -730,7 +716,6 @@ def _search(jobs: Sequence[tuple[BellFunctional, int, float | None]],
     results: list = [None] * len(jobs)
     drawn: dict = {}
     for own, members in batches.values():
-        members.sort(key=lambda index: jobs[index][0].form is FunctionalForm.MODULUS)
         objective = _MultiportObjective([jobs[i][0] for i in members], own, fixed)
         n, k, d = (objective.scenario.parties, objective.scenario.settings,
                    objective.scenario.outcomes)
@@ -788,13 +773,8 @@ def _state_column(scenario: Scenario, amplitudes) -> tuple[np.ndarray, np.ndarra
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != shape:
         raise ValueError(f"amplitudes must have shape {shape}, got {amps.shape}")
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(amps.ravel())
-    if not 0 < norm < np.inf:
-        raise ValueError(f"amplitudes must have a finite nonzero norm, got {norm}")
     support = np.flatnonzero(amps.ravel())
-    return support, amps.ravel()[support] / norm
+    return support, _unit_state(amps).ravel()[support]
 
 
 def maximize_with_fixed_state(functional, amplitudes, config: OptimizationConfig | None = None,

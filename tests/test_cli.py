@@ -616,6 +616,36 @@ def test_table_523_row_single_thread_has_no_error():
     assert row["ratio_re"] is not None
 
 
+def optimize_setup_process(tmp_path, amplitudes):
+    """bellkit optimize --spec chsh --setup on a (2,2,2) document: exit code and result digest."""
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({"scenario": {"parties": 2, "settings": 2, "outcomes": 2},
+                                "amplitudes": amplitudes,
+                                "phases": [[[0, 1], [0, 2]], [[0, 3], [0, 4]]]}))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "bellkit.cli", "optimize", "--spec", "chsh", "--setup", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    digest = completed.returncode or json.loads(completed.stdout)["manifest"]["result_digest"]
+    return completed.returncode, completed.stderr, digest
+
+
+def test_setup_norms_past_the_float_range_as_a_process(tmp_path):
+    # the squared norm of each of these states overflows or underflows
+    code, err, unit = optimize_setup_process(tmp_path, [1, 1, 0, 0])
+    assert code == 0, err
+    for scale in (2.0**600, 2.0**-600):
+        code, err, digest = optimize_setup_process(tmp_path, [scale, scale, 0, 0])
+        assert code == 0 and digest == unit, (scale, err)
+    for amplitudes in ([1e308, 1e308, 0, 0], [1e200, 0, 0, 0], [1e-320, 0, 0, 0],
+                       [3e-160, 4e-160, 0, 0]):
+        code, err, _ = optimize_setup_process(tmp_path, amplitudes)
+        assert code == 0, (amplitudes, err)
+
+
 HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.linalg")
 
 

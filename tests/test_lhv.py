@@ -707,8 +707,13 @@ def test_classical_bounds_refuse_what_a_functional_refuses():
             classical_bounds(scenario, shape, form)
     for bad, match in [(np.zeros((2, 2)), "table 1 has no nonzero"),
                        (chsh * 1e308, "table 1 sum past"),
-                       (chsh * np.nan, "table 1 sum past"),
-                       (chsh * np.inf, "table 1 sum past")]:
+                       (chsh * np.nan, r"table 1 has weight \(nan\+0j\) at settings \(0, 0\), "
+                                       "not finite"),
+                       (chsh * np.inf, r"table 1 has weight \(inf\+0j\) at settings \(0, 0\)"),
+                       (np.where([[0, 0], [0, 1]], complex(1, np.nan), chsh),
+                        r"table 1 has weight \(1\+nanj\) at settings \(1, 1\), not finite"),
+                       (np.where([[0, 1], [0, 0]], -np.inf, chsh),
+                        r"table 1 has weight \(-inf\+0j\) at settings \(0, 1\), not finite")]:
         with pytest.raises(ValueError):
             BellFunctional.from_coefficients(scenario, bad, form)
         with pytest.raises(ValueError, match=match):

@@ -171,6 +171,8 @@ def test_setup_validation():
             QuantumSetup(sc, amps, np.zeros((2, 2, 3)))
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             QuantumSetup.normalized(sc, amps, np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        QuantumSetup.normalized(sc, np.zeros((3, 3)), np.zeros((2, 2, 3)))
     for port in (0, 2):
         for bad in [np.nan, np.inf, -np.inf]:
             phases = np.zeros((2, 2, 3))
@@ -179,6 +181,25 @@ def test_setup_validation():
                 QuantumSetup(sc, good, phases)
             with pytest.raises(ValueError, match="phases must be finite"):
                 QuantumSetup.normalized(sc, good, phases)
+
+
+STATES = [
+    (Scenario(2, 2, 2), np.array([[1.0, 1.0], [0.0, 0.0]])),
+    (Scenario(2, 2, 2), np.array([[3.0, 4.0], [0.0, 0.0]])),
+    (Scenario(3, 2, 3), random_setup(Scenario(3, 2, 3), np.random.default_rng(47)).amplitudes),
+]
+
+
+@pytest.mark.parametrize("power", [-1000, -520, -1, 1, 520, 1000])
+@pytest.mark.parametrize("scenario, state", STATES, ids=["11", "34", "323"])
+def test_normalized_state_does_not_depend_on_a_power_of_two_scale(scenario, state, power):
+    # 2^1000 |s| overflows and 2^-1000 |s| underflows: the norm is taken after
+    # an exact power-of-two rescaling, so the amplitudes keep every bit
+    phases = np.zeros((scenario.parties, scenario.settings, scenario.outcomes))
+    unit = QuantumSetup.normalized(scenario, state, phases).amplitudes
+    scaled = QuantumSetup.normalized(scenario, state * 2.0**power, phases).amplitudes
+    assert np.array_equal(scaled.view(float), unit.view(float)), power
+    assert np.array_equal(np.signbit(scaled.view(float)), np.signbit(unit.view(float)))
 
 
 @pytest.mark.parametrize("phases", [np.zeros(3), np.zeros((2, 3)), np.array(0.0)],

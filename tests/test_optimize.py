@@ -192,6 +192,24 @@ def test_fixed_state_chsh():
     assert np.allclose(np.abs(result.setup.amplitudes), np.abs(bell_state) , atol=1e-12)
 
 
+FIXED_STATES = [
+    ("chsh 11", chsh, np.array([[1.0, 1.0], [0.0, 0.0]])),
+    ("chsh 34", chsh, np.array([[3.0, 4.0], [0.0, 0.0]])),
+    ("product-g 323", lambda: product_g_functional(3, 3, FunctionalForm.REAL_PART),
+     np.random.default_rng(47).normal(size=(3, 3, 3, 2)) @ np.array([1, 1j])),
+]
+
+
+@pytest.mark.parametrize("power", [-1000, -520, -1, 1, 520, 1000])
+@pytest.mark.parametrize("name, make, state", FIXED_STATES)
+def test_fixed_state_search_does_not_depend_on_a_power_of_two_scale(name, make, state, power):
+    # the state's norm overflows or underflows unless it is rescaled exactly first
+    functional, config = make(), OptimizationConfig(restarts=2, seed=13)
+    unit = maximize_with_fixed_state(functional, state, config)
+    scaled = maximize_with_fixed_state(functional, state * 2.0**power, config)
+    assert_same_result(scaled, unit)
+
+
 @pytest.mark.parametrize("name, make", [
     ("cglmp-corr", cglmp_correlation_functional),
     ("product-g 323 modulus", lambda: product_g_functional(3, 3, FunctionalForm.MODULUS)),
@@ -458,6 +476,7 @@ def test_scan_row_runs_both_forms_in_one_batch(monkeypatch):
     for index, ((n, _, d), row) in enumerate(zip(scenarios, rows)):
         seed = _child_seed(config.seed, index)
         assert row.seed == seed and row.error is None
+        jobs = []
         for form, tag in zip(FORMS, ("re", "abs")):
             functional = product_g_functional(n, d, form)
             beta = classical_bound(functional).bound
@@ -465,6 +484,10 @@ def test_scan_row_runs_both_forms_in_one_batch(monkeypatch):
             assert getattr(row, f"beta_{tag}") == beta, (n, d, tag)
             assert getattr(row, f"quantum_{tag}") == alone.quantum_value, (n, d, tag)
             assert getattr(row, f"ratio_{tag}") == alone.ratio, (n, d, tag)
+            jobs.append(((functional, seed, beta), alone))
+        # the two forms' jobs listed modulus first give the same results
+        for (_, alone), result in zip(jobs[::-1], _search([job for job, _ in jobs[::-1]], config)):
+            assert_same_result(result, alone)
 
 
 def test_scan_handles_bad_rows_and_continues():
@@ -695,8 +718,7 @@ def test_sweep_never_lowers_the_objective(name, make):
         theta = np.where(modulus, -np.angle(before), 0.0)
         u = objective.phase_factors(phases)
         swept, _ = _sweep(objective, phases, u, objective.support_factors(u),
-                          objective.state_products(blocks), theta, weights,
-                          int(np.count_nonzero(~modulus)))
+                          objective.state_products(blocks), theta, weights, modulus)
         for i in range(count):
             assert swept[i] >= apply_form(functional.form, before[i]) - 1e-12, (name, kind)
             after = pair_total(functionals[owners[i]], phases[i], states[i])
@@ -792,32 +814,24 @@ def test_seesaw_rows_do_not_depend_on_their_batch(name, make):
             for got, want in zip(run_rows(objective, owners, starts, sizes), whole):
                 assert np.array_equal(got, want), (name, kind, sizes)
 
-        # real-part and modulus rows of one term structure in one batch, real-part rows
-        # first, against each form's rows run alone on the same support (or fixed state)
+        # real-part and modulus rows of one term structure interleaved in one batch,
+        # against each form's rows run alone on the same support (or fixed state)
         forms = [reweighted(functional, seed, form) for form in FORMS for seed in (3, 4)]
         mixed = _MultiportObjective(forms, objective.support, objective.fixed)
-        owners = np.sort(np.concatenate([rng.integers(0, 2, size=rows // 2),
-                                         rng.integers(2, 4, size=rows - rows // 2)]))
+        owners = rng.permutation(np.concatenate([rng.integers(0, 2, size=rows // 2),
+                                                 rng.integers(2, 4, size=rows - rows // 2)]))
+        assert (np.diff(owners // 2) < 0).any()  # a modulus row precedes a real-part row
         whole = run_rows(mixed, owners, starts, [rows])
         # forms[0:2] are real-part functionals, forms[2:4] modulus ones
-        for first, part in ((0, slice(0, rows // 2)), (2, slice(rows // 2, rows))):
+        for first in (0, 2):
+            part = owners // 2 == first // 2
             alone = _MultiportObjective(forms[first:first + 2], objective.support, objective.fixed)
-            single = run_rows(alone, owners[part] - first, starts[part], [rows // 2])
+            single = run_rows(alone, owners[part] - first, starts[part], [int(part.sum())])
             for got, want in zip(single, whole):
                 assert np.array_equal(got, want[part]), (name, kind, first)
         for sizes in ([1] * rows, [7, rows - 7]):
             for got, want in zip(run_rows(mixed, owners, starts, sizes), whole):
                 assert np.array_equal(got, want), (name, kind, "mixed", sizes)
-
-
-def test_seesaw_refuses_modulus_rows_before_real_part_rows():
-    functional = i323_functional()
-    forms = [reweighted(functional, 3, form) for form in FORMS]
-    objective = _MultiportObjective(forms, coset_support(functional))
-    sc = objective.scenario
-    starts = np.zeros((2, sc.parties, sc.settings, sc.outcomes))
-    with pytest.raises(ValueError, match="real-part row before the modulus rows"):
-        _seesaw(objective, np.array([1, 0]), starts)
 
 
 @pytest.mark.parametrize("name, make", KERNEL_CASES)
